@@ -333,11 +333,13 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkInterpDispatch compares the pre-decoded fast dispatch loop
+// BenchmarkInterpDispatch compares the default closure-compiled engine
 // against the per-instruction reference loop on the same workload, plain
-// and with profiling enabled. Profiling is where the engines diverge
-// most: the fast loop bumps dense []int64 counters at block retire while
-// the reference loop updates map[*ir.Block] entries per block.
+// and with profiling enabled. The default engine's one-time compilation
+// into threaded-code closures happens on the first run and is shared by
+// every later one. Profiling is where the engines diverge most: the
+// default engine bumps dense []int64 counters at block retire while the
+// reference loop updates map[*ir.Block] entries per block.
 func BenchmarkInterpDispatch(b *testing.B) {
 	sp, err := workload.ByName("256.bzip2")
 	if err != nil {
@@ -349,46 +351,9 @@ func BenchmarkInterpDispatch(b *testing.B) {
 		cfg  interp.Config
 	}{
 		{"fast", interp.Config{}},
-		{"reference", interp.Config{Reference: true}},
-		{"closure", interp.Config{Engine: interp.EngineClosure}},
+		{"reference", interp.Config{Engine: interp.EngineRef}},
 		{"fast-profiled", interp.Config{Profile: true}},
-		{"reference-profiled", interp.Config{Profile: true, Reference: true}},
-		{"closure-profiled", interp.Config{Profile: true, Engine: interp.EngineClosure}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			m := interp.New(art.Mod, mode.cfg)
-			var instrs int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Reset()
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-				instrs += m.Count
-			}
-			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-		})
-	}
-}
-
-// BenchmarkClosureDispatch isolates the closure-compiled engine: one-time
-// AOT compilation into threaded-code closures, then repeated runs over
-// the pre-built step arrays, plain and with dense profiling. Compare the
-// Minstr/s metric against BenchmarkInterpDispatch's fast/reference modes
-// — the closure engine's whole point is removing the per-instruction
-// opcode switch from the quiescent path.
-func BenchmarkClosureDispatch(b *testing.B) {
-	sp, err := workload.ByName("256.bzip2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	art := sp.Build()
-	for _, mode := range []struct {
-		name string
-		cfg  interp.Config
-	}{
-		{"plain", interp.Config{Engine: interp.EngineClosure}},
-		{"profiled", interp.Config{Profile: true, Engine: interp.EngineClosure}},
+		{"reference-profiled", interp.Config{Profile: true, Engine: interp.EngineRef}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			m := interp.New(art.Mod, mode.cfg)
@@ -426,7 +391,7 @@ func BenchmarkSFITrialThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	const trials = 50
-	for _, engine := range []interp.Engine{interp.EngineFast, interp.EngineRef, interp.EngineClosure} {
+	for _, engine := range []interp.Engine{interp.EngineFast, interp.EngineRef} {
 		for _, ckpt := range []int{0, 16} {
 			b.Run(fmt.Sprintf("%s/ckpt%d", engine, ckpt), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

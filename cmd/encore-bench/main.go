@@ -3,7 +3,7 @@
 // Usage:
 //
 //	encore-bench [-exp fig1|table1|fig5|fig6|fig7a|fig7b|fig8|all]
-//	             [-apps a,b,c] [-quick] [-engine fast|ref|closure]
+//	             [-apps a,b,c] [-quick] [-engine fast|ref]
 //	             [-table1-app name] [-json file]
 //	             [-metrics file|-] [-prom file|-] [-chrometrace file|-]
 //	             [-cpuprofile file] [-memprofile file]
@@ -90,7 +90,7 @@ func runBench(argv []string, stdout io.Writer) error {
 		exp        = fs.String("exp", "all", "experiment: fig1, table1, fig5, fig6, fig7a, fig7b, fig8, abl-eta, abl-budget, abl-signature, abl-detector, abl-input, engines, served, sharded, all")
 		apps       = fs.String("apps", "", "comma-separated benchmark subset")
 		quick      = fs.Bool("quick", false, "reduced Monte-Carlo trials")
-		engine     = fs.String("engine", "", "execution engine for measurement runs: fast, ref, or closure (results are engine-invariant)")
+		engine     = fs.String("engine", "", "execution engine for measurement runs: fast or ref (results are engine-invariant)")
 		t1app      = fs.String("table1-app", "175.vpr", "workload for the Table 1 comparison")
 		jsonPath   = fs.String("json", "", "write a JSON report (wall-clock + results) to this file")
 		metrics    = fs.String("metrics", "", "write the observability snapshot as JSON to this file (- = stdout)")

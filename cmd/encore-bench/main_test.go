@@ -75,12 +75,12 @@ func TestUnknownEngineRejected(t *testing.T) {
 	}
 }
 
-// TestEngineFlagRuns drives one real experiment under the closure engine:
-// the harness must thread -engine through its compile and measurement
-// caches and still render the exhibit.
+// TestEngineFlagRuns drives one real experiment under the reference
+// engine: the harness must thread -engine through its compile and
+// measurement caches and still render the exhibit.
 func TestEngineFlagRuns(t *testing.T) {
 	var out bytes.Buffer
-	err := runBench([]string{"-exp", "table1", "-table1-app", "rawcaudio", "-quick", "-engine", "closure"}, &out)
+	err := runBench([]string{"-exp", "table1", "-table1-app", "rawcaudio", "-quick", "-engine", "ref"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

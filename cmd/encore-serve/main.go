@@ -9,7 +9,7 @@
 // Usage:
 //
 //	encore-serve [-addr host:port] [-max-inflight n] [-tenant-inflight n]
-//	             [-retry-after sec] [-workers n] [-engine fast|ref|closure]
+//	             [-retry-after sec] [-workers n] [-engine fast|ref]
 //	             [-checkpoints k] [-drain-timeout dur] [-stats-every n]
 //	             [-adaptive-ci w] [-log-requests] [-pprof]
 //
@@ -58,7 +58,7 @@ func runServe(argv []string, logw io.Writer, ready chan<- string) error {
 		tenantMax    = fs.Int("tenant-inflight", 0, "per-tenant in-flight trial budget (0 = the global budget)")
 		retryAfter   = fs.Int("retry-after", 1, "Retry-After hint in seconds for 429/503 responses")
 		workers      = fs.Int("workers", 0, "default trial parallelism per campaign (0 = GOMAXPROCS)")
-		engine       = fs.String("engine", "", "default execution engine: fast, ref, or closure")
+		engine       = fs.String("engine", "", "default execution engine: fast or ref")
 		checkpoints  = fs.Int("checkpoints", 16, "default golden-run snapshot rungs for fork-from-checkpoint trials (0 = replay the full prefix)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight campaigns")
 		statsEvery   = fs.Int("stats-every", 0, "default stats-stream cadence in settled trials (0 = built-in default)")

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	encore-sfi [-app name] [-trials n] [-dmax d] [-seed s] [-masking]
-//	           [-workers n] [-engine fast|ref|closure] [-checkpoints k]
+//	           [-workers n] [-engine fast|ref] [-checkpoints k]
 //	           [-progress]
 //	           [-shard i/K] [-adaptive] [-adaptive-ci w] [-adaptive-round n]
 //	           [-reuse trace.jsonl]
@@ -117,7 +117,7 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		masking     = fs.Bool("masking", false, "also run the raw-strike masking study")
 		workers     = fs.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS; clamped to the trial count)")
 		checkpoints = fs.Int("checkpoints", 16, "golden-run snapshot rungs for fork-from-checkpoint trials (0 = replay the full prefix)")
-		engine      = fs.String("engine", "", "trial execution engine: fast, ref, or closure (outcomes are engine-invariant)")
+		engine      = fs.String("engine", "", "trial execution engine: fast or ref (outcomes are engine-invariant)")
 		progress    = fs.Bool("progress", false, "report per-campaign trial progress on stderr")
 		metrics     = fs.String("metrics", "", "write the observability snapshot as JSON to this file (- = stdout)")
 		prom        = fs.String("prom", "", "write the observability snapshot in Prometheus text format to this file (- = stdout)")

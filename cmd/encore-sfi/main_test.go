@@ -44,7 +44,7 @@ func TestEngineInvariantTable(t *testing.T) {
 		return out.String()
 	}
 	want := run("")
-	for _, engine := range []string{"fast", "ref", "closure"} {
+	for _, engine := range []string{"fast", "ref"} {
 		if got := run(engine); got != want {
 			t.Errorf("-engine %s table diverges:\n%s\nvs default:\n%s", engine, got, want)
 		}
@@ -193,7 +193,7 @@ func TestStatsFlagDeterministic(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-workers", "4"},
 		{"-workers", "8"},
-		{"-workers", "4", "-engine", "closure"},
+		{"-workers", "4", "-engine", "ref"},
 	} {
 		if got := run(extra...); got != want {
 			t.Errorf("-stats output diverges under %v", extra)

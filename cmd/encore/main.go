@@ -4,7 +4,7 @@
 // Usage:
 //
 //	encore [-app name] [-pmin p | -nopmin] [-gamma g] [-eta e]
-//	       [-budget b] [-alias static|optimistic] [-engine fast|ref|closure]
+//	       [-budget b] [-alias static|optimistic] [-engine fast|ref]
 //	       [-regions] [-hashes] [-ir] [-metrics file|-] [-prom file|-]
 //	       [-chrometrace file|-]
 //
@@ -42,7 +42,7 @@ func main() {
 		eta       = flag.Float64("eta", 0.5, "η merge threshold")
 		budget    = flag.Float64("budget", 0.20, "overhead budget fraction")
 		aliasMode = flag.String("alias", "static", "alias analysis: static, profiled, or optimistic")
-		engine    = flag.String("engine", "", "execution engine for measurement runs: fast, ref, or closure")
+		engine    = flag.String("engine", "", "execution engine for measurement runs: fast or ref")
 		regions   = flag.Bool("regions", false, "print per-region detail")
 		hashes    = flag.Bool("hashes", false, "print the per-region content-hash table (the adaptive-reuse key)")
 		dumpIR    = flag.Bool("ir", false, "print the instrumented IR")

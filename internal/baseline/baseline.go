@@ -13,8 +13,8 @@
 //
 // Both schemes observe execution through interp.Hook, which pins their
 // runs to the per-instruction reference loop: Config.Engine is ignored
-// for these measurements (the fast and closure engines have no
-// per-instruction observation point by design).
+// for these measurements (the default engine has no per-instruction
+// observation point by design).
 package baseline
 
 import (

@@ -16,8 +16,8 @@ import (
 type EngineRow struct {
 	Engine string
 	// MInstrPerSec is steady-state dispatch speed over full fault-free
-	// runs (the closure engine's one-time compilation is warmed up
-	// beforehand, as every long-lived machine pool amortizes it).
+	// runs (the default engine's one-time closure compilation is warmed
+	// up beforehand, as every long-lived machine pool amortizes it).
 	MInstrPerSec float64
 	// TrialsPerSec is end-to-end SFI campaign throughput — the quantity
 	// the Monte-Carlo experiments actually pay for.
@@ -55,7 +55,7 @@ func (h *Harness) Engines(app string) (*EnginesResult, error) {
 	trials := h.trials(300)
 	out := &EnginesResult{App: app, Trials: trials}
 	var golden *sfi.CampaignResult
-	for _, e := range []interp.Engine{interp.EngineFast, interp.EngineRef, interp.EngineClosure} {
+	for _, e := range []interp.Engine{interp.EngineFast, interp.EngineRef} {
 		m := interp.New(res.Mod, interp.Config{Engine: e})
 		m.SetRuntime(res.Metas)
 		if _, err := m.Run(); err != nil { // warm-up: closure AOT compile, caches

@@ -76,7 +76,7 @@ type compileEntry struct {
 func cacheKey(sp workload.Spec, cfg core.Config) (compileKey, bool) {
 	ic := cfg.Interp
 	if ic.MemWords != 0 || ic.StackWords != 0 || ic.MaxInstrs != 0 || ic.MaxDepth != 0 ||
-		ic.Profile || ic.Hook != nil || ic.Externs != nil || ic.Reference {
+		ic.Profile || ic.Hook != nil || ic.Externs != nil {
 		return compileKey{}, false
 	}
 	return compileKey{

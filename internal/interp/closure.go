@@ -4,42 +4,39 @@ import (
 	"encore/internal/ir"
 )
 
-// This file implements the closure-compiled execution engine
-// (EngineClosure), the third interpreter tier next to the reference loop
-// (ref.go) and the pre-decoded fast loop (run.go). The pre-decoded
-// instruction stream is AOT-compiled into threaded code: one Go closure
-// per dinstr with its operands bound at compile time, chained by direct
-// continuation calls within a basic block so the hot path is a straight
-// run of closure calls — no opcode switch, no per-instruction counter
-// updates, no per-instruction stop checks. Block and frame transfers go
-// through a trampoline (cvm.next) so the Go stack never grows with the
-// interpreted program's control flow.
+// This file implements the default execution engine (EngineFast), the
+// quiescent tier next to the reference loop (ref.go). The pre-decoded
+// instruction stream (decode.go) is AOT-compiled into threaded code: one
+// Go closure per dinstr with its operands bound at compile time, chained
+// by direct continuation calls within a basic block so the hot path is a
+// straight run of closure calls — no opcode switch, no per-instruction
+// counter updates, no per-instruction stop checks. Block and frame
+// transfers go through a trampoline (cvm.next) so the Go stack never
+// grows with the interpreted program's control flow.
 //
 // Instruction accounting is block-batched. A block's total cost is
 // pre-added when execution (re-)enters it, so during the chain
 //
-//	cvm.count = exact fast-loop count + cost of the block's unretired tail
+//	cvm.count = exact count + cost of the block's unretired tail
 //
 // and steps that expose the counters mid-block — calls, externs,
 // SetRecovery's entryCount, traps — subtract the tail (a compile-time
-// constant per pc) to recover the exact fast-loop value. The same
-// pre-add doubles as the stop check: the fast loop hands off to the
-// reference engine when its per-instruction check sees count >= stop,
-// which for a segment entered at count c with total cost C (terminator
-// cost 1 included) happens iff c + C - 1 >= stop, i.e. c + C > stop.
-// The re-entry steps test exactly that and delegate the segment to
-// loopFastFrom, which then stops (or traps on budget exhaustion) at the
-// precise instruction the per-step check would have — so fault windows,
-// scheduled detections, and budget traps are bit-identical across
-// engines.
+// constant per pc) to recover the exact value. The same pre-add doubles
+// as the stop check: a stop event (fault window, scheduled detection,
+// budget exhaustion, checkpoint rung; see fastStop) falls inside a
+// segment entered at count c with total cost C (terminator cost 1
+// included) iff c + C > stop. The re-entry steps test exactly that and
+// delegate the segment to the reference loop, whose per-instruction
+// checks meet the event at the precise instruction it is due — so fault
+// windows, scheduled detections, budget traps, and snapshot captures are
+// bit-identical across engines.
 //
 // Two compiled variants exist per Program — plain and profiled (the
-// profiled one bumps the dense block/edge counters at terminator retire,
-// exactly like the fast loop) — built lazily and shared by every machine
-// using the Program, including concurrent SFI pool workers: compiled
-// steps capture only immutable decode-time data (operand indices, region
-// IDs, continuation pointers) and reach all mutable state through the
-// per-run cvm.
+// profiled one bumps the dense block/edge counters at terminator
+// retire) — built lazily and shared by every machine using the Program,
+// including concurrent SFI pool workers: compiled steps capture only
+// immutable decode-time data (operand indices, region IDs, continuation
+// pointers) and reach all mutable state through the per-run cvm.
 
 // step is one compiled instruction. regs is threaded through the chain
 // as an argument (rather than re-loaded from the cvm) so the register
@@ -62,24 +59,24 @@ const (
 	exitRun      uint8 = iota // still executing
 	exitDone                  // returned past baseDepth; retVal is the result
 	exitTrap                  // err holds the trap; counters already exact
-	exitDelegate              // stop event pending: hand delegPC to the fast loop
+	exitDelegate              // stop event pending: hand delegPC to the reference loop
 	exitSymptom               // OOB access with an undetected injected fault at delegPC
 )
 
-// cvm is the closure engine's per-run mutable state, the counterpart of
-// the fast loop's locals. Compiled steps receive it as their first
-// argument; everything reached through it belongs to exactly one machine.
+// cvm is the closure engine's per-run mutable state. Compiled steps
+// receive it as their first argument; everything reached through it
+// belongs to exactly one machine.
 type cvm struct {
 	m   *Machine
 	mem []int64
 
 	// Shadow counters in block-batched form (see the file comment):
-	// count/ovh run ahead of the exact fast-loop values by the cost of
-	// the current block's unretired tail.
+	// count/ovh run ahead of the exact values by the cost of the current
+	// block's unretired tail.
 	count, ovh int64
 	stop       int64
 
-	// Dirty-memory watermarks, mirroring the fast loop's locals.
+	// Dirty-memory watermarks, mirroring the Machine's.
 	dLo, dHi  int64
 	sLo, sHi  int64
 	stackBase int64
@@ -100,7 +97,7 @@ type cvm struct {
 }
 
 // stepCost returns one decoded instruction's (Count, overhead) cost,
-// matching the fast loop's accounting: checkpoint pseudo-ops count
+// matching the reference loop's accounting: checkpoint pseudo-ops count
 // toward Count but also toward the overhead delta (they are excluded
 // from BaseCount), and OpCkptMem costs two instructions (addr+data).
 func stepCost(op uint8) (count, ovh int64) {
@@ -174,7 +171,7 @@ func compileClosures(p *Program, profiled bool) *cprog {
 // undetected fault pending it becomes a symptom handoff (the reference
 // loop fires the detector), otherwise a trap. adjC/adjO subtract the
 // block tail beyond the access, which retires its count before the
-// bounds check observes the state — exactly the fast loop's order.
+// bounds check observes the state — exactly the reference loop's order.
 func (v *cvm) oob(pc int32, adjC, adjO int64, what string, addr int64) {
 	v.count -= adjC
 	v.ovh -= adjO
@@ -453,9 +450,9 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 			regs[dst] = val
 			if v.count > v.stop {
 				// The handler advanced the count into a stop event (budget
-				// or fault window): hand the rest of the block to the fast
-				// loop, which stops exactly where its per-instruction check
-				// fires.
+				// or fault window): hand the rest of the block to the
+				// reference loop, which meets the event exactly where its
+				// per-instruction check fires.
 				v.count -= adjC
 				v.ovh -= adjO
 				v.exit = exitDelegate
@@ -517,8 +514,9 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 		}
 	case uint8(ir.OpCkptMem):
 		a, off := in.a, in.imm
-		// OpCkptMem costs two counts; its fast-loop OOB trap fires after
-		// only the first (plus one overhead), hence the -1 adjustments.
+		// OpCkptMem costs two counts; its reference-loop OOB trap fires
+		// after only the first (plus one overhead), hence the -1
+		// adjustments.
 		adjC, adjO := rc-1, ro-1
 		return func(v *cvm, regs []int64) {
 			m := v.m
@@ -702,8 +700,7 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 	}
 }
 
-// loopClosure enters the closure engine for a fresh call, mirroring
-// loopFast.
+// loopClosure enters the closure engine for a fresh call.
 func (m *Machine) loopClosure() (int64, error) {
 	p := m.program()
 	fr := &m.frames[len(m.frames)-1]
@@ -716,32 +713,16 @@ func (m *Machine) loopClosure() (int64, error) {
 }
 
 // loopClosureFrom runs the closure engine from an arbitrary pc with an
-// explicit base frame depth — the entry point both for fresh calls and
-// for the reference loop handing control back after a fault settles.
-// Any stop event (fault window, scheduled detection, budget exhaustion)
-// terminates the compiled segment by delegating to loopFastFrom, whose
-// per-instruction checks handle the event bit-identically; a symptom
-// (out-of-bounds under a pending fault) goes through symptomHandoff like
-// the fast loop's.
+// explicit base frame depth — the entry point for fresh calls, Resume,
+// RunWithSnapshots, and the reference loop handing control back. Any
+// stop event (fastStop) terminates the compiled segment by delegating it
+// to the reference loop, whose per-instruction checks meet the event
+// bit-identically; a symptom (out-of-bounds access under a pending
+// fault) hands over the same way with detection rescheduled to fire at
+// once.
 func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
 	p := m.program()
 	cp := p.closures(m.Prof != nil)
-	budget := m.Cfg.MaxInstrs
-	// stop mirrors loopFastFrom: the budget, tightened to the next
-	// pending fault event (see the comment there).
-	stop := budget
-	if m.fault != nil {
-		switch {
-		case !m.fault.injected:
-			if ia := m.fault.plan.InjectAt - 1; ia < stop {
-				stop = ia
-			}
-		case !m.fault.detected:
-			if da := m.fault.detectAt; da < stop {
-				stop = da
-			}
-		}
-	}
 	if m.Prof != nil && len(m.pBlocks) != len(p.blocks) {
 		m.pBlocks = make([]int64, len(p.blocks))
 		m.pEdges = make([]int64, p.numEdges)
@@ -752,7 +733,7 @@ func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
 		mem:       m.Mem,
 		count:     m.Count,
 		ovh:       m.Count - m.BaseCount,
-		stop:      stop,
+		stop:      m.fastStop(),
 		dLo:       m.dirtyLo,
 		dHi:       m.dirtyHi,
 		sLo:       m.dirtyStkLo,
@@ -770,21 +751,32 @@ func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
 		v.next = nil
 		s(v, v.regs)
 	}
+	// Write the shadow state back and fold the dense profile counters
+	// into the Profile maps.
+	m.Count, m.BaseCount = v.count, v.count-v.ovh
+	m.dirtyLo, m.dirtyHi = v.dLo, v.dHi
+	m.dirtyStkLo, m.dirtyStkHi = v.sLo, v.sHi
+	if m.pBlocks != nil {
+		m.mergeDense(p)
+	}
+	until := v.stop
 	switch v.exit {
 	case exitDone:
-		m.fastFlush(p, v.count, v.count-v.ovh, v.dLo, v.dHi, v.sLo, v.sHi)
 		return v.retVal, nil
 	case exitTrap:
-		m.fastFlush(p, v.count, v.count-v.ovh, v.dLo, v.dHi, v.sLo, v.sHi)
 		return 0, v.err
 	case exitSymptom:
-		return m.symptomHandoff(p, baseDepth, v.delegPC, v.count, v.count-v.ovh, v.dLo, v.dHi, v.sLo, v.sHi)
-	default: // exitDelegate
-		m.Count, m.BaseCount = v.count, v.count-v.ovh
-		m.dirtyLo, m.dirtyHi = v.dLo, v.dHi
-		m.dirtyStkLo, m.dirtyStkHi = v.sLo, v.sHi
-		return m.loopFastFrom(baseDepth, v.delegPC)
+		// Address faults are "highly visible symptoms" (§4.3): exactly
+		// like the reference loop's symptomTrap path, the access retires
+		// its count without executing and detection fires immediately,
+		// at the same position on the reference loop.
+		m.fault.detectAt = m.Count
+		until = m.Count
 	}
+	m.framesToRef(p, baseDepth)
+	m.HandoffsToRef++
+	rb, ridx := p.refPos(v.delegPC)
+	return m.loopRefFrom(baseDepth, rb, ridx, until)
 }
 
 // closures returns the Program's compiled form for the requested

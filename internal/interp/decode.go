@@ -6,15 +6,15 @@ import (
 	"encore/internal/ir"
 )
 
-// This file lowers IR modules into the pre-decoded form the fast
-// interpreter loop executes. Decoding happens once per module (at machine
-// construction or first run) and turns the pointer-rich ir.Instr/ir.Block
-// graph into a flat instruction array with:
+// This file lowers IR modules into the pre-decoded form the default
+// engine compiles into closures (closure.go). Decoding happens once per
+// module (at machine construction or first run) and turns the
+// pointer-rich ir.Instr/ir.Block graph into a flat instruction array
+// with:
 //
-//   - dense int32 register operands (no ir.Reg conversions in the loop),
+//   - dense int32 register operands (no ir.Reg conversions at run time),
 //   - absolute jump targets (block terminators become stream opcodes, so
-//     the loop is a single pc-indexed dispatch with no instrs/terminator
-//     split),
+//     every position is one pc with no instrs/terminator split),
 //   - globals resolved to absolute addresses at decode time (OpGlobal
 //     becomes a constant load),
 //   - per-block dense IDs across the whole module, so profiling counters
@@ -25,9 +25,8 @@ import (
 // Decoding never mutates the module, so any number of machines — including
 // concurrent ones — may share one Program via UseProgram.
 
-// Decoded terminator opcodes, placed directly after the ir.Opcode space:
-// the fast loop's dispatch switch then covers one dense byte range, which
-// the compiler lowers to a jump table instead of a comparison tree.
+// Decoded terminator opcodes, placed directly after the ir.Opcode space
+// so one byte-sized opcode covers instructions and terminators alike.
 const (
 	dJmp uint8 = uint8(ir.OpRestore) + 1 + iota
 	dBr
@@ -84,24 +83,24 @@ type Program struct {
 	switches [][]int32
 
 	// pc -> (dense block ID, instruction index) for handing execution
-	// from the fast loop to the reference loop mid-run (fault-injection
-	// pauses). idxOf == len(b.Instrs) denotes the terminator slot.
+	// from the default engine to the reference loop mid-run (stop
+	// events). idxOf == len(b.Instrs) denotes the terminator slot.
 	blockOf []int32
 	idxOf   []int32
 	// block -> pc of its first instruction, for the reverse handoff (the
-	// reference loop returning control once a fault has settled). The pc
-	// of position (b, idx) is blockPC[b] + idx; idx == len(b.Instrs)
-	// addresses the terminator slot.
+	// reference loop returning control once a stop event is behind it).
+	// The pc of position (b, idx) is blockPC[b] + idx; idx ==
+	// len(b.Instrs) addresses the terminator slot.
 	blockPC map[*ir.Block]int32
 
 	// Closure-compiled forms (closure.go), built lazily on first use by
-	// the closure engine and shared by every machine using this Program:
+	// the default engine and shared by every machine using this Program:
 	// index 0 is the plain variant, index 1 the profiled one.
 	closOnce [2]sync.Once
 	clos     [2]*cprog
 }
 
-// refPos maps a fast-loop pc to the (block, instruction index) position
+// refPos maps a pre-decoded pc to the (block, instruction index) position
 // the reference loop uses.
 func (p *Program) refPos(pc int32) (*ir.Block, int) {
 	return p.blocks[p.blockOf[pc]], int(p.idxOf[pc])
@@ -252,7 +251,7 @@ func (m *Machine) program() *Program {
 	return m.prog
 }
 
-// mergeDense folds the fast path's dense profiling counters into the
+// mergeDense folds the default engine's dense profiling counters into the
 // map-based Profile the rest of the system consumes, then clears them so
 // repeated Calls accumulate correctly.
 func (m *Machine) mergeDense(p *Program) {

@@ -3,28 +3,26 @@ package interp
 import "fmt"
 
 // Engine selects which dispatch loop a machine uses for the quiescent
-// (hook-free, fault-free) phases of a run. All engines are observationally
-// equivalent — same return values, counters, checkpoint traffic, profiles,
-// and fault trajectories — and differ only in speed; the equivalence guard
-// tests and the progen FuzzEngines oracle pin that down. The active phase
-// of a fault (injection through detection) always runs on the reference
-// loop regardless of the selected engine, and a Hook forces the reference
-// loop outright (hooks observe every instruction).
+// (hook-free, fault-free) phases of a run. Both engines are
+// observationally equivalent — same return values, counters, checkpoint
+// traffic, profiles, and fault trajectories — and differ only in speed;
+// the equivalence guard tests and the progen FuzzEngines oracle pin that
+// down. The active phase of a fault (injection through detection) always
+// runs on the reference loop regardless of the selected engine, and a
+// Hook forces the reference loop outright (hooks observe every
+// instruction).
 type Engine uint8
 
-// Engines, from slowest/most observable to fastest.
+// Engines.
 const (
-	// EngineFast is the pre-decoded dispatch loop (run.go) — the default.
+	// EngineFast is the closure-compiled engine (closure.go) — the
+	// default: the pre-decoded module is AOT-compiled into threaded-code
+	// closures, one per instruction, linked by direct continuation calls
+	// with block-batched instruction accounting.
 	EngineFast Engine = iota
 	// EngineRef is the reference loop (ref.go): it walks the ir structures
-	// directly and carries the full observation machinery. Equivalent to
-	// setting Config.Reference.
+	// directly and carries the full observation machinery.
 	EngineRef
-	// EngineClosure is the closure-compiled engine (closure.go): the
-	// module is AOT-compiled into threaded-code closures, one per
-	// pre-decoded instruction, linked by direct continuation calls with
-	// block-batched instruction accounting.
-	EngineClosure
 )
 
 // String names the engine the way the -engine command flags spell it.
@@ -34,25 +32,22 @@ func (e Engine) String() string {
 		return "fast"
 	case EngineRef:
 		return "ref"
-	case EngineClosure:
-		return "closure"
 	}
 	return fmt.Sprintf("engine(%d)", uint8(e))
 }
 
 // ParseEngine maps a -engine flag value to an Engine. It is the shared
-// validation helper behind the encore, encore-sfi, and encore-bench flags
-// (the sfi.ClampWorkers convention: one exported normalizer, every
-// consumer degrades through it). The empty string selects the default
-// fast engine; "reference" is accepted as an alias for "ref".
+// validation helper behind the encore, encore-sfi, encore-bench, and
+// encore-serve flags (the sfi.ClampWorkers convention: one exported
+// normalizer, every consumer degrades through it). The empty string
+// selects the default fast engine; "reference" is accepted as an alias
+// for "ref".
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "fast":
 		return EngineFast, nil
 	case "ref", "reference":
 		return EngineRef, nil
-	case "closure":
-		return EngineClosure, nil
 	}
-	return EngineFast, fmt.Errorf("unknown engine %q (valid: fast, ref, closure)", s)
+	return EngineFast, fmt.Errorf("unknown engine %q (valid: fast, ref)", s)
 }

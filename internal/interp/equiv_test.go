@@ -2,6 +2,8 @@ package interp_test
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"encore/internal/core"
@@ -10,12 +12,11 @@ import (
 	"encore/internal/workload"
 )
 
-// TestEngineEquivalence is the guard for the quiescent engines: for
-// every workload, uninstrumented and Encore-instrumented, the
-// pre-decoded fast loop and the closure-compiled engine must agree with
-// the reference loop on every observable — return value, trap
-// classification, instruction counters, output checksum, checkpoint
-// accounting, and the execution profile.
+// TestEngineEquivalence is the guard for the default engine: for every
+// workload, uninstrumented and Encore-instrumented, the closure-compiled
+// engine must agree with the reference loop on every observable —
+// return value, trap classification, instruction counters, output
+// checksum, checkpoint accounting, and the execution profile.
 func TestEngineEquivalence(t *testing.T) {
 	for _, sp := range workload.All() {
 		sp := sp
@@ -52,7 +53,7 @@ type engineRun struct {
 func checkEquiv(t *testing.T, label string, mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global) {
 	t.Helper()
 	var runs []engineRun
-	for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast, interp.EngineClosure} {
+	for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast} {
 		m := interp.New(mod, interp.Config{Profile: true, Engine: e})
 		defer m.Release()
 		if metas != nil {
@@ -67,8 +68,7 @@ func checkEquiv(t *testing.T, label string, mod *ir.Module, metas []interp.Regio
 	}
 }
 
-// diffRuns compares one quiescent engine's run against the reference
-// oracle's.
+// diffRuns compares one engine's run against the reference oracle's.
 func diffRuns(t *testing.T, label string, ref, got engineRun, outs []*ir.Global) {
 	t.Helper()
 	label = label + "/" + got.engine.String()
@@ -101,7 +101,7 @@ func diffRuns(t *testing.T, label string, ref, got engineRun, outs []*ir.Global)
 		t.Errorf("%s: max buffer: got=%d ref=%d", label, got.m.MaxBufferBytes, ref.m.MaxBufferBytes)
 	}
 
-	// Profile equivalence by Freq semantics: the quiescent engines' merged
+	// Profile equivalence by Freq semantics: the default engine's merged
 	// dense counters may leave explicit zero entries the reference path
 	// never creates, so zero-valued entries are identity.
 	for _, pair := range []struct{ a, b *interp.Profile }{{got.m.Prof, ref.m.Prof}, {ref.m.Prof, got.m.Prof}} {
@@ -120,6 +120,69 @@ func diffRuns(t *testing.T, label string, ref, got engineRun, outs []*ir.Global)
 					t.Errorf("%s: edge freq %s[%d]: %d vs %d", label, b, i, c, other)
 				}
 			}
+		}
+	}
+}
+
+// TestEngineEquivalenceFaulted extends the guard to fault trials on
+// profiled machines: the default engine hands each stop segment to the
+// reference loop and takes the run back once the fault settles, and
+// the frames' in-flight blocks change counting convention at every
+// handoff. Across fault modes, injection points, and detection
+// latencies, the result must match a run pinned to the reference loop
+// on every observable except the handoff tallies, which a pinned run
+// does not have.
+func TestEngineEquivalenceFaulted(t *testing.T) {
+	for _, name := range snapshotWorkloads {
+		sp, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art := sp.Build()
+		res, err := core.Compile(art.Mod, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		def := interp.New(res.Mod, interp.Config{Profile: true})
+		defer def.Release()
+		ref := interp.New(res.Mod, interp.Config{Profile: true, Engine: interp.EngineRef})
+		defer ref.Release()
+		def.SetRuntime(res.Metas)
+		ref.SetRuntime(res.Metas)
+		if _, err := def.Run(); err != nil {
+			t.Fatal(err)
+		}
+		total := def.Count
+		for i := int64(1); i <= 40; i++ {
+			at := i * total / 41
+			plan := interp.FaultPlan{
+				Mode:          interp.FaultMode(i % 3),
+				InjectAt:      at,
+				Bit:           uint8((at*7 + 3) % 40),
+				TargetReg:     int(i),
+				DetectLatency: at % 50,
+			}
+			runs := make([]engineRun, 2)
+			for j, m := range []*interp.Machine{ref, def} {
+				m.Reset()
+				m.InjectFault(plan)
+				ret, err := m.Run()
+				runs[j] = engineRun{engine: m.Cfg.Engine, m: m, ret: ret, err: err}
+			}
+			label := fmt.Sprintf("%s/inject@%d", name, at)
+			if !reflect.DeepEqual(def.FaultReport(), ref.FaultReport()) {
+				t.Errorf("%s: fault reports diverge:\ndefault: %+v\nref:     %+v", label, def.FaultReport(), ref.FaultReport())
+			}
+			if runs[0].err != nil || runs[1].err != nil {
+				// A trap stops each engine mid-block in its own profile
+				// convention; the trap class and counters still agree.
+				if errClass(runs[0].err) != errClass(runs[1].err) || def.Count != ref.Count || def.BaseCount != ref.BaseCount {
+					t.Errorf("%s: trapped runs diverge: %v/%v count (%d,%d)/(%d,%d)", label,
+						runs[1].err, runs[0].err, def.Count, def.BaseCount, ref.Count, ref.BaseCount)
+				}
+				continue
+			}
+			diffRuns(t, label, runs[0], runs[1], art.Outputs)
 		}
 	}
 }

@@ -10,22 +10,22 @@
 // executed against per-region checkpoint buffers, mirroring the reserved
 // stack region the paper describes (§3.2).
 //
-// Execution is served by three interchangeable engines, selected by
-// Config.Engine (engine.go). The fast engine (run.go, the default)
-// dispatches over a pre-decoded flat instruction stream (decode.go) with
-// all hot state in locals and no per-instruction hook, fault, or metric
-// checks; block and edge profiles are kept in dense arrays indexed by
-// pre-decoded IDs and folded into the Profile maps only at loop exit.
-// The closure engine (closure.go) AOT-compiles that stream into
-// threaded-code closures — one per instruction, linked by direct
-// continuation calls with block-batched instruction accounting — for
-// another dispatch-cost step down. The reference engine (ref.go) walks
-// the ir structures directly, carries the full observation machinery
-// (hooks, fault injection, scheduled detection), and doubles as the
-// semantic oracle: the equivalence guard test pins both other engines to
-// it on every workload. A run may hand control back and forth — the
-// quiescent engine pauses at the next pending fault event and resumes
-// once the fault settles — and the machine counts those handoffs.
+// Execution is served by two interchangeable engines, selected by
+// Config.Engine (engine.go). The default engine (closure.go) lowers the
+// module to a pre-decoded flat instruction stream (decode.go) and
+// AOT-compiles that into threaded-code closures — one per instruction,
+// linked by direct continuation calls with block-batched instruction
+// accounting and no per-instruction hook, fault, or metric checks; block
+// and edge profiles are kept in dense arrays indexed by pre-decoded IDs
+// and folded into the Profile maps only at loop exit. The reference
+// engine (ref.go) walks the ir structures directly, carries the full
+// observation machinery (hooks, fault injection, scheduled detection),
+// and doubles as the semantic oracle: the equivalence guard test pins the
+// default engine to it on every workload. A run may hand control back
+// and forth — the default engine hands the segment reaching its next
+// stop event (fault window, detection, budget, checkpoint rung) to the
+// reference loop, which hands back once the event is behind it — and the
+// machine counts those handoffs.
 // Observability likewise stays off the hot path: a machine with an
 // attached obs.Registry (AttachObs, or Config.Obs) folds its counters in
 // only at Reset/Release boundaries.
@@ -116,19 +116,12 @@ type Config struct {
 	Hook    Hook
 	Externs map[string]ExternFunc
 
-	// Reference forces the reference dispatch loop even when no hook or
-	// fault plan is present. Used by the equivalence guard tests and
-	// benchmarks to compare the pre-decoded fast path against the
-	// semantic oracle. Equivalent to Engine == EngineRef, which it
-	// predates.
-	Reference bool
-
 	// Engine selects the dispatch engine for quiescent execution
-	// (engine.go): the pre-decoded fast loop (EngineFast, the zero
-	// default), the reference loop (EngineRef), or the closure-compiled
-	// engine (EngineClosure). A Hook or the active phase of a fault
-	// overrides the selection with the reference loop; all engines are
-	// observationally equivalent.
+	// (engine.go): the closure-compiled engine (EngineFast, the zero
+	// default) or the reference loop (EngineRef), which the equivalence
+	// guard tests and benchmarks use as the semantic oracle. A Hook or
+	// the active phase of a fault overrides the selection with the
+	// reference loop; the engines are observationally equivalent.
 	Engine Engine
 
 	// Obs, when non-nil, attaches the machine to a metrics registry:
@@ -157,7 +150,7 @@ type frame struct {
 		idx int
 		dst ir.Reg
 	}
-	// Fast-path return point: pc to resume at and the destination
+	// Default-engine return point: pc to resume at and the destination
 	// register of the pending call (-1 for none).
 	retPC  int32
 	retDst int32
@@ -208,13 +201,13 @@ type Machine struct {
 	output []int64 // values emitted via the "emit" extern
 
 	// Pre-decoded program state (decode.go). prog is decoded lazily on
-	// first fast-path run, or installed via UseProgram for sharing.
+	// first default-engine run, or installed via UseProgram for sharing.
 	prog      *Program
 	externFns []ExternFunc // per-extern-site handlers resolved for this machine
-	extArgs   []int64      // scratch argument buffer for fast-path extern calls
+	extArgs   []int64      // scratch argument buffer for default-engine extern calls
 
 	// Dense profiling counters, indexed by Program block/edge IDs; merged
-	// into Prof at fast-loop exit.
+	// into Prof at closure-engine exit.
 	pBlocks, pEdges []int64
 
 	// Dirty-memory watermarks: the inclusive address ranges written since
@@ -250,10 +243,11 @@ type Machine struct {
 		count, base, ckptReg, ckptMem, regionEntries int64
 	}
 
-	// HandoffsToRef counts fast→reference engine handoffs (fault events
-	// and mid-fault symptom traps); HandoffsToFast counts the reference
-	// loop handing a settled fault back to the fast loop. Both reset with
-	// the machine and fold into an attached registry at flush boundaries.
+	// HandoffsToRef counts default→reference engine handoffs (stop
+	// events and mid-fault symptom traps); HandoffsToFast counts the
+	// reference loop handing the run back to the default engine. Both
+	// reset with the machine and fold into an attached registry at flush
+	// boundaries.
 	HandoffsToRef, HandoffsToFast int64
 
 	obsSink *obsSink
@@ -284,12 +278,17 @@ type obsSink struct {
 // checkpoint bytes, region entries, engine handoffs, dense profile
 // totals) into the registry. Attaching flushes any counts pending for a
 // previously attached registry first; a nil reg detaches the same way.
-// The dispatch loops themselves are metric-free — this is the
+// Work done before the call never reaches reg: the flush bias is
+// re-based on the current counters and the handoff tallies restart, so a
+// pooled machine reports the same counts whatever it ran unobserved. The
+// dispatch loops themselves are metric-free — this is the
 // Reset/completion-boundary folding DESIGN.md §9 describes.
 func (m *Machine) AttachObs(reg *obs.Registry) {
-	if m.obsSink != nil {
-		m.flushObs()
-	}
+	m.flushObs()
+	m.obsBias.count, m.obsBias.base = m.Count, m.BaseCount
+	m.obsBias.ckptReg, m.obsBias.ckptMem = m.CkptRegBytes, m.CkptMemBytes
+	m.obsBias.regionEntries = m.RegionEntries
+	m.HandoffsToRef, m.HandoffsToFast = 0, 0
 	if reg == nil {
 		m.obsSink = nil
 		return
@@ -336,8 +335,8 @@ func (m *Machine) flushObs() {
 				edges += c
 			}
 		}
-		// The dense fast-path counters are already folded into the maps:
-		// every fast-loop exit runs fastFlush → mergeDense, which drains
+		// The dense default-engine counters are already folded into the
+		// maps: every closure-engine exit runs mergeDense, which drains
 		// them, so the maps are authoritative at flush boundaries.
 		s.blockExecs.Add(blocks)
 		s.edgeExecs.Add(edges)

@@ -4,28 +4,26 @@ import (
 	"encore/internal/ir"
 )
 
-// loopRef is the reference interpreter core: it walks the ir.Block /
+// loopRefFrom is the reference interpreter core: it walks the ir.Block /
 // ir.Instr structures directly and carries the full observation machinery
-// (hooks, fault injection points, scheduled detection). It runs until the
-// frame stack drains back past its starting depth, returning the value of
-// the final return.
+// (hooks, fault injection points, scheduled detection). It runs from an
+// arbitrary (block, index) position until the frame stack drains back
+// past baseDepth, returning the value of the final return. It is the
+// entry point for fresh calls (Call, with the function's entry block) and
+// for mid-run handoffs from the default engine, which counts a block
+// only when its terminator retires, so the in-flight block is counted
+// here on entry in either case.
 //
-// The pre-decoded fast loop (run.go) must stay observationally equivalent
+// The default engine (closure.go) must stay observationally equivalent
 // to this loop on fault-free, hook-free runs: identical return values,
 // Count/BaseCount, checkpoint-byte counters, and profile counts. The
 // equivalence guard test (equiv_test.go) pins that down for every
-// workload; Config.Reference forces this loop for such comparisons.
-func (m *Machine) loopRef() (int64, error) {
-	fr := &m.frames[len(m.frames)-1]
-	return m.loopRefFrom(len(m.frames)-1, fr.fn.Entry(), 0)
-}
-
-// loopRefFrom runs the reference loop from an arbitrary (block, index)
-// position with an explicit base frame depth — the entry point both for
-// fresh calls and for mid-run handoffs from the fast loop (which counts a
-// block only when its terminator retires, so the in-flight block is
-// counted here on entry in either case).
-func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int) (int64, error) {
+// workload; EngineRef forces this loop for such comparisons.
+//
+// until is the dynamic count before which the loop keeps the run: the
+// default engine delegates a stop segment with until at its stop, so the
+// stop event happens here; math.MaxInt64 pins the run to this loop.
+func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) (int64, error) {
 	fr := &m.frames[len(m.frames)-1]
 	var retVal int64
 	if m.Prof != nil {
@@ -33,44 +31,26 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int) (int64, error
 	}
 
 	for {
-		// Once a fault is injected, the only event the reference loop owns
-		// is its detection — and that fires at a known instruction count,
-		// which the quiescent engines can stop at. So as soon as the fault
-		// is quiescent (injected with detection still in the future, or
-		// fully settled after detection) and no hook is observing, hand
-		// control back to the configured quiescent engine: the mirror
-		// image of its InjectAt-1 pause. A detection that is already due
-		// must fire here first.
-		if m.fault != nil && m.fault.injected && m.Cfg.Hook == nil && !m.Cfg.Reference &&
-			m.Cfg.Engine != EngineRef &&
-			(m.fault.detected || m.Count < m.fault.detectAt) {
-			p := m.program()
-			for d := baseDepth; d < len(m.frames)-1; d++ {
-				f := &m.frames[d]
-				f.retPC = p.blockPC[f.retTo.b] + int32(f.retTo.idx)
-				f.retDst = int32(f.retTo.dst)
-			}
-			pc := p.blockPC[b] + int32(idx)
-			if m.Prof != nil {
-				// The fast and closure engines count a block when its
-				// terminator retires; cancel that upcoming retire — either
-				// this segment already counted the block at entry, or
-				// (after a rollback) the reference loop would not have
-				// counted the recovery block at all.
-				if len(m.pBlocks) != len(p.blocks) {
-					m.pBlocks = make([]int64, len(p.blocks))
-					m.pEdges = make([]int64, p.numEdges)
-				}
-				m.pBlocks[p.blockOf[pc]]--
-			}
-			m.HandoffsToFast++
-			if m.Cfg.Engine == EngineClosure {
-				return m.loopClosureFrom(baseDepth, pc)
-			}
-			return m.loopFastFrom(baseDepth, pc)
-		}
 		if m.Count >= m.Cfg.MaxInstrs {
 			return 0, m.trap(ErrBudget, "in %s at %s", fr.fn.Name, b)
+		}
+		// Once the stop event is behind it, the reference loop hands the
+		// run back to the default engine as soon as any fault is
+		// quiescent: injected with detection still in the future (the
+		// mirror image of the InjectAt-1 pause), or fully settled. A
+		// detection that is already due must fire here first. A capture
+		// rung reached here is frozen at this exact boundary, after the
+		// conversion to the default engine's form snapshots use.
+		if m.Count >= until && (m.fault == nil ||
+			m.fault.injected && (m.fault.detected || m.Count < m.fault.detectAt)) {
+			p := m.program()
+			pc := p.blockPC[b] + int32(idx)
+			m.framesToFast(p, baseDepth, pc)
+			if len(m.snapRungs) > 0 && m.Count >= m.snapRungs[0] {
+				m.captureSnapshot(pc)
+			}
+			m.HandoffsToFast++
+			return m.loopClosureFrom(baseDepth, pc)
 		}
 		if m.Cfg.Hook != nil {
 			m.Cfg.Hook.OnInstr(m, b, idx)

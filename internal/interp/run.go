@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"math"
+
 	"encore/internal/ir"
 )
 
@@ -15,29 +17,37 @@ func (m *Machine) Run() (int64, error) {
 
 // Call executes fn with the given arguments and returns its result.
 //
-// Dispatch is split across three engines (engine.go). The reference path
+// Dispatch is split across two engines (engine.go). The reference loop
 // (ref.go) walks the ir structures directly and carries the full
-// observation machinery; it is selected by a Hook, by Config.Reference /
-// EngineRef, and for the active phase of a fault, and it doubles as the
-// semantic oracle for the equivalence tests. Otherwise Config.Engine
-// picks the quiescent engine: the pre-decoded fast loop (run.go, the
-// default) or the closure-compiled engine (closure.go).
+// observation machinery; it runs the whole call under a Hook or
+// EngineRef, takes over for the active phase of a fault and for the
+// segment leading up to any other stop event, and doubles as the
+// semantic oracle for the equivalence tests. Everything else runs on the
+// closure-compiled default engine (closure.go).
 func (m *Machine) Call(fn *ir.Func, args ...int64) (int64, error) {
 	if err := m.pushFrame(fn, args); err != nil {
 		return 0, err
 	}
-	if m.Cfg.Hook != nil || m.Cfg.Reference || m.Cfg.Engine == EngineRef ||
-		(m.fault != nil && m.fault.injected && !m.fault.detected) {
-		return m.loopRef()
+	if until, ok := m.refStart(); ok {
+		return m.loopRefFrom(len(m.frames)-1, fn.Entry(), 0, until)
 	}
-	// An armed-but-uninjected fault plan still starts on the quiescent
+	// An armed-but-uninjected fault plan still starts on the default
 	// engine: it pauses just before the injection window opens and hands
 	// the active phase of the fault (injection through detection) to the
 	// reference loop, which hands control back once the fault settles.
-	if m.Cfg.Engine == EngineClosure {
-		return m.loopClosure()
+	return m.loopClosure()
+}
+
+// refStart reports whether a run must start on the reference loop and,
+// if so, the dynamic count from which that loop may hand the run back to
+// the default engine: never under a Hook (hooks observe every
+// instruction) or EngineRef, and as soon as the fault settles when the
+// run starts mid-fault.
+func (m *Machine) refStart() (until int64, ok bool) {
+	if m.Cfg.Hook != nil || m.Cfg.Engine == EngineRef {
+		return math.MaxInt64, true
 	}
-	return m.loopFast()
+	return 0, m.fault != nil && m.fault.injected && !m.fault.detected
 }
 
 // newFrame pushes an activation record for fn, reusing the register slice
@@ -110,68 +120,56 @@ func (m *Machine) freeRegion(rs *regionState) {
 	m.regionFree = append(m.regionFree, rs)
 }
 
-// framesToRef converts the fast-path return points of the frames this
-// fast segment pushed into reference form ahead of a fast→ref handoff.
+// framesToRef converts the frames a default-engine segment parked above
+// baseDepth into reference form ahead of a handoff to the reference loop.
+// Return points move from pc form to (block, index) form. The profile
+// changes convention too: the default engine counts a block when its
+// terminator retires, the reference loop when it enters the block, so
+// each parked frame's in-flight block is credited here (loopRefFrom
+// credits the top frame's block itself).
 func (m *Machine) framesToRef(p *Program, baseDepth int) {
 	for d := baseDepth; d < len(m.frames)-1; d++ {
 		f := &m.frames[d]
 		f.retTo.b, f.retTo.idx = p.refPos(f.retPC)
 		f.retTo.dst = ir.Reg(f.retDst)
+		if m.Prof != nil {
+			m.Prof.Block[f.retTo.b]++
+		}
 	}
 }
 
-// symptomHandoff reroutes an out-of-bounds access that struck while an
-// injected fault is pending detection: address faults are "highly
-// visible symptoms" (§4.3), so — exactly like the reference loop's
-// symptomTrap path — the access retires its count without executing and
-// detection is rescheduled to fire immediately. The reference loop takes
-// over at the same position and runs the detection.
-func (m *Machine) symptomHandoff(p *Program, baseDepth int, pc int32, count, base, dLo, dHi, sLo, sHi int64) (int64, error) {
-	m.fault.detectAt = count
-	m.fastFlush(p, count, base, dLo, dHi, sLo, sHi)
-	m.framesToRef(p, baseDepth)
-	m.HandoffsToRef++
-	rb, ridx := p.refPos(pc)
-	return m.loopRefFrom(baseDepth, rb, ridx)
-}
-
-// fastFlush writes the fast loop's shadow counters back to the machine
-// and folds dense profiling counters into the Profile maps. Called on
-// every fast-loop exit (return or trap).
-func (m *Machine) fastFlush(p *Program, count, base, dLo, dHi, sLo, sHi int64) {
-	m.Count, m.BaseCount = count, base
-	m.dirtyLo, m.dirtyHi = dLo, dHi
-	m.dirtyStkLo, m.dirtyStkHi = sLo, sHi
-	if m.pBlocks != nil {
-		m.mergeDense(p)
+// framesToFast is the inverse of framesToRef plus loopRefFrom's entry
+// credit, for the reference loop handing the run back at pc: return
+// points of the frames above baseDepth move to pc form, and every live
+// frame's in-flight block is debited, because the default engine counts
+// it again when its terminator retires. A block the reference loop
+// entered without counting (a recovery block reached by rollback) nets
+// to zero the same way.
+func (m *Machine) framesToFast(p *Program, baseDepth int, pc int32) {
+	for d := baseDepth; d < len(m.frames)-1; d++ {
+		f := &m.frames[d]
+		f.retPC = p.blockPC[f.retTo.b] + int32(f.retTo.idx)
+		f.retDst = int32(f.retTo.dst)
+		if m.Prof != nil {
+			m.Prof.Block[f.retTo.b]--
+		}
+	}
+	if m.Prof != nil {
+		m.Prof.Block[p.blocks[p.blockOf[pc]]]--
 	}
 }
 
-// loopFast is the pre-decoded interpreter core. It keeps the hot state —
-// pc, register file, instruction counters, dirty-memory watermark — in
-// locals, dispatches over a flat dinstr stream, and contains no hook or
-// fault-plan checks: machines needing those run loopRef instead.
-func (m *Machine) loopFast() (int64, error) {
-	p := m.program()
-	fr := &m.frames[len(m.frames)-1]
-	pc, ok := p.entry[fr.fn]
-	if !ok {
-		m.popFrame()
-		return 0, m.trap(ErrNoMain, "function %s has no body", fr.fn.Name)
-	}
-	return m.loopFastFrom(len(m.frames)-1, pc)
-}
-
-// fastStop computes where the fast loop must pause dispatching: the
-// instruction budget, tightened to the next pending fault event (before
-// injection that is InjectAt-1, covering both the between-instruction
-// register-file strike at InjectAt and the post-instruction output
-// corruption of the first instruction retiring at InjectAt; after
-// injection it is the scheduled detection point — a settled fault has no
-// pending events), and tightened again to the next checkpoint-capture
-// rung when a RunWithSnapshots pass is active.
-func (m *Machine) fastStop(budget int64) int64 {
-	stop := budget
+// fastStop computes where the default engine must stop dispatching and
+// hand the run to the reference loop: the instruction budget, tightened
+// to the next pending fault event (before injection that is InjectAt-1,
+// covering both the between-instruction register-file strike at
+// InjectAt and the post-instruction output corruption of the first
+// instruction retiring at InjectAt; after injection it is the scheduled
+// detection point — a settled fault has no pending events), and
+// tightened again to the next checkpoint-capture rung when a
+// RunWithSnapshots pass is active.
+func (m *Machine) fastStop() int64 {
+	stop := m.Cfg.MaxInstrs
 	if m.fault != nil {
 		switch {
 		case !m.fault.injected:
@@ -188,369 +186,6 @@ func (m *Machine) fastStop(budget int64) int64 {
 		stop = m.snapRungs[0]
 	}
 	return stop
-}
-
-// loopFastFrom runs the fast loop from an arbitrary pc with an explicit
-// base frame depth — the entry point both for fresh calls and for the
-// reference loop handing control back after a fault settles.
-func (m *Machine) loopFastFrom(baseDepth int, pc int32) (int64, error) {
-	p := m.program()
-	code := p.code
-	mem := m.Mem
-	budget := m.Cfg.MaxInstrs
-	// stop is where the fast loop must stop dispatching: the instruction
-	// budget, tightened to the next pending fault event (handing off to
-	// the reference loop) or, during a RunWithSnapshots capture pass, the
-	// next checkpoint rung.
-	stop := m.fastStop(budget)
-	fr := &m.frames[len(m.frames)-1]
-	regs := fr.regs
-	// base (BaseCount) is derived, not carried: it diverges from count
-	// only at the four checkpoint pseudo-ops, so the loop tracks the
-	// overhead delta ovh and materializes base = count - ovh at exits.
-	count := m.Count
-	ovh := m.Count - m.BaseCount
-	dLo, dHi := m.dirtyLo, m.dirtyHi
-	sLo, sHi := m.dirtyStkLo, m.dirtyStkHi
-	stackBase := m.stackBase
-	var pBlocks, pEdges []int64
-	if m.Prof != nil {
-		if len(m.pBlocks) != len(p.blocks) {
-			m.pBlocks = make([]int64, len(p.blocks))
-			m.pEdges = make([]int64, p.numEdges)
-		}
-		pBlocks, pEdges = m.pBlocks, m.pEdges
-	}
-	var retVal int64
-
-	for {
-		if count >= stop {
-			if count >= budget {
-				m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-				return 0, m.trap(ErrBudget, "in %s at pc %d", fr.fn.Name, pc)
-			}
-			// Checkpoint rung reached (RunWithSnapshots capture pass):
-			// sync the shadow state into the machine, freeze it into the
-			// ladder, and keep dispatching toward the next rung.
-			if len(m.snapRungs) > 0 && count >= m.snapRungs[0] {
-				m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-				m.captureSnapshot(pc)
-				stop = m.fastStop(budget)
-				continue
-			}
-			// Fault event (injection window or scheduled detection)
-			// reached: flush shadow state, convert the fast-path return
-			// points of frames this loop pushed into reference form, and
-			// continue in the reference loop.
-			m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-			m.framesToRef(p, baseDepth)
-			m.HandoffsToRef++
-			rb, ridx := p.refPos(pc)
-			return m.loopRefFrom(baseDepth, rb, ridx)
-		}
-		in := &code[pc]
-		count++
-		switch in.op {
-		case uint8(ir.OpConst):
-			regs[in.dst] = in.imm
-		case uint8(ir.OpMov):
-			regs[in.dst] = regs[in.a]
-		case uint8(ir.OpAdd):
-			regs[in.dst] = regs[in.a] + regs[in.b]
-		case uint8(ir.OpSub):
-			regs[in.dst] = regs[in.a] - regs[in.b]
-		case uint8(ir.OpMul):
-			regs[in.dst] = regs[in.a] * regs[in.b]
-		case uint8(ir.OpDiv):
-			if d := regs[in.b]; d != 0 {
-				regs[in.dst] = regs[in.a] / d
-			} else {
-				regs[in.dst] = 0
-			}
-		case uint8(ir.OpRem):
-			if d := regs[in.b]; d != 0 {
-				regs[in.dst] = regs[in.a] % d
-			} else {
-				regs[in.dst] = 0
-			}
-		case uint8(ir.OpAnd):
-			regs[in.dst] = regs[in.a] & regs[in.b]
-		case uint8(ir.OpOr):
-			regs[in.dst] = regs[in.a] | regs[in.b]
-		case uint8(ir.OpXor):
-			regs[in.dst] = regs[in.a] ^ regs[in.b]
-		case uint8(ir.OpShl):
-			regs[in.dst] = regs[in.a] << (uint64(regs[in.b]) & 63)
-		case uint8(ir.OpShr):
-			regs[in.dst] = regs[in.a] >> (uint64(regs[in.b]) & 63)
-		case uint8(ir.OpNeg):
-			regs[in.dst] = -regs[in.a]
-		case uint8(ir.OpNot):
-			regs[in.dst] = ^regs[in.a]
-		case uint8(ir.OpAddI):
-			regs[in.dst] = regs[in.a] + in.imm
-		case uint8(ir.OpMulI):
-			regs[in.dst] = regs[in.a] * in.imm
-		case uint8(ir.OpAndI):
-			regs[in.dst] = regs[in.a] & in.imm
-		case uint8(ir.OpShlI):
-			regs[in.dst] = regs[in.a] << (uint64(in.imm) & 63)
-		case uint8(ir.OpShrI):
-			regs[in.dst] = regs[in.a] >> (uint64(in.imm) & 63)
-		case uint8(ir.OpFAdd):
-			regs[in.dst] = ir.FloatBits(ir.BitsFloat(regs[in.a]) + ir.BitsFloat(regs[in.b]))
-		case uint8(ir.OpFSub):
-			regs[in.dst] = ir.FloatBits(ir.BitsFloat(regs[in.a]) - ir.BitsFloat(regs[in.b]))
-		case uint8(ir.OpFMul):
-			regs[in.dst] = ir.FloatBits(ir.BitsFloat(regs[in.a]) * ir.BitsFloat(regs[in.b]))
-		case uint8(ir.OpFDiv):
-			regs[in.dst] = ir.FloatBits(ir.BitsFloat(regs[in.a]) / ir.BitsFloat(regs[in.b]))
-		case uint8(ir.OpFNeg):
-			regs[in.dst] = ir.FloatBits(-ir.BitsFloat(regs[in.a]))
-		case uint8(ir.OpIToF):
-			regs[in.dst] = ir.FloatBits(float64(regs[in.a]))
-		case uint8(ir.OpFToI):
-			regs[in.dst] = int64(ir.BitsFloat(regs[in.a]))
-		case uint8(ir.OpEq):
-			regs[in.dst] = b2i(regs[in.a] == regs[in.b])
-		case uint8(ir.OpNe):
-			regs[in.dst] = b2i(regs[in.a] != regs[in.b])
-		case uint8(ir.OpLt):
-			regs[in.dst] = b2i(regs[in.a] < regs[in.b])
-		case uint8(ir.OpLe):
-			regs[in.dst] = b2i(regs[in.a] <= regs[in.b])
-		case uint8(ir.OpFEq):
-			regs[in.dst] = b2i(ir.BitsFloat(regs[in.a]) == ir.BitsFloat(regs[in.b]))
-		case uint8(ir.OpFLt):
-			regs[in.dst] = b2i(ir.BitsFloat(regs[in.a]) < ir.BitsFloat(regs[in.b]))
-		case uint8(ir.OpFLe):
-			regs[in.dst] = b2i(ir.BitsFloat(regs[in.a]) <= ir.BitsFloat(regs[in.b]))
-		case uint8(ir.OpLoad):
-			addr := regs[in.a] + in.imm
-			if addr < 0 || addr >= int64(len(mem)) {
-				if m.fault != nil && m.fault.injected && !m.fault.detected {
-					return m.symptomHandoff(p, baseDepth, pc, count, count-ovh, dLo, dHi, sLo, sHi)
-				}
-				m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-				return 0, m.trap(ErrOutOfBounds, "load [%d] in %s", addr, fr.fn.Name)
-			}
-			regs[in.dst] = mem[addr]
-		case uint8(ir.OpStore):
-			addr := regs[in.a] + in.imm
-			if addr < 0 || addr >= int64(len(mem)) {
-				if m.fault != nil && m.fault.injected && !m.fault.detected {
-					return m.symptomHandoff(p, baseDepth, pc, count, count-ovh, dLo, dHi, sLo, sHi)
-				}
-				m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-				return 0, m.trap(ErrOutOfBounds, "store [%d] in %s", addr, fr.fn.Name)
-			}
-			mem[addr] = regs[in.b]
-			if addr >= stackBase {
-				if addr < sLo {
-					sLo = addr
-				}
-				if addr > sHi {
-					sHi = addr
-				}
-			} else {
-				if addr < dLo {
-					dLo = addr
-				}
-				if addr > dHi {
-					dHi = addr
-				}
-			}
-		case uint8(ir.OpFrame):
-			regs[in.dst] = fr.fp + in.imm
-		case uint8(ir.OpCall):
-			c := &p.calls[in.aux]
-			// fr may be invalidated by the frames append: park the
-			// return point first, and re-take pointers after.
-			fr.retPC, fr.retDst = pc+1, c.dst
-			callerRegs := regs
-			nf, err := m.newFrame(c.fn)
-			if err != nil {
-				m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-				return 0, err
-			}
-			for i, r := range c.args {
-				nf.regs[i] = callerRegs[r]
-			}
-			fr = nf
-			regs = nf.regs
-			pc = c.entry
-			continue
-		case uint8(ir.OpExtern):
-			ef := m.externFns[in.aux]
-			if ef == nil {
-				m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-				return 0, m.trap(ErrExtern, "%q", p.externs[in.aux].name)
-			}
-			e := &p.externs[in.aux]
-			m.extArgs = m.extArgs[:0]
-			for _, r := range e.args {
-				m.extArgs = append(m.extArgs, regs[r])
-			}
-			// Externs may observe the machine or re-enter Call: sync the
-			// shadow state out, and reload it (plus frame pointers, which a
-			// nested Call's frame growth can invalidate) afterwards.
-			m.Count, m.BaseCount = count, count-ovh
-			m.dirtyLo, m.dirtyHi = dLo, dHi
-			m.dirtyStkLo, m.dirtyStkHi = sLo, sHi
-			v := ef(m, m.extArgs)
-			count, ovh = m.Count, m.Count-m.BaseCount
-			dLo, dHi = m.dirtyLo, m.dirtyHi
-			sLo, sHi = m.dirtyStkLo, m.dirtyStkHi
-			fr = &m.frames[len(m.frames)-1]
-			regs = fr.regs
-			regs[in.dst] = v
-		case uint8(ir.OpSetRecovery):
-			ovh++ // instrumentation op: counts only toward Count
-			if in.imm < 0 {
-				// Disarm at an unselected region header: the previous arm
-				// must not survive into unanalyzed code.
-				if fr.region != nil {
-					m.freeRegion(fr.region)
-					fr.region = nil
-				}
-			} else {
-				meta := m.regions[int(in.imm)]
-				m.instanceSeq++
-				m.RegionEntries++
-				if fr.region != nil {
-					m.freeRegion(fr.region)
-				}
-				rs := m.allocRegion()
-				rs.meta = meta
-				rs.instance = m.instanceSeq
-				rs.frame = len(m.frames) - 1
-				rs.entryCount = count
-				fr.region = rs
-			}
-		case uint8(ir.OpCkptReg):
-			ovh++
-			if fr.region != nil {
-				fr.region.entries = append(fr.region.entries,
-					ckptEntry{isMem: false, key: int64(in.a), val: regs[in.a]})
-				fr.region.bytes += 4
-				m.CkptRegBytes += 4
-				if fr.region.bytes > m.MaxBufferBytes {
-					m.MaxBufferBytes = fr.region.bytes
-				}
-			}
-		case uint8(ir.OpCkptMem):
-			ovh++
-			addr := regs[in.a] + in.imm
-			if addr < 0 || addr >= int64(len(mem)) {
-				m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-				return 0, m.trap(ErrOutOfBounds, "ckptmem [%d] in %s", addr, fr.fn.Name)
-			}
-			if fr.region != nil {
-				fr.region.entries = append(fr.region.entries,
-					ckptEntry{isMem: true, key: addr, val: mem[addr]})
-				fr.region.bytes += 8
-				m.CkptMemBytes += 8
-				if fr.region.bytes > m.MaxBufferBytes {
-					m.MaxBufferBytes = fr.region.bytes
-				}
-			}
-			// Memory checkpoints cost two instructions (addr+data), both
-			// pure overhead: neither counts toward BaseCount.
-			count++
-			ovh++
-		case uint8(ir.OpRestore):
-			ovh++
-			if fr.region != nil {
-				for i := len(fr.region.entries) - 1; i >= 0; i-- {
-					e := fr.region.entries[i]
-					if e.isMem {
-						mem[e.key] = e.val
-						if e.key >= stackBase {
-							if e.key < sLo {
-								sLo = e.key
-							}
-							if e.key > sHi {
-								sHi = e.key
-							}
-						} else {
-							if e.key < dLo {
-								dLo = e.key
-							}
-							if e.key > dHi {
-								dHi = e.key
-							}
-						}
-					} else {
-						regs[e.key] = e.val
-					}
-				}
-				fr.region.entries = fr.region.entries[:0]
-			}
-
-		case dJmp:
-			if pBlocks != nil {
-				pBlocks[in.dst]++
-				pEdges[in.b]++
-			}
-			pc = in.aux
-			continue
-		case dBr:
-			if regs[in.a] != 0 {
-				if pBlocks != nil {
-					pBlocks[in.dst]++
-					pEdges[in.b]++
-				}
-				pc = in.aux
-			} else {
-				if pBlocks != nil {
-					pBlocks[in.dst]++
-					pEdges[in.b+1]++
-				}
-				pc = int32(in.imm)
-			}
-			continue
-		case dSwitch:
-			tbl := p.switches[in.aux]
-			i := regs[in.a]
-			if i < 0 {
-				i = 0
-			}
-			if i >= int64(len(tbl)) {
-				i = int64(len(tbl)) - 1
-			}
-			if pBlocks != nil {
-				pBlocks[in.dst]++
-				pEdges[int64(in.b)+i]++
-			}
-			pc = tbl[i]
-			continue
-		case dRet:
-			if pBlocks != nil {
-				pBlocks[in.dst]++
-			}
-			if in.a >= 0 {
-				retVal = regs[in.a]
-			} else {
-				retVal = 0
-			}
-			m.popFrame()
-			if len(m.frames) <= baseDepth {
-				m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-				return retVal, nil
-			}
-			fr = &m.frames[len(m.frames)-1]
-			regs = fr.regs
-			if fr.retDst >= 0 {
-				regs[fr.retDst] = retVal
-			}
-			pc = fr.retPC
-			continue
-		default:
-			m.fastFlush(p, count, count-ovh, dLo, dHi, sLo, sHi)
-			return 0, m.trap(ErrOutOfBounds, "bad opcode %d at pc %d", in.op, pc)
-		}
-		pc++
-	}
 }
 
 func b2i(v bool) int64 {

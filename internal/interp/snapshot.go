@@ -16,8 +16,8 @@ import (
 //
 // Snapshots capture engine-invariant machine state only — memory as
 // dirty-range deltas against the pristine zero image, the frame stack in
-// fast form, counters, region buffers, profile — so a snapshot taken by
-// the fast loop restores onto a machine running any of the three engines.
+// the default engine's pc form, counters, region buffers, profile — so a
+// snapshot restores onto a machine running either engine.
 
 // savedRegion is the frozen form of one frame's live checkpoint buffer.
 // Region metadata is recorded by ID (not pointer) so a snapshot restores
@@ -32,7 +32,7 @@ type savedRegion struct {
 }
 
 // savedFrame is the frozen form of one activation record. Return points
-// are kept in fast form (retPC/retDst); Restore rebuilds reference-form
+// are kept in pc form (retPC/retDst); Restore rebuilds reference-form
 // return points lazily via framesToRef only if a handoff needs them.
 type savedFrame struct {
 	fn     *ir.Func
@@ -166,11 +166,14 @@ func LadderRungs(k int, total int64) []int64 {
 // RunWithSnapshots executes main from a fresh Reset, capturing a snapshot
 // at each requested rung (dynamic instruction counts, deduplicated and
 // sorted internally) in a single pass, and returns the run's result with
-// the captured ladder. The capture pass always runs on the fast loop —
-// snapshots hold only engine-invariant state, so they restore onto
-// machines using any engine. Hooks and custom externs are rejected: a
-// hook needs the reference loop, and an extern that re-enters Call leaves
-// intermediate frames without fast-form return points, making a flat
+// the captured ladder. The capture pass always runs on the default
+// engine, which delegates the segment reaching each rung to the
+// reference loop; that loop freezes the machine at the rung's exact
+// instruction boundary and hands back. Snapshots hold only
+// engine-invariant state, so they restore onto machines using either
+// engine. Hooks and custom externs are rejected: a hook needs the
+// reference loop throughout, and an extern that re-enters Call leaves
+// intermediate frames without pc-form return points, making a flat
 // capture unsound.
 func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 	if m.Cfg.Hook != nil {
@@ -213,7 +216,7 @@ func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 		m.popFrame()
 		return 0, nil, m.trap(ErrNoMain, "function %s has no body", main.Name)
 	}
-	ret, err := m.loopFastFrom(0, pc)
+	ret, err := m.loopClosureFrom(0, pc)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -222,9 +225,10 @@ func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 }
 
 // captureSnapshot freezes the machine at pc into the active ladder and
-// consumes every rung the run has now reached. Called by the fast loop
-// immediately after a fastFlush, so the machine fields (counters, dirty
-// watermarks, merged profile) are authoritative.
+// consumes every rung the run has now reached. Called by the reference
+// loop as it hands back, once framesToFast has put the frames and the
+// profile into the default engine's convention; the machine fields
+// (counters, dirty watermarks, profile maps) are authoritative there.
 func (m *Machine) captureSnapshot(pc int32) {
 	m.snapLadder.snaps = append(m.snapLadder.snaps, m.snapshot(pc))
 	for len(m.snapRungs) > 0 && m.snapRungs[0] <= m.Count {
@@ -448,8 +452,8 @@ func (m *Machine) LastRestoreWords() int64 { return m.lastRestoreWords }
 
 // Resume continues execution from the state installed by the last
 // Restore, dispatching exactly as Call would: the reference loop for
-// hooks/EngineRef/mid-fault machines, otherwise the configured quiescent
-// engine (which still pauses at a pending fault event and hands off). An
+// hooks/EngineRef/mid-fault machines, otherwise the default engine
+// (which still pauses at a pending fault event and hands off). An
 // InjectFault between Restore and Resume is the fork-from-snapshot trial
 // pattern: the fault plan's InjectAt must lie beyond the snapshot's
 // Count, which Ladder.Best guarantees.
@@ -460,27 +464,13 @@ func (m *Machine) Resume() (int64, error) {
 	m.resumeReady = false
 	pc := m.resumePC
 	p := m.program()
-	if m.Cfg.Hook != nil || m.Cfg.Reference || m.Cfg.Engine == EngineRef ||
-		(m.fault != nil && m.fault.injected && !m.fault.detected) {
+	if until, ok := m.refStart(); ok {
+		// The snapshot's frames and profile use the default engine's
+		// convention; framesToRef and loopRefFrom's entry credit convert
+		// them exactly as for a mid-run handoff.
 		m.framesToRef(p, 0)
-		// The snapshot's profile uses the fast convention: a block counts
-		// when its terminator retires, so every live frame's in-flight
-		// block is still uncounted. The reference loop counts blocks on
-		// entry instead — it credits the top frame's block itself when it
-		// starts, but returns into parked caller frames mid-block without
-		// recounting, so their in-flight blocks must be credited here to
-		// match a from-scratch reference run.
-		if m.Prof != nil {
-			for d := 0; d < len(m.frames)-1; d++ {
-				rb, _ := p.refPos(m.frames[d].retPC)
-				m.Prof.Block[rb]++
-			}
-		}
 		b, idx := p.refPos(pc)
-		return m.loopRefFrom(0, b, idx)
+		return m.loopRefFrom(0, b, idx, until)
 	}
-	if m.Cfg.Engine == EngineClosure {
-		return m.loopClosureFrom(0, pc)
-	}
-	return m.loopFastFrom(0, pc)
+	return m.loopClosureFrom(0, pc)
 }

@@ -48,7 +48,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				t.Fatalf("no snapshots captured for a %d-instruction run", total)
 			}
 
-			for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast, interp.EngineClosure} {
+			for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast} {
 				full := interp.New(res.Mod, interp.Config{Profile: true, Engine: e})
 				defer full.Release()
 				full.SetRuntime(res.Metas)
@@ -102,7 +102,7 @@ func TestSnapshotRestoreFaulted(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast, interp.EngineClosure} {
+			for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast} {
 				full := interp.New(res.Mod, interp.Config{Engine: e})
 				defer full.Release()
 				full.SetRuntime(res.Metas)

@@ -56,11 +56,10 @@ func FuzzRecovery(f *testing.F) {
 	})
 }
 
-// FuzzEngines drives the engine-equivalence oracle: the pre-decoded fast
-// path, the closure-compiled engine, and the reference loop must agree
-// on every observable of both the plain and the instrumented program,
-// and the quiescent engines must trace identical fault trajectories
-// through a sampled bit-flip sweep.
+// FuzzEngines drives the engine-equivalence oracle: the default
+// (closure-compiled) engine and the reference loop must agree on every
+// observable of both the plain and the instrumented program, and must
+// trace identical fault trajectories through a sampled bit-flip sweep.
 func FuzzEngines(f *testing.F) {
 	addCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

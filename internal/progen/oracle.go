@@ -241,13 +241,13 @@ func CheckRecovery(p Params) (int, error) {
 
 // CheckEngines is the engine-equivalence oracle: the generated program —
 // both uninstrumented and instrumented — must produce identical
-// trajectories on every quiescent engine (the pre-decoded fast loop and
-// the closure-compiled engine) as on the reference loop: return value,
-// instruction counters, checkpoint traffic, region entries, memory/output
-// checksum, and execution profile. The instrumented program is then swept
-// with injected bit-flips under the fast and closure engines, which must
-// agree on the complete fault trajectory — exercising the closure
-// engine's delegation, rollback, and hand-back arms.
+// trajectories on the default (closure-compiled) engine as on the
+// reference loop: return value, instruction counters, checkpoint
+// traffic, region entries, memory/output checksum, and execution
+// profile. The instrumented program is then swept with injected
+// bit-flips under both engines, which must agree on the complete fault
+// trajectory — exercising the default engine's delegation, rollback, and
+// hand-back arms.
 func CheckEngines(p Params) error {
 	p = p.Normalized()
 	mod := Generate(p)
@@ -278,7 +278,7 @@ func CheckEngines(p Params) error {
 	return diffSnapshotRestore(p, res)
 }
 
-// diffEngines runs mod through the reference loop and each quiescent
+// diffEngines runs mod through the reference loop and the default
 // engine, diffing everything observable against the reference run.
 func diffEngines(p Params, mod *ir.Module, metas []interp.RegionMeta, label string) error {
 	run := func(e interp.Engine) (*interp.Machine, int64, error) {
@@ -291,71 +291,65 @@ func diffEngines(p Params, mod *ir.Module, metas []interp.RegionMeta, label stri
 	}
 	ref, rret, rerr := run(interp.EngineRef)
 	defer ref.Release()
-	diff := func(e interp.Engine) error {
-		got, gret, gerr := run(e)
-		defer got.Release()
-		fail := func(detail string) error {
-			return &Counterexample{Oracle: "engines", Params: p,
-				Detail: fmt.Sprintf("%s module, %s engine: %s", label, e, detail), IR: mod.String()}
-		}
-		if gerr != nil || rerr != nil {
-			return fail(fmt.Sprintf("run errors: %s=%v ref=%v", e, gerr, rerr))
-		}
-		if gret != rret {
-			return fail(fmt.Sprintf("return: %s=%d ref=%d", e, gret, rret))
-		}
-		if got.Count != ref.Count || got.BaseCount != ref.BaseCount {
-			return fail(fmt.Sprintf("counters: %s=(%d,%d) ref=(%d,%d)",
-				e, got.Count, got.BaseCount, ref.Count, ref.BaseCount))
-		}
-		if gs, rs := got.Checksum(mod.Globals...), ref.Checksum(mod.Globals...); gs != rs {
-			return fail(fmt.Sprintf("checksum: %s=%#x ref=%#x", e, gs, rs))
-		}
-		if got.CkptRegBytes != ref.CkptRegBytes || got.CkptMemBytes != ref.CkptMemBytes ||
-			got.RegionEntries != ref.RegionEntries || got.MaxBufferBytes != ref.MaxBufferBytes {
-			return fail(fmt.Sprintf("ckpt traffic: %s=(%d,%d,%d,%d) ref=(%d,%d,%d,%d)",
-				e, got.CkptRegBytes, got.CkptMemBytes, got.RegionEntries, got.MaxBufferBytes,
-				ref.CkptRegBytes, ref.CkptMemBytes, ref.RegionEntries, ref.MaxBufferBytes))
-		}
-		if detail, ok := diffProfiles(got.Prof, ref.Prof); !ok {
-			return fail(fmt.Sprintf("profile vs ref: %s", detail))
-		}
-		return nil
+	got, gret, gerr := run(interp.EngineFast)
+	defer got.Release()
+	fail := func(detail string) error {
+		return &Counterexample{Oracle: "engines", Params: p,
+			Detail: fmt.Sprintf("%s module, default engine: %s", label, detail), IR: mod.String()}
 	}
-	for _, e := range []interp.Engine{interp.EngineFast, interp.EngineClosure} {
-		if err := diff(e); err != nil {
-			return err
-		}
+	if gerr != nil || rerr != nil {
+		return fail(fmt.Sprintf("run errors: default=%v ref=%v", gerr, rerr))
+	}
+	if gret != rret {
+		return fail(fmt.Sprintf("return: default=%d ref=%d", gret, rret))
+	}
+	if got.Count != ref.Count || got.BaseCount != ref.BaseCount {
+		return fail(fmt.Sprintf("counters: default=(%d,%d) ref=(%d,%d)",
+			got.Count, got.BaseCount, ref.Count, ref.BaseCount))
+	}
+	if gs, rs := got.Checksum(mod.Globals...), ref.Checksum(mod.Globals...); gs != rs {
+		return fail(fmt.Sprintf("checksum: default=%#x ref=%#x", gs, rs))
+	}
+	if got.CkptRegBytes != ref.CkptRegBytes || got.CkptMemBytes != ref.CkptMemBytes ||
+		got.RegionEntries != ref.RegionEntries || got.MaxBufferBytes != ref.MaxBufferBytes {
+		return fail(fmt.Sprintf("ckpt traffic: default=(%d,%d,%d,%d) ref=(%d,%d,%d,%d)",
+			got.CkptRegBytes, got.CkptMemBytes, got.RegionEntries, got.MaxBufferBytes,
+			ref.CkptRegBytes, ref.CkptMemBytes, ref.RegionEntries, ref.MaxBufferBytes))
+	}
+	if detail, ok := diffProfiles(got.Prof, ref.Prof); !ok {
+		return fail(fmt.Sprintf("profile vs ref: %s", detail))
 	}
 	return nil
 }
 
 // faultPoints caps the injected sweep of the faulted engine comparison:
-// CheckRecovery already sweeps the fast loop densely, so a thin sample
-// suffices to pin the closure engine's fault arms against it.
+// CheckRecovery already sweeps the default engine densely, so a thin
+// sample suffices to pin its fault arms against the reference loop.
 const faultPoints = 24
 
 // diffFaultedEngines drives the instrumented program through injected
-// bit-flip trials on the fast and closure engines and requires identical
-// fault trajectories: the closure engine must pause before each
-// injection window, delegate to the reference loop at the same point the
-// fast loop hands off, and resume where it does — so the complete fault
-// report, handoff tallies, instruction counters, recovered return value,
-// and final checksum all match, trial by trial.
+// bit-flip trials on the default engine and the reference loop and
+// requires identical fault trajectories: the default engine must pause
+// before each injection window, delegate to the reference loop so the
+// fault lands at the same point, and resume where it should — so the
+// complete fault report, instruction counters, recovered return value,
+// final checksum, and execution profile all match, trial by trial.
+// Handoff tallies are the one difference by design: a run pinned to the
+// reference loop has none.
 func diffFaultedEngines(p Params, res *core.Result) error {
 	run := func(e interp.Engine) *interp.Machine {
-		m := interp.New(res.Mod, interp.Config{MaxInstrs: oracleBudget, Engine: e})
+		m := interp.New(res.Mod, interp.Config{MaxInstrs: oracleBudget, Profile: true, Engine: e})
 		m.SetRuntime(res.Metas)
 		return m
 	}
-	fast := run(interp.EngineFast)
-	defer fast.Release()
-	clos := run(interp.EngineClosure)
-	defer clos.Release()
-	if _, err := fast.Run(); err != nil {
+	def := run(interp.EngineFast)
+	defer def.Release()
+	ref := run(interp.EngineRef)
+	defer ref.Release()
+	if _, err := def.Run(); err != nil {
 		return nil // fault-free failures are diffEngines's to report
 	}
-	total := fast.Count
+	total := def.Count
 	if total < minDynInstrs {
 		return nil
 	}
@@ -374,34 +368,33 @@ func diffFaultedEngines(p Params, res *core.Result) error {
 			return &Counterexample{Oracle: "engines", Params: p,
 				Detail: fmt.Sprintf("faulted trial at %d: %s", at, detail), IR: res.Mod.String()}
 		}
-		fast.Reset()
-		fast.InjectFault(plan)
-		fret, ferr := fast.Run()
-		clos.Reset()
-		clos.InjectFault(plan)
-		cret, cerr := clos.Run()
-		if (ferr == nil) != (cerr == nil) {
-			return fail(fmt.Sprintf("run errors: fast=%v closure=%v", ferr, cerr))
+		def.Reset()
+		def.InjectFault(plan)
+		dret, derr := def.Run()
+		ref.Reset()
+		ref.InjectFault(plan)
+		rret, rerr := ref.Run()
+		if (derr == nil) != (rerr == nil) {
+			return fail(fmt.Sprintf("run errors: default=%v ref=%v", derr, rerr))
 		}
-		if fr, cr := fast.FaultReport(), clos.FaultReport(); fr != cr {
-			return fail(fmt.Sprintf("fault reports diverge:\nfast:    %+v\nclosure: %+v", fr, cr))
+		if dr, rr := def.FaultReport(), ref.FaultReport(); dr != rr {
+			return fail(fmt.Sprintf("fault reports diverge:\ndefault: %+v\nref:     %+v", dr, rr))
 		}
-		if fast.Count != clos.Count || fast.BaseCount != clos.BaseCount {
-			return fail(fmt.Sprintf("counters: fast=(%d,%d) closure=(%d,%d)",
-				fast.Count, fast.BaseCount, clos.Count, clos.BaseCount))
+		if def.Count != ref.Count || def.BaseCount != ref.BaseCount {
+			return fail(fmt.Sprintf("counters: default=(%d,%d) ref=(%d,%d)",
+				def.Count, def.BaseCount, ref.Count, ref.BaseCount))
 		}
-		if fast.HandoffsToRef != clos.HandoffsToRef || fast.HandoffsToFast != clos.HandoffsToFast {
-			return fail(fmt.Sprintf("handoffs: fast=(%d,%d) closure=(%d,%d)",
-				fast.HandoffsToRef, fast.HandoffsToFast, clos.HandoffsToRef, clos.HandoffsToFast))
-		}
-		if ferr != nil {
+		if derr != nil {
 			continue // matching trap class; state after a trap carries no promise
 		}
-		if fret != cret {
-			return fail(fmt.Sprintf("return: fast=%d closure=%d", fret, cret))
+		if dret != rret {
+			return fail(fmt.Sprintf("return: default=%d ref=%d", dret, rret))
 		}
-		if fs, cs := fast.Checksum(res.Mod.Globals...), clos.Checksum(res.Mod.Globals...); fs != cs {
-			return fail(fmt.Sprintf("checksum: fast=%#x closure=%#x", fs, cs))
+		if ds, rs := def.Checksum(res.Mod.Globals...), ref.Checksum(res.Mod.Globals...); ds != rs {
+			return fail(fmt.Sprintf("checksum: default=%#x ref=%#x", ds, rs))
+		}
+		if detail, ok := diffProfiles(def.Prof, ref.Prof); !ok {
+			return fail(fmt.Sprintf("profile vs ref: %s", detail))
 		}
 	}
 	return nil
@@ -429,7 +422,7 @@ func diffSnapshotRestore(p Params, res *core.Result) error {
 		return &Counterexample{Oracle: "snapshot", Params: p, Detail: err.Error(), IR: res.Mod.String()}
 	}
 
-	for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast, interp.EngineClosure} {
+	for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast} {
 		fail := func(detail string) error {
 			return &Counterexample{Oracle: "snapshot", Params: p,
 				Detail: fmt.Sprintf("engine %v: %s", e, detail), IR: res.Mod.String()}

@@ -55,7 +55,7 @@ type SubmitRequest struct {
 	Pmin *float64 `json:"pmin,omitempty"`
 	// Budget caps the estimated fractional overhead (default 0.20).
 	Budget *float64 `json:"budget,omitempty"`
-	// Engine selects the interpreter engine: fast, ref, or closure.
+	// Engine selects the interpreter engine: fast or ref.
 	// Ledgers are engine-invariant.
 	Engine string `json:"engine,omitempty"`
 	// Workers bounds trial parallelism (0 = server default). Ledgers are

@@ -94,7 +94,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	for _, v := range []struct {
 		workers int
 		eng     interp.Engine
-	}{{7, interp.EngineFast}, {3, interp.EngineRef}, {0, interp.EngineClosure}} {
+	}{{7, interp.EngineFast}, {3, interp.EngineRef}, {0, interp.EngineRef}} {
 		got := run(v.workers, v.eng)
 		if got.Executed != ref.Executed || got.Skipped != ref.Skipped || got.Mispredicted != ref.Mispredicted {
 			t.Errorf("workers=%d engine=%v: executed/skipped/mispred %d/%d/%d vs ref %d/%d/%d",

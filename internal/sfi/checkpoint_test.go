@@ -77,7 +77,6 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 				{"ckpt4", func(c *sfi.CampaignConfig) { c.Checkpoints = 4 }},
 				{"ckpt16", func(c *sfi.CampaignConfig) { c.Checkpoints = 16 }},
 				{"ckpt16/workers1", func(c *sfi.CampaignConfig) { c.Checkpoints = 16; c.Workers = 1 }},
-				{"ckpt16/closure", func(c *sfi.CampaignConfig) { c.Checkpoints = 16; c.Engine = interp.EngineClosure }},
 				{"ckpt16/ref", func(c *sfi.CampaignConfig) { c.Checkpoints = 16; c.Engine = interp.EngineRef }},
 			}
 			for _, v := range variants {

@@ -10,13 +10,13 @@ import (
 	"encore/internal/workload"
 )
 
-// TestCampaignLedgerEngineInvariant locks the tentpole guarantee of the
-// closure engine: an SFI campaign's trial ledger — every per-trial
-// record, in order, down to the serialized bytes — is identical no
-// matter which quiescent engine executes the trials. Outcome counters
-// and the same-instance tally must match too.
+// TestCampaignLedgerEngineInvariant locks the engine guarantee: an SFI
+// campaign's trial ledger — every per-trial record, in order, down to
+// the serialized bytes — is identical whether the default engine or the
+// reference loop executes the trials. Outcome counters and the
+// same-instance tally must match too.
 func TestCampaignLedgerEngineInvariant(t *testing.T) {
-	engines := []interp.Engine{interp.EngineFast, interp.EngineRef, interp.EngineClosure}
+	engines := []interp.Engine{interp.EngineFast, interp.EngineRef}
 	for _, name := range []string{"175.vpr", "g721encode"} {
 		sp, err := workload.ByName(name)
 		if err != nil {

@@ -105,6 +105,7 @@ func MeasureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig) 
 	defer sp.End()
 	mod, outs := build()
 	pool := newMachinePool(mod, nil, cfg.Engine)
+	defer pool.release()
 	m := pool.get()
 	if _, err := m.Run(); err != nil {
 		return nil, fmt.Errorf("sfi: golden run: %w", err)
@@ -439,6 +440,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	sp := reg.Span("sfi/campaign")
 	defer sp.End()
 	pool := newMachinePool(mod, metas, cfg.Engine)
+	defer pool.release()
 	m := pool.get()
 	if _, err := m.Run(); err != nil {
 		return nil, fmt.Errorf("sfi: golden run: %w", err)
@@ -694,10 +696,13 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 
 // machinePool hands out ready-to-run machines for one campaign. All
 // machines share a single pre-decoded Program (decoding is per-module,
-// not per-machine work) and are recycled through a sync.Pool, so a
-// worker picking up where the golden run left off inherits its memory
-// image, frame slots, and checkpoint buffers instead of reallocating
-// them.
+// not per-machine work) and are recycled through a mutex-guarded LIFO
+// free list, so a worker picking up where the golden run left off
+// inherits its memory image, frame slots, and checkpoint buffers instead
+// of reallocating them, and which machine serves which request is fixed
+// by the order of get and put calls. release hands every machine the pool
+// built back to the interpreter's memory-image pool when the campaign
+// returns, instead of leaving the images to the garbage collector.
 type machinePool struct {
 	// prog is the shared pre-decoded Program; also handed to the
 	// adaptive region-map run so it skips re-decoding.
@@ -707,36 +712,69 @@ type machinePool struct {
 	// first fork pays a dirty-delta restore instead of a cold image.
 	// Written once before trial workers spawn, read-only after.
 	ladder *interp.Ladder
-	pool   sync.Pool
+
+	mod    *ir.Module
+	metas  []interp.RegionMeta
+	engine interp.Engine
+
+	mu   sync.Mutex
+	free []*interp.Machine // idle machines, most recently put last
+	all  []*interp.Machine // every machine built, for release
 }
 
 func newMachinePool(mod *ir.Module, metas []interp.RegionMeta, engine interp.Engine) *machinePool {
-	prog := interp.Predecode(mod)
-	p := &machinePool{prog: prog}
-	p.pool.New = func() any {
-		w := interp.New(mod, interp.Config{Engine: engine})
-		w.UseProgram(prog)
-		if metas != nil {
-			w.SetRuntime(metas)
-		}
-		if s := p.ladder.Deepest(); s != nil {
-			// Warm start: pre-load the deepest snapshot so the machine's
-			// frames, register slices, and memory deltas are materialized
-			// before its first trial. A failure here is harmless — the
-			// trial loop Resets and replays from scratch.
-			_ = w.Restore(s)
-		}
-		return w
-	}
-	return p
+	return &machinePool{prog: interp.Predecode(mod), mod: mod, metas: metas, engine: engine}
 }
 
 // attachLadder publishes the campaign's checkpoint ladder to the pool.
 // Must be called before trial workers start building machines.
 func (p *machinePool) attachLadder(l *interp.Ladder) { p.ladder = l }
 
-func (p *machinePool) get() *interp.Machine  { return p.pool.Get().(*interp.Machine) }
-func (p *machinePool) put(w *interp.Machine) { p.pool.Put(w) }
+// get returns the most recently put idle machine, or builds a new one.
+func (p *machinePool) get() *interp.Machine {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		w := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return w
+	}
+	p.mu.Unlock()
+	w := interp.New(p.mod, interp.Config{Engine: p.engine})
+	w.UseProgram(p.prog)
+	if p.metas != nil {
+		w.SetRuntime(p.metas)
+	}
+	if s := p.ladder.Deepest(); s != nil {
+		// Warm start: pre-load the deepest snapshot so the machine's
+		// frames, register slices, and memory deltas are materialized
+		// before its first trial. A failure here is harmless — the
+		// trial loop Resets and replays from scratch.
+		_ = w.Restore(s)
+	}
+	p.mu.Lock()
+	p.all = append(p.all, w)
+	p.mu.Unlock()
+	return w
+}
+
+func (p *machinePool) put(w *interp.Machine) {
+	p.mu.Lock()
+	p.free = append(p.free, w)
+	p.mu.Unlock()
+}
+
+// release releases every machine the pool built, idle or not; the
+// campaign defers it, so it runs on the error and cancel paths too, after
+// every worker has returned. The pool must not be used afterwards.
+func (p *machinePool) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, w := range p.all {
+		w.Release()
+	}
+	p.all, p.free = nil, nil
+}
 
 // EnvWorkers returns the ENCORE_WORKERS environment override as a worker
 // count, or 0 when the variable is unset, malformed, or non-positive (the

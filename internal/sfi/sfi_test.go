@@ -2,9 +2,11 @@ package sfi
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"encore/internal/core"
+	"encore/internal/interp"
 	"encore/internal/ir"
 	"encore/internal/obs"
 	"encore/internal/workload"
@@ -253,5 +255,84 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 	if !sawSpan {
 		t.Error("missing sfi/campaign span")
+	}
+}
+
+// TestMachinePoolRelease is the white-box check of the campaign machine
+// pool: idle machines are reused last-in first-out, so reuse does not
+// depend on the garbage collector, and release hands back every machine
+// the pool built — idle ones and ones still leased, as on a campaign's
+// error and cancel paths — leaving none holding a memory image.
+func TestMachinePoolRelease(t *testing.T) {
+	res, _ := compileApp(t, "rawcaudio")
+	pool := newMachinePool(res.Mod, res.Metas, interp.EngineFast)
+	a, b := pool.get(), pool.get()
+	if a == b {
+		t.Fatal("two leases returned the same machine")
+	}
+	pool.put(a)
+	pool.put(b)
+	if got := pool.get(); got != b {
+		t.Fatal("get did not return the most recently put machine")
+	}
+	// b stays leased, as a machine does when its campaign fails or is
+	// canceled; a is idle.
+	if _, err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	pool.release()
+	for i, w := range []*interp.Machine{a, b} {
+		if w.Mem != nil {
+			t.Errorf("machine %d still holds its %d-word image after release", i, len(w.Mem))
+		}
+	}
+	if len(pool.all) != 0 || len(pool.free) != 0 {
+		t.Errorf("pool keeps %d built / %d idle machines after release", len(pool.all), len(pool.free))
+	}
+}
+
+// TestMachinePoolConcurrent leases and returns machines from several
+// goroutines at once, as runTrials' workers do: no machine is ever held
+// by two goroutines, the pool builds at most one machine per concurrent
+// lease, and release still finds every one of them.
+func TestMachinePoolConcurrent(t *testing.T) {
+	res, _ := compileApp(t, "rawcaudio")
+	pool := newMachinePool(res.Mod, res.Metas, interp.EngineFast)
+	const workers = 4
+	var (
+		mu     sync.Mutex
+		leased = map[*interp.Machine]bool{}
+		seen   = map[*interp.Machine]bool{}
+		wg     sync.WaitGroup
+	)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				w := pool.get()
+				mu.Lock()
+				if leased[w] {
+					t.Error("machine leased to two goroutines at once")
+				}
+				leased[w], seen[w] = true, true
+				mu.Unlock()
+				runtime.Gosched() // hold the lease while others run
+				mu.Lock()
+				leased[w] = false
+				mu.Unlock()
+				pool.put(w)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(seen) > workers || len(pool.all) != len(seen) {
+		t.Errorf("%d machines built for %d concurrent leases (%d handed out)", len(pool.all), workers, len(seen))
+	}
+	pool.release()
+	for w := range seen {
+		if w.Mem != nil {
+			t.Error("a machine survived release with its image")
+		}
 	}
 }

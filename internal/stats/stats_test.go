@@ -224,7 +224,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("reference snapshot is empty")
 	}
-	for _, engine := range []interp.Engine{interp.EngineFast, interp.EngineClosure} {
+	for _, engine := range []interp.Engine{interp.EngineFast, interp.EngineRef} {
 		for _, shape := range []struct{ workers, shard int }{{1, 0}, {4, 1}, {8, 3}} {
 			name := fmt.Sprintf("engine=%v/workers=%d/shard=%d", engine, shape.workers, shape.shard)
 			got := campaignSnapshot(t, app, trials, shape.workers, shape.shard, engine)

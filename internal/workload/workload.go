@@ -43,6 +43,10 @@ type Artifact struct {
 	// Outputs are the globals whose final contents define program output;
 	// golden-run comparison checksums these plus the emit stream.
 	Outputs []*ir.Global
+
+	// fills records how each randomly initialized input global was drawn,
+	// for ReRandomize. It lives and dies with the artifact.
+	fills map[*ir.Global]fillSpec
 }
 
 // Spec describes one benchmark. Build returns a fresh module every call
@@ -55,8 +59,14 @@ type Spec struct {
 
 var registry []Spec
 
+// register adds a benchmark whose Build moves the fill specs its
+// builder recorded onto the artifact it returns.
 func register(name string, suite Suite, build func() *Artifact) {
-	registry = append(registry, Spec{Name: name, Suite: suite, Build: build})
+	registry = append(registry, Spec{Name: name, Suite: suite, Build: func() *Artifact {
+		art := build()
+		art.fills = takeFills(art.Mod)
+		return art
+	}})
 }
 
 // All returns every benchmark, grouped by suite in the paper's order.
@@ -124,14 +134,28 @@ type fillSpec struct {
 	isFloat bool
 }
 
-// randomInits tracks every randomly initialized global by identity. The
-// map grows one entry per random global per Build call; entries die with
-// their modules (globals are never shared across builds), and the map is
-// process-global test/experiment state, guarded for concurrent builds.
+// pendingFills holds the fill specs of builds in progress, keyed by
+// global identity; register's Build wrapper moves a module's entries onto
+// its Artifact as soon as the builder returns, so the map never outlives
+// a build. Builds may run concurrently, hence the mutex.
 var (
-	randomInitsMu sync.Mutex
-	randomInits   = map[*ir.Global]fillSpec{}
+	pendingMu    sync.Mutex
+	pendingFills = map[*ir.Global]fillSpec{}
 )
+
+// takeFills removes and returns the pending fill specs of mod's globals.
+func takeFills(mod *ir.Module) map[*ir.Global]fillSpec {
+	pendingMu.Lock()
+	defer pendingMu.Unlock()
+	fills := map[*ir.Global]fillSpec{}
+	for _, g := range mod.Globals {
+		if spec, ok := pendingFills[g]; ok {
+			fills[g] = spec
+			delete(pendingFills, g)
+		}
+	}
+	return fills
+}
 
 // fillRand initializes a global with bounded pseudo-random words.
 func fillRand(g *ir.Global, seed uint64, bound int64) {
@@ -140,9 +164,9 @@ func fillRand(g *ir.Global, seed uint64, bound int64) {
 	for i := range g.Init {
 		g.Init[i] = r.intn(bound)
 	}
-	randomInitsMu.Lock()
-	randomInits[g] = fillSpec{seed: seed, bound: bound}
-	randomInitsMu.Unlock()
+	pendingMu.Lock()
+	pendingFills[g] = fillSpec{seed: seed, bound: bound}
+	pendingMu.Unlock()
 }
 
 // fillRandF initializes a global with pseudo-random float bit patterns in
@@ -153,9 +177,9 @@ func fillRandF(g *ir.Global, seed uint64) {
 	for i := range g.Init {
 		g.Init[i] = ir.FloatBits(float64(r.next()%1000000) / 1000000.0)
 	}
-	randomInitsMu.Lock()
-	randomInits[g] = fillSpec{seed: seed, isFloat: true}
-	randomInitsMu.Unlock()
+	pendingMu.Lock()
+	pendingFills[g] = fillSpec{seed: seed, isFloat: true}
+	pendingMu.Unlock()
 }
 
 // ReRandomize replaces every randomly initialized input global of the
@@ -166,10 +190,8 @@ func fillRandF(g *ir.Global, seed uint64) {
 // re-randomized.
 func ReRandomize(art *Artifact, variant uint64) int {
 	n := 0
-	randomInitsMu.Lock()
-	defer randomInitsMu.Unlock()
 	for _, g := range art.Mod.Globals {
-		spec, ok := randomInits[g]
+		spec, ok := art.fills[g]
 		if !ok {
 			continue
 		}

@@ -8,9 +8,9 @@
 # (internal/progen), plus command smoke runs that exercise the
 # observability flags end to end — including a check that metrics
 # counters are identical under ENCORE_WORKERS=1 and the default pool,
-# that the closure execution engine reproduces the fast engine's output
-# bit for bit across the full workload suite and the SFI trial ledger,
-# and that the encore-serve daemon's streamed campaign ledger is
+# that the default engine reproduces the reference engine's output bit
+# for bit across the full workload suite and the SFI trial ledger, and
+# that the encore-serve daemon's streamed campaign ledger is
 # byte-identical to the batch encore-sfi -trace ledger for the same
 # (workload, config, seed). The telemetry smokes additionally check that
 # encore-sfi -stats output is byte-identical across worker counts and
@@ -114,21 +114,21 @@ grep -q '|err|' "$tmp/report.txt" || { echo "encore-sfi -report: no abs-error co
 "$tmp/encore-sfi" -trace "$tmp/trace2.jsonl" -app rawcaudio -trials 5 > /dev/null
 cmp -s "$tmp/trace.jsonl" "$tmp/trace2.jsonl" || { echo "encore-sfi -trace: not byte-identical across runs" >&2; exit 1; }
 
-echo "==> smoke: closure engine identical across the full workload suite"
+echo "==> smoke: default engine identical to -engine ref across the full workload suite"
 # The per-app report covers measured overhead, checkpoint traffic, and
 # region selection for all 23 workloads: any divergence between engines
 # in counting, checkpointing, or profiling shows up as a report diff.
-"$tmp/encore" -engine fast > "$tmp/report-fast.txt"
-"$tmp/encore" -engine closure > "$tmp/report-closure.txt"
-cmp -s "$tmp/report-fast.txt" "$tmp/report-closure.txt" || {
-	echo "encore: closure engine report differs from fast engine:" >&2
-	diff "$tmp/report-fast.txt" "$tmp/report-closure.txt" >&2 || true
+"$tmp/encore" > "$tmp/report-fast.txt"
+"$tmp/encore" -engine ref > "$tmp/report-ref.txt"
+cmp -s "$tmp/report-fast.txt" "$tmp/report-ref.txt" || {
+	echo "encore: default engine report differs from -engine ref:" >&2
+	diff "$tmp/report-fast.txt" "$tmp/report-ref.txt" >&2 || true
 	exit 1
 }
 
-echo "==> smoke: closure engine reproduces the SFI trial ledger byte for byte"
-"$tmp/encore-sfi" -app rawcaudio -trials 5 -engine closure -trace "$tmp/trace-closure.jsonl" > /dev/null
-cmp -s "$tmp/trace.jsonl" "$tmp/trace-closure.jsonl" || { echo "encore-sfi -engine closure: trial ledger differs from fast engine" >&2; exit 1; }
+echo "==> smoke: -engine ref reproduces the SFI trial ledger byte for byte"
+"$tmp/encore-sfi" -app rawcaudio -trials 5 -engine ref -trace "$tmp/trace-ref.jsonl" > /dev/null
+cmp -s "$tmp/trace.jsonl" "$tmp/trace-ref.jsonl" || { echo "encore-sfi -engine ref: trial ledger differs from default engine" >&2; exit 1; }
 
 echo "==> smoke: checkpoint-ladder ledger byte-identical to full-replay"
 # Fork-from-checkpoint trials restore a golden-run snapshot instead of
@@ -147,9 +147,9 @@ echo "==> smoke: encore-sfi -stats byte-identical across workers and engines"
 # the execution engine — only on the (workload, config, seed) prefix.
 "$tmp/encore-sfi" -app rawcaudio -trials 12 -workers 1 -stats "$tmp/stats-w1.json" > /dev/null
 "$tmp/encore-sfi" -app rawcaudio -trials 12 -workers 4 -stats "$tmp/stats-w4.json" > /dev/null
-"$tmp/encore-sfi" -app rawcaudio -trials 12 -workers 4 -engine closure -stats "$tmp/stats-closure.json" > /dev/null
+"$tmp/encore-sfi" -app rawcaudio -trials 12 -workers 4 -engine ref -stats "$tmp/stats-ref.json" > /dev/null
 cmp -s "$tmp/stats-w1.json" "$tmp/stats-w4.json" || { echo "encore-sfi -stats: differs between -workers 1 and 4" >&2; exit 1; }
-cmp -s "$tmp/stats-w1.json" "$tmp/stats-closure.json" || { echo "encore-sfi -stats: differs between fast and closure engines" >&2; exit 1; }
+cmp -s "$tmp/stats-w1.json" "$tmp/stats-ref.json" || { echo "encore-sfi -stats: differs between default and ref engines" >&2; exit 1; }
 grep -q '"worst_ci_half_width"' "$tmp/stats-w1.json" || { echo "encore-sfi -stats: no worst_ci_half_width field" >&2; exit 1; }
 
 echo "==> smoke: 3-shard merged ledger+stats byte-identical to single process"
