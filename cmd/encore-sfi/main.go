@@ -20,13 +20,18 @@
 // golden run (interp.RunWithSnapshots); each trial then restores the
 // deepest snapshot strictly before its injection point and replays only
 // the short delta, instead of re-executing the whole golden prefix from
-// instruction zero. Outcomes, ledgers, and stats are byte-identical at
-// any k (0 disables forking); the knob only moves trial throughput.
+// instruction zero. Once a trial's fault settles, the same ladder ends
+// the trial at the first later rung whose snapshot its state matches
+// (interp.ArmReconverge). Outcomes, ledgers, and stats are
+// byte-identical at any k (0 disables forking and early exit); the knob
+// only moves trial throughput.
 //
 // -progress emits a rate-limited trial counter to stderr while a campaign
 // runs; each line carries the worst-region confidence interval — the
 // widest Wilson-score half-width on any selected region's recovery rate
-// — so convergence is visible live. -metrics writes the observability
+// — so convergence is visible live, plus how many trials forked from the
+// ladder and how many ended early at a golden rung, with the
+// instructions each saved. -metrics writes the observability
 // snapshot (compile spans, SFI outcome counters, worker throughput; see
 // DESIGN.md §9) as JSON to the given file, or to stdout for "-"; -prom
 // writes the same snapshot in Prometheus text exposition format.
@@ -116,7 +121,7 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		seed        = fs.Uint64("seed", 1, "PRNG seed")
 		masking     = fs.Bool("masking", false, "also run the raw-strike masking study")
 		workers     = fs.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS; clamped to the trial count)")
-		checkpoints = fs.Int("checkpoints", 16, "golden-run snapshot rungs for fork-from-checkpoint trials (0 = replay the full prefix)")
+		checkpoints = fs.Int("checkpoints", sfi.DefaultCheckpoints, "golden-run snapshot rungs for fork-from-checkpoint trials (0 = replay the full prefix)")
 		engine      = fs.String("engine", "", "trial execution engine: fast or ref (outcomes are engine-invariant)")
 		progress    = fs.Bool("progress", false, "report per-campaign trial progress on stderr")
 		metrics     = fs.String("metrics", "", "write the observability snapshot as JSON to this file (- = stdout)")
@@ -285,12 +290,16 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		}
 		if prog != nil {
 			// The note pairs the estimator's convergence signal with this
-			// campaign's fork-from-checkpoint savings. The registry's
-			// sfi.restore.* counters are cumulative across campaigns,
-			// hence the per-campaign baselines.
+			// campaign's fork-from-checkpoint and early-exit savings. The
+			// registry's sfi.restore.* and sfi.reconverge.* counters are
+			// cumulative across campaigns, hence the per-campaign
+			// baselines.
 			restores := reg.Counter("sfi.restore.count")
 			saved := reg.Counter("sfi.restore.saved_instrs")
+			reconv := reg.Counter("sfi.reconverge.count")
+			reconvSaved := reg.Counter("sfi.reconverge.saved_instrs")
 			baseRestores, baseSaved := restores.Value(), saved.Value()
+			baseReconv, baseReconvSaved := reconv.Value(), reconvSaved.Value()
 			prog.SetNote(func() string {
 				var parts []string
 				if est != nil {
@@ -301,6 +310,10 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 				if n := restores.Value() - baseRestores; n > 0 {
 					parts = append(parts, fmt.Sprintf("forked %d (saved %dM instr)",
 						n, (saved.Value()-baseSaved)/1e6))
+				}
+				if n := reconv.Value() - baseReconv; n > 0 {
+					parts = append(parts, fmt.Sprintf("reconverged %d (saved %dM instr)",
+						n, (reconvSaved.Value()-baseReconvSaved)/1e6))
 				}
 				return strings.Join(parts, ", ")
 			})

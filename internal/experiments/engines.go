@@ -77,7 +77,7 @@ func (h *Harness) Engines(app string) (*EnginesResult, error) {
 
 		start = time.Now()
 		camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
-			Trials: trials, Seed: 7, Dmax: 100, Engine: e,
+			Trials: trials, Seed: 7, Dmax: 100, Engine: e, Checkpoints: sfi.DefaultCheckpoints,
 		})
 		wall := time.Since(start)
 		if err != nil {

@@ -54,7 +54,7 @@ func (h *Harness) AblationInputShift(variant uint64) (*AblInputResult, error) {
 		row := AblInputRow{App: sp.Name}
 
 		trainCamp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
-			Trials: trials, Seed: 21, Dmax: 100, Engine: h.Engine,
+			Trials: trials, Seed: 21, Dmax: 100, Engine: h.Engine, Checkpoints: sfi.DefaultCheckpoints,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.Name, err)
@@ -85,7 +85,7 @@ func (h *Harness) AblationInputShift(variant uint64) (*AblInputResult, error) {
 		row.OutputOK = im.Checksum(art.Outputs...) == goldenRef
 
 		refCamp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
-			Trials: trials, Seed: 21, Dmax: 100, Engine: h.Engine,
+			Trials: trials, Seed: 21, Dmax: 100, Engine: h.Engine, Checkpoints: sfi.DefaultCheckpoints,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.Name, err)

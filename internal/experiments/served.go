@@ -79,7 +79,8 @@ func (h *Harness) Served(app string) (*ServedResult, error) {
 		sink := obs.NewJSONLSink(&buf)
 		if _, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
 			Trials: trials, Seed: uint64(i + 1), Dmax: 100, Engine: h.Engine,
-			App: app, Regions: serve.RegionTable(res, 100), Trace: sink,
+			Checkpoints: sfi.DefaultCheckpoints, App: app,
+			Regions: serve.RegionTable(res, 100), Trace: sink,
 		}); err != nil {
 			return nil, fmt.Errorf("%s seed %d: %w", app, i+1, err)
 		}
@@ -93,7 +94,7 @@ func (h *Harness) Served(app string) (*ServedResult, error) {
 	// Served: K concurrent submissions against an in-process daemon,
 	// each ledger streamed to completion.
 	srv := httptest.NewServer(serve.NewServer(serve.Config{
-		Obs: obs.NewRegistry(), Engine: h.Engine,
+		Obs: obs.NewRegistry(), Engine: h.Engine, Checkpoints: sfi.DefaultCheckpoints,
 		MaxInFlightTrials: campaigns * trials,
 	}))
 	defer srv.Close()

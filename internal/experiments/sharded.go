@@ -98,7 +98,7 @@ func (h *Harness) Sharded(app string) (*ShardedResult, error) {
 		regions := serve.RegionTable(res, 100)
 		base := sfi.CampaignConfig{
 			Trials: trials, Seed: 11, Dmax: 100, Engine: h.Engine,
-			App: name, Regions: regions,
+			Checkpoints: sfi.DefaultCheckpoints, App: name, Regions: regions,
 		}
 
 		// 1. Exhaustive single-process baseline.

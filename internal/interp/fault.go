@@ -211,6 +211,7 @@ func (m *Machine) detect() (*ir.Block, int, bool) {
 		// state and keep going from the detection point.
 		f.report.Ignored = true
 		f.report.TargetRegion = target.meta.ID
+		m.settleReconverge(0)
 		return nil, 0, false
 	}
 	// Unwind to the frame that owns the region.
@@ -223,5 +224,6 @@ func (m *Machine) detect() (*ir.Block, int, bool) {
 	f.report.TargetRegion = target.meta.ID
 	f.report.SameInstance = f.injected && target.instance == f.report.Site.Instance
 	f.report.RollbackDistance = m.Count - target.entryCount
+	m.settleReconverge(f.report.RollbackDistance + rollbackCost)
 	return target.meta.Recovery, 0, true
 }

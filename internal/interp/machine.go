@@ -235,6 +235,8 @@ type Machine struct {
 	snapLadder  *Ladder
 	resumePC    int32
 	resumeReady bool
+	// reconv is the golden-state reconvergence check ArmReconverge arms.
+	reconv reconvState
 
 	// obsBias subtracts a restored snapshot's accumulated counters from
 	// the next obs flush: the prefix behind a Restore was never executed
@@ -498,6 +500,7 @@ func (m *Machine) Reset() {
 	m.obsBias.ckptReg, m.obsBias.ckptMem, m.obsBias.regionEntries = 0, 0, 0
 	m.snapRungs, m.snapLadder = nil, nil
 	m.resumeReady = false
+	m.reconv = reconvState{}
 	m.frames = m.frames[:0]
 	m.sp = m.Cfg.MemWords - m.Cfg.StackWords
 	m.stackTop = m.Cfg.MemWords

@@ -40,7 +40,9 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 		// mirror image of the InjectAt-1 pause), or fully settled. A
 		// detection that is already due must fire here first. A capture
 		// rung reached here is frozen at this exact boundary, after the
-		// conversion to the default engine's form snapshots use.
+		// conversion to the default engine's form snapshots use, and a
+		// reconvergence stop is compared here in the same form; a match
+		// ends the run with the golden run's result.
 		if m.Count >= until && (m.fault == nil ||
 			m.fault.injected && (m.fault.detected || m.Count < m.fault.detectAt)) {
 			p := m.program()
@@ -48,6 +50,9 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 			m.framesToFast(p, baseDepth, pc)
 			if len(m.snapRungs) > 0 && m.Count >= m.snapRungs[0] {
 				m.captureSnapshot(pc)
+			}
+			if m.reconv.settled && m.reconverged(pc) {
+				return m.reconv.lad.ret, nil
 			}
 			m.HandoffsToFast++
 			return m.loopClosureFrom(baseDepth, pc)

@@ -167,7 +167,8 @@ func (m *Machine) framesToFast(p *Program, baseDepth int, pc int32) {
 // instruction retiring at InjectAt; after injection it is the scheduled
 // detection point — a settled fault has no pending events), and
 // tightened again to the next checkpoint-capture rung when a
-// RunWithSnapshots pass is active.
+// RunWithSnapshots pass is active and to the next reconvergence stop
+// once an armed trial's fault has settled (ArmReconverge).
 func (m *Machine) fastStop() int64 {
 	stop := m.Cfg.MaxInstrs
 	if m.fault != nil {
@@ -184,6 +185,11 @@ func (m *Machine) fastStop() int64 {
 	}
 	if len(m.snapRungs) > 0 && m.snapRungs[0] < stop {
 		stop = m.snapRungs[0]
+	}
+	if r := &m.reconv; r.settled && r.next < len(r.lad.snaps) {
+		if rs := r.lad.snaps[r.next].count + r.delta; rs < stop {
+			stop = rs
+		}
 	}
 	return stop
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"encore/internal/ir"
@@ -80,10 +81,11 @@ type Snapshot struct {
 func (s *Snapshot) Count() int64 { return s.count }
 
 // Ladder is an ascending sequence of snapshots captured on one golden
-// run, plus the run's total dynamic length.
+// run, plus the run's total dynamic length and return value.
 type Ladder struct {
 	snaps []*Snapshot
 	total int64
+	ret   int64
 }
 
 // Len reports how many snapshots the ladder holds.
@@ -144,10 +146,14 @@ func (l *Ladder) Deepest() *Snapshot {
 // given total dynamic length: rung i sits at i·total/(k+1), so the rungs
 // split the run into k+1 equal spans and the deepest rung leaves one span
 // of real execution before the end. Degenerate rungs (non-positive, or
-// colliding after integer division on tiny runs) are dropped.
+// colliding after integer division on tiny runs) are dropped, so a k
+// at or above total yields a rung at every count in (0, total).
 func LadderRungs(k int, total int64) []int64 {
 	if k <= 0 || total <= 0 {
 		return nil
+	}
+	if int64(k) >= total {
+		k = int(total - 1) // same rung set, without the colliding ones
 	}
 	rungs := make([]int64, 0, k)
 	for i := 1; i <= k; i++ {
@@ -220,7 +226,7 @@ func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	lad.total = m.Count
+	lad.total, lad.ret = m.Count, ret
 	return ret, lad, nil
 }
 
@@ -412,6 +418,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.MaxBufferBytes = s.maxBufferBytes
 	m.instanceSeq = s.instanceSeq
 	m.HandoffsToRef, m.HandoffsToFast = 0, 0
+	m.reconv = reconvState{}
 	// The restored prefix was never executed by this machine: bias the
 	// obs-flush so the attached registry only accrues instructions the
 	// machine actually dispatches.
@@ -473,4 +480,158 @@ func (m *Machine) Resume() (int64, error) {
 		return m.loopRefFrom(0, b, idx, until)
 	}
 	return m.loopClosureFrom(0, pc)
+}
+
+// rollbackCost is the dynamic cost between a rollback and the point at
+// which the target region's entryCount was taken: xform's recovery block
+// (restore, jump) and the header's re-arming SetRecovery. A layout with a
+// different cost only makes reconvergence compares miss, never err.
+const rollbackCost = 3
+
+// reconvState is a trial's golden-state reconvergence check (see
+// ArmReconverge). lad is the golden ladder, nil when the check is off.
+// Once the fault settles, delta is the trial's dynamic-count offset from
+// the golden run and next indexes the first rung whose stop,
+// count+delta, still lies ahead. final is the projected end-of-run count
+// after a match.
+type reconvState struct {
+	lad     *Ladder
+	settled bool
+	delta   int64
+	next    int
+	hit     bool
+	final   int64
+}
+
+// ArmReconverge arms golden-state reconvergence for the run that
+// follows: Resume after a Restore, or Run after a Reset (both disarm
+// it). Once the armed fault settles — rolled back, or ignored by a
+// tolerant region — the run stops at count c+δ for each later rung c of
+// the golden ladder l, with δ the trial's offset from the golden run
+// fixed at detection, and compares its full state with the rung's
+// snapshot. On a match the rest of the run is the golden suffix, so it
+// ends there: the run returns the golden run's return value, and
+// Reconverged reports the projected final count. The compare covers
+// every input of later execution (see sameState), so a wrong δ costs a
+// missed early exit, never a wrong result. A match whose projected end
+// would pass Cfg.MaxInstrs is not taken: that run must reach its budget
+// trap. The check needs the default engine's hand-backs, so runs pinned
+// to the reference loop (EngineRef, a Hook) always run to the end, and
+// it stays off for profiled machines, machines with custom externs, and
+// a ladder that is empty or from another module or memory geometry.
+func (m *Machine) ArmReconverge(l *Ladder) {
+	m.reconv = reconvState{}
+	if l.Len() == 0 || m.Cfg.Profile || m.Cfg.Externs != nil {
+		return
+	}
+	if s := l.snaps[0]; s.prog.mod != m.Mod || s.memWords != m.Cfg.MemWords || s.stackWords != m.Cfg.StackWords {
+		return
+	}
+	m.reconv.lad = l
+}
+
+// Reconverged reports whether the most recent run ended early at a
+// golden rung (see ArmReconverge) and, if so, the dynamic instruction
+// count at which the full run would have ended. The machine itself is
+// left at the rung, mid-run: its Count, memory and output are not the
+// final ones.
+func (m *Machine) Reconverged() (final int64, ok bool) {
+	return m.reconv.final, m.reconv.hit
+}
+
+// settleReconverge fixes an armed trial's offset from the golden run as
+// its fault settles at detection, skipping the rungs already behind it.
+func (m *Machine) settleReconverge(delta int64) {
+	r := &m.reconv
+	if r.lad == nil {
+		return
+	}
+	r.settled, r.delta = true, delta
+	for r.next < len(r.lad.snaps) && r.lad.snaps[r.next].count+delta <= m.Count {
+		r.next++
+	}
+}
+
+// reconverged runs the compare for every rung stop the run has reached,
+// with the machine parked at pc on the reference loop's hand-back, and
+// reports whether one matched. A rung is compared once whether or not
+// it matches; later rungs keep their compares.
+func (m *Machine) reconverged(pc int32) bool {
+	r := &m.reconv
+	for r.next < len(r.lad.snaps) {
+		s := r.lad.snaps[r.next]
+		if s.count+r.delta > m.Count {
+			return false
+		}
+		r.next++
+		if final := m.Count + r.lad.total - s.count; final <= m.Cfg.MaxInstrs && m.sameState(s, pc) {
+			r.hit, r.final = true, final
+			return true
+		}
+	}
+	return false
+}
+
+// sameState reports whether the machine, parked at pc, holds exactly the
+// state s captured that later execution can read: pc, stack pointer,
+// output stream, memory, and per frame its function, registers, frame
+// pointer, return point (live below the top frame only) and region
+// buffer. Left out are instanceSeq and each region's instance and
+// entryCount, which only a future detection reads — and an armed fault
+// has already settled — plus the accounting counters, which feed
+// metrics, not control flow.
+func (m *Machine) sameState(s *Snapshot, pc int32) bool {
+	if pc != s.pc || m.sp != s.sp || len(m.frames) != len(s.frames) || !slices.Equal(m.output, s.output) {
+		return false
+	}
+	top := len(m.frames) - 1
+	for i := range m.frames {
+		fr, sf := &m.frames[i], &s.frames[i]
+		if fr.fn != sf.fn || fr.fp != sf.fp || !slices.Equal(fr.regs, sf.regs) ||
+			i < top && (fr.retPC != sf.retPC || fr.retDst != sf.retDst) ||
+			!sameRegion(fr.region, sf.region) {
+			return false
+		}
+	}
+	return sameMem(m.Mem, m.dirtyLo, m.dirtyHi, s.dataLo, s.data) &&
+		sameMem(m.Mem, m.dirtyStkLo, m.dirtyStkHi, s.stkLo, s.stk)
+}
+
+// sameRegion compares a live checkpoint buffer with a frozen one.
+func sameRegion(rs *regionState, sr *savedRegion) bool {
+	if rs == nil || sr == nil {
+		return rs == nil && sr == nil
+	}
+	id := -1
+	if rs.meta != nil {
+		id = rs.meta.ID
+	}
+	return id == sr.id && rs.bytes == sr.bytes && rs.frame == sr.frame && slices.Equal(rs.entries, sr.entries)
+}
+
+// sameMem compares one memory segment with a snapshot's copy of it,
+// sdata taken at slo. Words outside the machine's dirty range [lo, hi]
+// and outside the snapshot's span are zero in both, so the segments are
+// equal iff the snapshot's span matches word for word and every word the
+// machine dirtied beyond that span is zero. The tails are OR-reduced
+// rather than tested word by word, keeping the compare branch-free per
+// word.
+func sameMem(mem []int64, lo, hi, slo int64, sdata []int64) bool {
+	shi := slo + int64(len(sdata)) // exclusive
+	if len(sdata) == 0 {
+		slo, shi = hi+1, hi+1
+	} else if !slices.Equal(mem[slo:shi], sdata) {
+		return false
+	}
+	if hi < lo {
+		return true
+	}
+	var acc int64
+	for _, w := range mem[lo:max(lo, min(hi+1, slo))] {
+		acc |= w
+	}
+	for _, w := range mem[min(hi+1, max(lo, shi)) : hi+1] {
+		acc |= w
+	}
+	return acc == 0
 }

@@ -75,8 +75,18 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 // must produce the same fault report, outcome, and final state as the
 // Reset-and-replay-everything trial — on every engine, across fault
 // modes, including rollback bookkeeping (SameInstance, RollbackDistance)
-// that depends on snapshot-exact instance sequencing.
+// that depends on snapshot-exact instance sequencing. Each fork then runs
+// again with early exit armed against the golden ladder: when it
+// reconverges, its projected count, fault report and return value must
+// equal the replay trial's, and that trial must have completed with the
+// golden outputs.
 func TestSnapshotRestoreFaulted(t *testing.T) {
+	reconverged := 0
+	defer func() {
+		if !t.Failed() && reconverged == 0 {
+			t.Error("no armed fork reconverged: the early-exit leg is vacuous")
+		}
+	}()
 	for _, name := range snapshotWorkloads {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -96,7 +106,7 @@ func TestSnapshotRestoreFaulted(t *testing.T) {
 			if _, err := capm.Run(); err != nil {
 				t.Fatal(err)
 			}
-			total := capm.Count
+			total, golden := capm.Count, capm.Checksum(art.Outputs...)
 			_, lad, err := capm.RunWithSnapshots(interp.LadderRungs(4, total))
 			if err != nil {
 				t.Fatal(err)
@@ -144,6 +154,23 @@ func TestSnapshotRestoreFaulted(t *testing.T) {
 					}
 					if !reflect.DeepEqual(frep, rrep) {
 						t.Errorf("%s inject@%d: fault report mismatch:\nfull: %+v\nfork: %+v", e, at, frep, rrep)
+					}
+
+					if err := fork.Restore(snap); err != nil {
+						t.Fatalf("restore for armed inject@%d on %s: %v", at, e, err)
+					}
+					fork.InjectFault(plan)
+					fork.ArmReconverge(lad)
+					aret, aerr := fork.Resume()
+					final, ok := fork.Reconverged()
+					if !ok {
+						continue
+					}
+					reconverged++
+					arep := fork.FaultReport()
+					if aerr != nil || ferr != nil || fsum != golden || aret != fret || final != full.Count || !reflect.DeepEqual(frep, arep) {
+						t.Errorf("%s inject@%d: early exit diverged from replay: err %v/%v golden-sum %v ret %d/%d count %d/%d\nfull: %+v\narmed: %+v",
+							e, at, aerr, ferr, fsum == golden, aret, fret, final, full.Count, frep, arep)
 					}
 				}
 			}

@@ -404,8 +404,12 @@ func diffFaultedEngines(p Params, res *core.Result) error {
 // ladder captured during the instrumented golden run, restored onto a
 // machine of each engine, must resume into exactly the from-scratch
 // trajectory — fault-free from every rung, and with the same fault
-// reports when a trial is armed after the restore. This locks the
-// invariant the SFI campaign scheduler builds on.
+// reports when a trial is armed after the restore. Every faulted fork
+// runs a second time with early exit armed against the ladder; when it
+// reconverges, its projected count, fault report and return value must
+// equal the replay trial's, which must have completed with the golden
+// checksum. This locks the invariants the SFI campaign scheduler builds
+// on.
 func diffSnapshotRestore(p Params, res *core.Result) error {
 	capm := interp.New(res.Mod, interp.Config{MaxInstrs: oracleBudget})
 	defer capm.Release()
@@ -413,7 +417,7 @@ func diffSnapshotRestore(p Params, res *core.Result) error {
 	if _, err := capm.Run(); err != nil {
 		return nil // fault-free failures are diffEngines's to report
 	}
-	total := capm.Count
+	total, golden := capm.Count, capm.Checksum(res.Mod.Globals...)
 	if total < minDynInstrs {
 		return nil
 	}
@@ -478,18 +482,36 @@ func diffSnapshotRestore(p Params, res *core.Result) error {
 			if (terr == nil) != (rerr == nil) {
 				return fail(fmt.Sprintf("inject@%d errors: full=%v fork=%v", at, terr, rerr))
 			}
-			if tr, rr := full.FaultReport(), fork.FaultReport(); tr != rr {
+			tr := full.FaultReport()
+			if rr := fork.FaultReport(); tr != rr {
 				return fail(fmt.Sprintf("inject@%d fault reports diverge:\nfull: %+v\nfork: %+v", at, tr, rr))
 			}
-			if terr != nil {
-				continue // matching trap class; state after a trap carries no promise
+			ts := full.Checksum(res.Mod.Globals...)
+			if terr == nil {
+				// After a trap the state carries no promise beyond the
+				// matching trap class.
+				if rret != tret || fork.Count != full.Count {
+					return fail(fmt.Sprintf("inject@%d: ret %d/%d count %d/%d",
+						at, rret, tret, fork.Count, full.Count))
+				}
+				if rs := fork.Checksum(res.Mod.Globals...); ts != rs {
+					return fail(fmt.Sprintf("inject@%d checksum: full=%#x fork=%#x", at, ts, rs))
+				}
 			}
-			if rret != tret || fork.Count != full.Count {
-				return fail(fmt.Sprintf("inject@%d: ret %d/%d count %d/%d",
-					at, rret, tret, fork.Count, full.Count))
+
+			if err := fork.Restore(snap); err != nil {
+				return fail(fmt.Sprintf("restore for armed inject@%d: %v", at, err))
 			}
-			if ts, rs := full.Checksum(res.Mod.Globals...), fork.Checksum(res.Mod.Globals...); ts != rs {
-				return fail(fmt.Sprintf("inject@%d checksum: full=%#x fork=%#x", at, ts, rs))
+			fork.InjectFault(plan)
+			fork.ArmReconverge(lad)
+			aret, aerr := fork.Resume()
+			final, ok := fork.Reconverged()
+			if !ok {
+				continue
+			}
+			if ar := fork.FaultReport(); aerr != nil || terr != nil || ts != golden || aret != tret || final != full.Count || ar != tr {
+				return fail(fmt.Sprintf("inject@%d early exit diverged from replay: err %v/%v golden-sum %v ret %d/%d count %d/%d\nfull: %+v\narmed: %+v",
+					at, aerr, terr, ts == golden, aret, tret, final, full.Count, tr, ar))
 			}
 		}
 	}

@@ -42,6 +42,11 @@ func (r *rng) intn(n int64) int64 {
 	return int64(r.next() % uint64(n))
 }
 
+// DefaultCheckpoints is the golden-run ladder size the encore-sfi and
+// encore-serve commands and the experiment harness run campaigns with
+// (CampaignConfig.Checkpoints).
+const DefaultCheckpoints = 16
+
 // DefaultLatchFraction is the fraction of raw state-element strikes that
 // latch and propagate to architecturally visible state. Gate-level SFI
 // studies on the ARM926 class of cores (e.g. Blome et al., CASES 2006 —
@@ -268,15 +273,18 @@ type CampaignConfig struct {
 	Engine interp.Engine
 
 	// Checkpoints enables fork-from-snapshot trial execution: the golden
-	// run captures this many evenly spaced machine snapshots in one pass
-	// (interp.LadderRungs), and each trial restores the deepest snapshot
-	// strictly before its InjectAt instead of re-executing the whole
-	// golden prefix. Zero disables checkpointing (every trial replays
-	// from Reset, the historical behavior); negative is an error, as is a
-	// value exceeding the golden run's dynamic instruction count. Trial
+	// run captures up to this many evenly spaced machine snapshots in one
+	// pass (interp.LadderRungs, which drops rungs that collide on a short
+	// run), and each trial restores the deepest snapshot strictly before
+	// its InjectAt instead of re-executing the whole golden prefix. The
+	// same ladder ends each trial early once its settled fault's state
+	// rejoins the golden run at a later rung (interp.ArmReconverge).
+	// Zero disables both (every trial replays from Reset and runs to the
+	// end, the historical behavior); negative is an error. Trial
 	// outcomes, the ledger, stats, shard slices, and adaptive decisions
 	// are bit-identical at any checkpoint count — TestCheckpointLedgerInvariant
-	// pins that down — so the knob only affects throughput.
+	// pins that down — so the knob only affects throughput. The commands
+	// and the experiment harness run at DefaultCheckpoints.
 	Checkpoints int
 
 	// Obs selects the metrics registry for the "sfi/campaign" span, the
@@ -456,9 +464,6 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	// warm-start pre-loaded with the deepest snapshot's state.
 	var ladder *interp.Ladder
 	if cfg.Checkpoints > 0 {
-		if int64(cfg.Checkpoints) > total {
-			return nil, fmt.Errorf("sfi: %d checkpoints exceed the golden run's %d dynamic instructions", cfg.Checkpoints, total)
-		}
 		cm := pool.get()
 		_, lad, err := cm.RunWithSnapshots(interp.LadderRungs(cfg.Checkpoints, total))
 		if err != nil {
@@ -586,10 +591,13 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	// Fork-from-snapshot bookkeeping: restores counts trials served from
 	// the ladder, replay_instrs the short deltas actually re-executed to
 	// reach InjectAt, and saved_instrs the golden-prefix instructions the
-	// restores avoided re-running.
+	// restores avoided re-running. The reconverge pair counts trials that
+	// ended early at a golden rung and the suffix instructions they skipped.
 	restores := reg.Counter("sfi.restore.count")
 	replayInstrs := reg.Counter("sfi.restore.replay_instrs")
 	savedInstrs := reg.Counter("sfi.restore.saved_instrs")
+	reconverged := reg.Counter("sfi.reconverge.count")
+	reconvSaved := reg.Counter("sfi.reconverge.saved_instrs")
 	doTrial := func(w *interp.Machine, t int) {
 		var err error
 		if snap := ladder.Best(plans[t].InjectAt); snap != nil && w.Restore(snap) == nil {
@@ -599,6 +607,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 			// region buffers, counters), so the trial's record is
 			// byte-identical to the replay-everything path's.
 			w.InjectFault(plans[t])
+			w.ArmReconverge(ladder)
 			_, err = w.Resume()
 			restores.Add(1)
 			replayInstrs.Add(plans[t].InjectAt - snap.Count())
@@ -606,10 +615,21 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 		} else {
 			w.Reset()
 			w.InjectFault(plans[t])
+			w.ArmReconverge(ladder)
 			_, err = w.Run()
 		}
 		rep := w.FaultReport()
-		match := err == nil && w.Checksum(outs...) == golden
+		// A trial that rejoined the golden run at a rung ends with the
+		// golden outputs by construction; the projected count is the only
+		// end-of-run input its record still needs.
+		final, reconv := w.Reconverged()
+		if reconv {
+			reconverged.Add(1)
+			reconvSaved.Add(final - w.Count)
+		} else {
+			final = w.Count
+		}
+		match := err == nil && (reconv || w.Checksum(outs...) == golden)
 		o := classify(rep, err, match)
 		mu.Lock()
 		res.Executed++
@@ -618,7 +638,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 			res.SameInstance++
 		}
 		if ledger {
-			res.Records[t] = makeRecord(t, plans[t], rep, o, err, total, w.Count, classOf)
+			res.Records[t] = makeRecord(t, plans[t], rep, o, err, total, final, classOf)
 		}
 		if done != nil {
 			done[t] = true

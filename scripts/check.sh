@@ -19,8 +19,9 @@
 # smokes additionally check that a 3-shard -shard/-merge split
 # reproduces the single-process ledger and stats byte for byte, that
 # -adaptive stopping elides the same trials regardless of worker count
-# and engine, and that fork-from-checkpoint trials (-checkpoints) leave
-# the trial ledger byte-identical to full golden-prefix replay.
+# and engine, that fork-from-checkpoint trials (-checkpoints) leave
+# the trial ledger byte-identical to full golden-prefix replay, and that
+# laddered trials still end early at golden rungs.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -139,6 +140,16 @@ echo "==> smoke: checkpoint-ladder ledger byte-identical to full-replay"
 cmp -s "$tmp/ck0.jsonl" "$tmp/ck8.jsonl" || {
 	echo "encore-sfi -checkpoints: ledger differs between 0 and 8:" >&2
 	diff "$tmp/ck0.jsonl" "$tmp/ck8.jsonl" >&2 || true
+	exit 1
+}
+
+echo "==> smoke: laddered trials end early at golden rungs"
+# A trial whose settled fault rejoins the golden run ends at the next
+# rung. Every ledger cmp above holds whether or not that happens, so
+# check that it does: a non-zero sfi.reconverge.count.
+"$tmp/encore-sfi" -app 175.vpr -trials 40 -checkpoints 16 -metrics - > "$tmp/reconv.out"
+grep -A1 '"sfi.reconverge.count"' "$tmp/reconv.out" | grep -q '"value": [1-9]' || {
+	echo "encore-sfi -checkpoints 16: sfi.reconverge.count is zero or missing (early exit off?)" >&2
 	exit 1
 }
 
