@@ -497,7 +497,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap := lad.Deepest()
+	snap := lad.Snapshots()[0]
 	m := interp.New(art.Mod, interp.Config{MemWords: 1 << 24})
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)

@@ -24,7 +24,8 @@
 // the trial at the first later rung whose snapshot its state matches
 // (interp.ArmReconverge). Outcomes, ledgers, and stats are
 // byte-identical at any k (0 disables forking and early exit); the knob
-// only moves trial throughput.
+// only moves trial throughput. It sets the campaign's ladder only: the
+// -masking study always runs on sfi.DefaultCheckpoints rungs.
 //
 // -progress emits a rate-limited trial counter to stderr while a campaign
 // runs; each line carries the worst-region confidence interval — the
@@ -121,7 +122,7 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		seed        = fs.Uint64("seed", 1, "PRNG seed")
 		masking     = fs.Bool("masking", false, "also run the raw-strike masking study")
 		workers     = fs.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS; clamped to the trial count)")
-		checkpoints = fs.Int("checkpoints", sfi.DefaultCheckpoints, "golden-run snapshot rungs for fork-from-checkpoint trials (0 = replay the full prefix)")
+		checkpoints = fs.Int("checkpoints", sfi.DefaultCheckpoints, fmt.Sprintf("golden-run snapshot rungs for fork-from-checkpoint campaign trials (0 = replay the full prefix; -masking always uses %d)", sfi.DefaultCheckpoints))
 		engine      = fs.String("engine", "", "trial execution engine: fast or ref (outcomes are engine-invariant)")
 		progress    = fs.Bool("progress", false, "report per-campaign trial progress on stderr")
 		metrics     = fs.String("metrics", "", "write the observability snapshot as JSON to this file (- = stdout)")

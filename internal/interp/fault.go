@@ -115,39 +115,40 @@ func (m *Machine) FaultReport() FaultReport {
 	return m.fault.report
 }
 
-func (m *Machine) noteSite(s *FaultSite, b *ir.Block, idx int) {
-	s.Fn = b.Fn
-	s.Block = b
-	s.Index = idx
-	s.Count = m.Count
+// landed records that the armed fault has just struck instruction idx
+// of b and schedules the detector DetectLatency instructions later. A
+// detection past the budget can never fire: the run ends or traps first.
+// Such a fault is settled at injection with δ = 0 for an armed
+// reconvergence check. The golden suffix never traps, so it raises no
+// symptom either, and a full-state match at a rung still implies the
+// golden future.
+func (m *Machine) landed(b *ir.Block, idx int) {
+	f := m.fault
+	f.injected, f.report.Injected = true, true
+	s := &f.report.Site
+	s.Fn, s.Block, s.Index, s.Count = b.Fn, b, idx, m.Count
 	if lr := m.lastRegion(); lr != nil {
-		s.RegionID = lr.meta.ID
-		s.Instance = lr.instance
+		s.RegionID, s.Instance = lr.meta.ID, lr.instance
 	} else {
 		s.RegionID = -1
+	}
+	f.detectAt = m.Count + f.plan.DetectLatency
+	if f.plan.DetectLatency > m.Cfg.MaxInstrs-m.Count {
+		m.settleReconverge(0)
 	}
 }
 
 func (m *Machine) injectReg(fr *frame, d ir.Reg, b *ir.Block, idx int) {
-	f := m.fault
-	f.injected = true
-	fr.regs[d] ^= 1 << (f.plan.Bit & 63)
-	f.report.Injected = true
-	f.report.Site.Reg = d
-	m.noteSite(&f.report.Site, b, idx)
-	f.detectAt = m.Count + f.plan.DetectLatency
+	fr.regs[d] ^= 1 << (m.fault.plan.Bit & 63)
+	m.fault.report.Site.Reg = d
+	m.landed(b, idx)
 }
 
 func (m *Machine) injectMem(addr int64, b *ir.Block, idx int) {
-	f := m.fault
-	f.injected = true
-	m.Mem[addr] ^= 1 << (f.plan.Bit & 63)
+	m.Mem[addr] ^= 1 << (m.fault.plan.Bit & 63)
 	m.noteDirty(addr)
-	f.report.Injected = true
-	f.report.Site.IsMem = true
-	f.report.Site.MemAddr = addr
-	m.noteSite(&f.report.Site, b, idx)
-	f.detectAt = m.Count + f.plan.DetectLatency
+	m.fault.report.Site.IsMem, m.fault.report.Site.MemAddr = true, addr
+	m.landed(b, idx)
 }
 
 // symptomTrap reports whether a pending injected fault should absorb a

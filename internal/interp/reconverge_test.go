@@ -213,6 +213,51 @@ func TestReconvergeIgnoredDetection(t *testing.T) {
 	sameResult(t, "ignored", got, want)
 }
 
+// TestReconvergeUndetectableFault: a strike whose detection lies past
+// the budget can never be detected, so it settles at injection with
+// δ = 0. This one flips work's register 8, which holds emit's result and
+// is written before it is read, so the trial rejoins the golden run at
+// the next rung: its projected count is the golden total, and its result
+// equals the replay's. The same strike with a reachable detection is not
+// settled at injection, so it runs on to that detection.
+func TestReconvergeUndetectableFault(t *testing.T) {
+	f := newReconvFixture(t)
+	at := f.plan.InjectAt
+	budget := f.lad.total + 1000
+	for _, c := range []struct {
+		name               string
+		latency, maxInstrs int64
+	}{
+		{"never detected", 1 << 60, 0},
+		{"detection one past the budget", budget - at + 1, budget},
+	} {
+		f.plan = FaultPlan{Mode: CorruptRegFile, InjectAt: at, TargetReg: 8, Bit: 3, DetectLatency: c.latency}
+		want := f.replay(t, c.maxInstrs)
+		if want.err != nil || want.rep.Detected || want.sum != f.golden || want.count != f.lad.total {
+			t.Fatalf("%s: fixture strike must be masked and undetected: err %v count %d rep %+v",
+				c.name, want.err, want.count, want.rep)
+		}
+		got := f.fork(t, f.lad, c.maxInstrs)
+		if !got.reconv {
+			t.Errorf("%s: armed trial ran to the end; want an early exit at a golden rung", c.name)
+			continue
+		}
+		if rung := f.lad.snaps[got.rung].count; rung <= at || got.rung > 0 && f.lad.snaps[got.rung-1].count > at {
+			t.Errorf("%s: exit at rung %d (count %d); want the first rung past the strike at %d", c.name, got.rung, rung, at)
+		}
+		sameResult(t, c.name, got, want)
+	}
+
+	f.plan.DetectLatency = f.lad.total / 8
+	want := f.replay(t, 0)
+	got := f.fork(t, f.lad, 0)
+	if !want.rep.Detected || !got.rep.Detected {
+		t.Errorf("reachable detection at %d did not fire: replay %v, armed fork %v",
+			at+f.plan.DetectLatency, want.rep.Detected, got.rep.Detected)
+	}
+	sameResult(t, "reachable detection", got, want)
+}
+
 // TestReconvergeCompareCatchesDifference arms the trial against a
 // one-rung ladder holding the rung it rejoins, with one piece of state
 // altered. Each alteration must block the early exit and leave the

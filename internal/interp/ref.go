@@ -67,18 +67,9 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 		if m.fault != nil && !m.fault.injected && m.Count >= m.fault.plan.InjectAt {
 			switch m.fault.plan.Mode {
 			case CorruptRegFile:
-				r := m.fault.plan.TargetReg % len(fr.regs)
-				fr.regs[r] ^= 1 << (m.fault.plan.Bit & 63)
-				m.fault.injected = true
-				m.fault.report.Injected = true
-				m.fault.report.Site.Reg = ir.Reg(r)
-				m.noteSite(&m.fault.report.Site, b, idx)
-				m.fault.detectAt = m.Count + m.fault.plan.DetectLatency
+				m.injectReg(fr, ir.Reg(m.fault.plan.TargetReg%len(fr.regs)), b, idx)
 			case PhantomFault:
-				m.fault.injected = true
-				m.fault.report.Injected = true
-				m.noteSite(&m.fault.report.Site, b, idx)
-				m.fault.detectAt = m.Count + m.fault.plan.DetectLatency
+				m.landed(b, idx)
 			}
 		}
 		// Scheduled fault detection fires between instructions.

@@ -133,15 +133,6 @@ func (l *Ladder) Best(injectAt int64) *Snapshot {
 	return best
 }
 
-// Deepest returns the ladder's last (highest-count) snapshot, or nil for
-// an empty ladder. Pools use it to warm-start fresh machines.
-func (l *Ladder) Deepest() *Snapshot {
-	if l == nil || len(l.snaps) == 0 {
-		return nil
-	}
-	return l.snaps[len(l.snaps)-1]
-}
-
 // LadderRungs returns k evenly spaced capture points for a run of the
 // given total dynamic length: rung i sits at i·total/(k+1), so the rungs
 // split the run into k+1 equal spans and the deepest rung leaves one span
@@ -505,10 +496,11 @@ type reconvState struct {
 
 // ArmReconverge arms golden-state reconvergence for the run that
 // follows: Resume after a Restore, or Run after a Reset (both disarm
-// it). Once the armed fault settles — rolled back, or ignored by a
-// tolerant region — the run stops at count c+δ for each later rung c of
-// the golden ladder l, with δ the trial's offset from the golden run
-// fixed at detection, and compares its full state with the rung's
+// it). Once the armed fault settles — rolled back, ignored by a
+// tolerant region, or injected with its detection past the budget — the
+// run stops at count c+δ for each later rung c of the golden ladder l,
+// with δ the trial's offset from the golden run fixed as it settles (0
+// unless it rolled back), and compares its full state with the rung's
 // snapshot. On a match the rest of the run is the golden suffix, so it
 // ends there: the run returns the golden run's return value, and
 // Reconverged reports the projected final count. The compare covers
@@ -540,7 +532,7 @@ func (m *Machine) Reconverged() (final int64, ok bool) {
 }
 
 // settleReconverge fixes an armed trial's offset from the golden run as
-// its fault settles at detection, skipping the rungs already behind it.
+// its fault settles, skipping the rungs already behind it.
 func (m *Machine) settleReconverge(delta int64) {
 	r := &m.reconv
 	if r.lad == nil {
@@ -578,8 +570,8 @@ func (m *Machine) reconverged(pc int32) bool {
 // pointer, return point (live below the top frame only) and region
 // buffer. Left out are instanceSeq and each region's instance and
 // entryCount, which only a future detection reads — and an armed fault
-// has already settled — plus the accounting counters, which feed
-// metrics, not control flow.
+// has settled, so none is coming — plus the accounting counters, which
+// feed metrics, not control flow.
 func (m *Machine) sameState(s *Snapshot, pc int32) bool {
 	if pc != s.pc || m.sp != s.sp || len(m.frames) != len(s.frames) || !slices.Equal(m.output, s.output) {
 		return false

@@ -79,12 +79,13 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 // again with early exit armed against the golden ladder: when it
 // reconverges, its projected count, fault report and return value must
 // equal the replay trial's, and that trial must have completed with the
-// golden outputs.
+// golden outputs. Each injection point also takes a never-detected
+// register-file strike, the masking study's trial.
 func TestSnapshotRestoreFaulted(t *testing.T) {
-	reconverged := 0
+	var reconverged [2]int // per plan kind: campaign-style, masking-style
 	defer func() {
-		if !t.Failed() && reconverged == 0 {
-			t.Error("no armed fork reconverged: the early-exit leg is vacuous")
+		if !t.Failed() && (reconverged[0] == 0 || reconverged[1] == 0) {
+			t.Errorf("armed forks reconverged %v times per plan kind: the early-exit leg is vacuous", reconverged)
 		}
 	}()
 	for _, name := range snapshotWorkloads {
@@ -122,55 +123,65 @@ func TestSnapshotRestoreFaulted(t *testing.T) {
 
 				for i := int64(1); i <= 6; i++ {
 					at := i * total / 7
-					plan := interp.FaultPlan{
+					plans := []interp.FaultPlan{{
 						Mode:          interp.FaultMode(i % 3),
 						InjectAt:      at,
 						Bit:           uint8((at*11 + 5) % 48),
 						TargetReg:     int(i),
 						DetectLatency: at % 9,
-					}
-					full.Reset()
-					full.InjectFault(plan)
-					fret, ferr := full.Run()
-					frep, fsum := full.FaultReport(), full.Checksum(art.Outputs...)
+					}, {
+						// The masking study's strike: its detection can
+						// never be reached, so it settles at injection.
+						Mode:          interp.CorruptRegFile,
+						InjectAt:      at,
+						Bit:           uint8((at*7 + 3) % 32),
+						TargetReg:     int(at % 64),
+						DetectLatency: 1 << 60,
+					}}
+					for k, plan := range plans {
+						full.Reset()
+						full.InjectFault(plan)
+						fret, ferr := full.Run()
+						frep, fsum := full.FaultReport(), full.Checksum(art.Outputs...)
 
-					snap := lad.Best(at)
-					if snap == nil {
-						continue // inject point before the first rung: no fork possible
-					}
-					if err := fork.Restore(snap); err != nil {
-						t.Fatalf("restore for inject@%d on %s: %v", at, e, err)
-					}
-					fork.InjectFault(plan)
-					rret, rerr := fork.Resume()
-					rrep, rsum := fork.FaultReport(), fork.Checksum(art.Outputs...)
+						snap := lad.Best(at)
+						if snap == nil {
+							continue // inject point before the first rung: no fork possible
+						}
+						if err := fork.Restore(snap); err != nil {
+							t.Fatalf("restore for inject@%d on %s: %v", at, e, err)
+						}
+						fork.InjectFault(plan)
+						rret, rerr := fork.Resume()
+						rrep, rsum := fork.FaultReport(), fork.Checksum(art.Outputs...)
 
-					if (ferr == nil) != (rerr == nil) || !errors.Is(rerr, errClass(ferr)) && ferr != nil {
-						t.Errorf("%s inject@%d: error mismatch: full=%v fork=%v", e, at, ferr, rerr)
-					}
-					if fret != rret || fsum != rsum || full.Count != fork.Count {
-						t.Errorf("%s inject@%d: outcome mismatch: ret %d/%d sum %#x/%#x count %d/%d",
-							e, at, fret, rret, fsum, rsum, full.Count, fork.Count)
-					}
-					if !reflect.DeepEqual(frep, rrep) {
-						t.Errorf("%s inject@%d: fault report mismatch:\nfull: %+v\nfork: %+v", e, at, frep, rrep)
-					}
+						if (ferr == nil) != (rerr == nil) || !errors.Is(rerr, errClass(ferr)) && ferr != nil {
+							t.Errorf("%s inject@%d: error mismatch: full=%v fork=%v", e, at, ferr, rerr)
+						}
+						if fret != rret || fsum != rsum || full.Count != fork.Count {
+							t.Errorf("%s inject@%d: outcome mismatch: ret %d/%d sum %#x/%#x count %d/%d",
+								e, at, fret, rret, fsum, rsum, full.Count, fork.Count)
+						}
+						if !reflect.DeepEqual(frep, rrep) {
+							t.Errorf("%s inject@%d: fault report mismatch:\nfull: %+v\nfork: %+v", e, at, frep, rrep)
+						}
 
-					if err := fork.Restore(snap); err != nil {
-						t.Fatalf("restore for armed inject@%d on %s: %v", at, e, err)
-					}
-					fork.InjectFault(plan)
-					fork.ArmReconverge(lad)
-					aret, aerr := fork.Resume()
-					final, ok := fork.Reconverged()
-					if !ok {
-						continue
-					}
-					reconverged++
-					arep := fork.FaultReport()
-					if aerr != nil || ferr != nil || fsum != golden || aret != fret || final != full.Count || !reflect.DeepEqual(frep, arep) {
-						t.Errorf("%s inject@%d: early exit diverged from replay: err %v/%v golden-sum %v ret %d/%d count %d/%d\nfull: %+v\narmed: %+v",
-							e, at, aerr, ferr, fsum == golden, aret, fret, final, full.Count, frep, arep)
+						if err := fork.Restore(snap); err != nil {
+							t.Fatalf("restore for armed inject@%d on %s: %v", at, e, err)
+						}
+						fork.InjectFault(plan)
+						fork.ArmReconverge(lad)
+						aret, aerr := fork.Resume()
+						final, ok := fork.Reconverged()
+						if !ok {
+							continue
+						}
+						reconverged[k]++
+						arep := fork.FaultReport()
+						if aerr != nil || ferr != nil || fsum != golden || aret != fret || final != full.Count || !reflect.DeepEqual(frep, arep) {
+							t.Errorf("%s inject@%d: early exit diverged from replay: err %v/%v golden-sum %v ret %d/%d count %d/%d\nfull: %+v\narmed: %+v",
+								e, at, aerr, ferr, fsum == golden, aret, fret, final, full.Count, frep, arep)
+						}
 					}
 				}
 			}

@@ -57,11 +57,8 @@ func TestLadderBest(t *testing.T) {
 		}
 	}
 	var nilLad *Ladder
-	if nilLad.Best(100) != nil || nilLad.Deepest() != nil || nilLad.Len() != 0 {
+	if nilLad.Best(100) != nil || nilLad.Snapshots() != nil || nilLad.Len() != 0 {
 		t.Error("nil ladder must behave as empty")
-	}
-	if d := lad.Deepest(); d == nil || d.count != 30 {
-		t.Errorf("Deepest = %v, want count 30", d)
 	}
 }
 
@@ -145,7 +142,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := lad.Deepest()
+	snap := lad.Snapshots()[lad.Len()-1]
 
 	m := New(mod, Config{MemWords: 1 << 18})
 	if err := m.Restore(nil); err == nil {

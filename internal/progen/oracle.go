@@ -458,60 +458,70 @@ func diffSnapshotRestore(p Params, res *core.Result) error {
 		}
 
 		// Faulted forks: restore below the injection point, arm, resume;
-		// the trajectory must match a Reset-and-replay trial exactly.
+		// the trajectory must match a Reset-and-replay trial exactly. Each
+		// point takes a campaign strike and a masking-study strike, whose
+		// detection can never be reached, so it settles at injection.
 		for i := int64(1); i <= 3; i++ {
 			at := i * total / 4
 			snap := lad.Best(at)
 			if snap == nil {
 				continue
 			}
-			plan := interp.FaultPlan{
+			plans := []interp.FaultPlan{{
 				Mode:          interp.CorruptOutput,
 				InjectAt:      at,
 				Bit:           uint8((uint64(at)*13 + p.Seed) % 48),
 				DetectLatency: at % 5,
-			}
-			full.Reset()
-			full.InjectFault(plan)
-			tret, terr := full.Run()
-			if err := fork.Restore(snap); err != nil {
-				return fail(fmt.Sprintf("restore for inject@%d: %v", at, err))
-			}
-			fork.InjectFault(plan)
-			rret, rerr := fork.Resume()
-			if (terr == nil) != (rerr == nil) {
-				return fail(fmt.Sprintf("inject@%d errors: full=%v fork=%v", at, terr, rerr))
-			}
-			tr := full.FaultReport()
-			if rr := fork.FaultReport(); tr != rr {
-				return fail(fmt.Sprintf("inject@%d fault reports diverge:\nfull: %+v\nfork: %+v", at, tr, rr))
-			}
-			ts := full.Checksum(res.Mod.Globals...)
-			if terr == nil {
-				// After a trap the state carries no promise beyond the
-				// matching trap class.
-				if rret != tret || fork.Count != full.Count {
-					return fail(fmt.Sprintf("inject@%d: ret %d/%d count %d/%d",
-						at, rret, tret, fork.Count, full.Count))
+			}, {
+				Mode:          interp.CorruptRegFile,
+				InjectAt:      at,
+				Bit:           uint8((uint64(at)*7 + p.Seed) % 32),
+				TargetReg:     int((uint64(at) + p.Seed) % 64),
+				DetectLatency: 1 << 60,
+			}}
+			for _, plan := range plans {
+				full.Reset()
+				full.InjectFault(plan)
+				tret, terr := full.Run()
+				if err := fork.Restore(snap); err != nil {
+					return fail(fmt.Sprintf("restore for inject@%d mode %d: %v", at, plan.Mode, err))
 				}
-				if rs := fork.Checksum(res.Mod.Globals...); ts != rs {
-					return fail(fmt.Sprintf("inject@%d checksum: full=%#x fork=%#x", at, ts, rs))
+				fork.InjectFault(plan)
+				rret, rerr := fork.Resume()
+				if (terr == nil) != (rerr == nil) {
+					return fail(fmt.Sprintf("inject@%d mode %d errors: full=%v fork=%v", at, plan.Mode, terr, rerr))
 				}
-			}
+				tr := full.FaultReport()
+				if rr := fork.FaultReport(); tr != rr {
+					return fail(fmt.Sprintf("inject@%d mode %d fault reports diverge:\nfull: %+v\nfork: %+v", at, plan.Mode, tr, rr))
+				}
+				ts := full.Checksum(res.Mod.Globals...)
+				if terr == nil {
+					// After a trap the state carries no promise beyond the
+					// matching trap class.
+					if rret != tret || fork.Count != full.Count {
+						return fail(fmt.Sprintf("inject@%d mode %d: ret %d/%d count %d/%d",
+							at, plan.Mode, rret, tret, fork.Count, full.Count))
+					}
+					if rs := fork.Checksum(res.Mod.Globals...); ts != rs {
+						return fail(fmt.Sprintf("inject@%d mode %d checksum: full=%#x fork=%#x", at, plan.Mode, ts, rs))
+					}
+				}
 
-			if err := fork.Restore(snap); err != nil {
-				return fail(fmt.Sprintf("restore for armed inject@%d: %v", at, err))
-			}
-			fork.InjectFault(plan)
-			fork.ArmReconverge(lad)
-			aret, aerr := fork.Resume()
-			final, ok := fork.Reconverged()
-			if !ok {
-				continue
-			}
-			if ar := fork.FaultReport(); aerr != nil || terr != nil || ts != golden || aret != tret || final != full.Count || ar != tr {
-				return fail(fmt.Sprintf("inject@%d early exit diverged from replay: err %v/%v golden-sum %v ret %d/%d count %d/%d\nfull: %+v\narmed: %+v",
-					at, aerr, terr, ts == golden, aret, tret, final, full.Count, tr, ar))
+				if err := fork.Restore(snap); err != nil {
+					return fail(fmt.Sprintf("restore for armed inject@%d mode %d: %v", at, plan.Mode, err))
+				}
+				fork.InjectFault(plan)
+				fork.ArmReconverge(lad)
+				aret, aerr := fork.Resume()
+				final, ok := fork.Reconverged()
+				if !ok {
+					continue
+				}
+				if ar := fork.FaultReport(); aerr != nil || terr != nil || ts != golden || aret != tret || final != full.Count || ar != tr {
+					return fail(fmt.Sprintf("inject@%d mode %d early exit diverged from replay: err %v/%v golden-sum %v ret %d/%d count %d/%d\nfull: %+v\narmed: %+v",
+						at, plan.Mode, aerr, terr, ts == golden, aret, tret, final, full.Count, tr, ar))
+				}
 			}
 		}
 	}

@@ -328,9 +328,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // run executes one admitted campaign end to end and settles its state.
-// It owns the campaign's slice of the admission budget until it returns.
+// It owns the campaign's slice of the admission budget until the run is
+// over, and returns it before the settled state becomes visible: a
+// client that sees the campaign settle may resubmit at once.
 func (s *Server) run(c *campaign) {
 	res, err := s.execute(c)
+	c.cancel() // release the context's resources; the run is over
+	s.adm.release(c.tenant, c.spec.trials)
 	c.finishRun(res, err)
 	s.finish(c)
 }
@@ -390,11 +394,9 @@ func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 	})
 }
 
-// finish returns the campaign's admission budget and settles the
-// server-side accounting once its runner is done.
+// finish settles the server-side accounting once a campaign's runner is
+// done.
 func (s *Server) finish(c *campaign) {
-	c.cancel() // release the context's resources; the run is over
-	s.adm.release(c.tenant, c.spec.trials)
 	s.reg.Gauge("serve.inflight.campaigns").Add(-1)
 	st := c.status()
 	switch st.State {

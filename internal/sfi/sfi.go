@@ -13,6 +13,7 @@ package sfi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -44,7 +45,7 @@ func (r *rng) intn(n int64) int64 {
 
 // DefaultCheckpoints is the golden-run ladder size the encore-sfi and
 // encore-serve commands and the experiment harness run campaigns with
-// (CampaignConfig.Checkpoints).
+// (CampaignConfig.Checkpoints), and the one every masking study runs on.
 const DefaultCheckpoints = 16
 
 // DefaultLatchFraction is the fraction of raw state-element strikes that
@@ -55,13 +56,15 @@ const DefaultCheckpoints = 16
 // state; we fold that into a single documented derating constant.
 const DefaultLatchFraction = 0.35
 
-// MaskingConfig parametrizes the hardware-masking Monte Carlo.
+// maskingBits is the datapath width the masking study flips within.
+const maskingBits = 32
+
+// MaskingConfig parametrizes the hardware-masking Monte Carlo. The study
+// always runs on a golden-run ladder of DefaultCheckpoints rungs.
 type MaskingConfig struct {
-	Trials        int
-	Seed          uint64
-	Bits          int     // datapath width to flip within (default 32)
-	LatchFraction float64 // 0 selects DefaultLatchFraction
-	Workers       int     // trial parallelism; normalized via ClampWorkers
+	Trials  int
+	Seed    uint64
+	Workers int // trial parallelism; normalized via ClampWorkers
 
 	// Engine selects the interpreter engine the golden run and every
 	// trial machine use. All engines produce bit-identical trial
@@ -93,16 +96,18 @@ type MaskingResult struct {
 
 // MeasureMasking runs the Monte-Carlo masking study on an uninstrumented
 // module: random register-file bit flips at random dynamic instructions,
-// classified by comparing final output with a golden run.
+// classified by comparing final output with a golden run. Trials run on
+// the campaign trial path (fork from the ladder, early exit at a golden
+// rung); a strike is never detected, so it settles at injection.
 func MeasureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig) (*MaskingResult, error) {
+	return measureMasking(build, cfg, DefaultCheckpoints)
+}
+
+// measureMasking is MeasureMasking on a ladder of the given size; at 0
+// every trial replays from Reset and runs to the end.
+func measureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig, checkpoints int) (*MaskingResult, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 200
-	}
-	if cfg.Bits <= 0 {
-		cfg.Bits = 32
-	}
-	if cfg.LatchFraction <= 0 {
-		cfg.LatchFraction = DefaultLatchFraction
 	}
 	cfg.Workers = ClampWorkers(cfg.Workers, cfg.Trials)
 	reg := obs.Or(cfg.Obs)
@@ -111,13 +116,10 @@ func MeasureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig) 
 	mod, outs := build()
 	pool := newMachinePool(mod, nil, cfg.Engine)
 	defer pool.release()
-	m := pool.get()
-	if _, err := m.Run(); err != nil {
-		return nil, fmt.Errorf("sfi: golden run: %w", err)
+	e, err := newExecutor(pool, outs, checkpoints, 0, reg)
+	if err != nil {
+		return nil, err
 	}
-	golden := m.Checksum(outs...)
-	total := m.Count
-	pool.put(m)
 
 	// Pre-derive every trial's plan from the seed, then execute trials on
 	// a bounded worker pool (each worker owns one machine); results are
@@ -128,36 +130,31 @@ func MeasureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig) 
 	for t := range plans {
 		plans[t] = interp.FaultPlan{
 			Mode:          interp.CorruptRegFile,
-			InjectAt:      r.intn(total),
+			InjectAt:      r.intn(e.total),
 			TargetReg:     int(r.intn(1 << 16)),
-			Bit:           uint8(r.intn(int64(cfg.Bits))),
+			Bit:           uint8(r.intn(maskingBits)),
 			DetectLatency: 1 << 60, // never "detected": raw strike study
 		}
 	}
 	var mu sync.Mutex
 	runTrials(pool, 0, len(plans), cfg.Workers, 0, nil, reg, cfg.Progress, func(w *interp.Machine, t int) {
-		w.Reset()
-		w.InjectFault(plans[t])
-		_, err := w.Run()
-		rep := w.FaultReport()
+		o, _, _, _ := e.trial(w, plans[t])
 		mu.Lock()
 		defer mu.Unlock()
-		switch {
-		case !rep.Injected:
-			res.NotInjected++
-		case err != nil:
-			res.ArchVisible++ // crash/trap: architecturally visible
-		case w.Checksum(outs...) == golden:
+		switch o {
+		case Benign:
 			res.ArchMasked++
+		case NotInjected:
+			res.NotInjected++
 		default:
-			res.ArchVisible++
+			res.ArchVisible++ // wrong output, trap or hang: architecturally visible
 		}
 	})
 	inj := res.ArchMasked + res.ArchVisible
 	if inj > 0 {
 		res.ArchMaskedRate = float64(res.ArchMasked) / float64(inj)
 	}
-	visible := (1 - res.ArchMaskedRate) * cfg.LatchFraction
+	visible := (1 - res.ArchMaskedRate) * DefaultLatchFraction
 	res.MaskedRate = 1 - visible
 	reg.Add("sfi.masking.trials", int64(res.Trials))
 	reg.Add("sfi.masking.arch_masked", int64(res.ArchMasked))
@@ -410,10 +407,13 @@ func (c *CampaignResult) RecoveredRate() float64 {
 // RunCampaign injects cfg.Trials output-corrupting faults into the
 // instrumented module, each with a uniform random site and a uniform
 // random detection latency in [0, Dmax], and classifies every run against
-// the golden checksum. Trials are scheduled as contiguous shards on a
-// bounded worker pool (workpool.Dispatch); a canceled cfg.Ctx stops
-// scheduling at shard granularity and RunCampaign returns the partial
-// result with the context's error.
+// the golden checksum. Every trial runs under an instruction budget
+// derived from the golden run (trialBudget), so a runaway trial ends as
+// Crashed long before the interpreter's default budget. Trials are
+// scheduled as contiguous shards on a bounded worker pool
+// (workpool.Dispatch); a canceled cfg.Ctx stops scheduling at shard
+// granularity and RunCampaign returns the partial result with the
+// context's error.
 func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 200
@@ -449,29 +449,9 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	defer sp.End()
 	pool := newMachinePool(mod, metas, cfg.Engine)
 	defer pool.release()
-	m := pool.get()
-	if _, err := m.Run(); err != nil {
-		return nil, fmt.Errorf("sfi: golden run: %w", err)
-	}
-	golden := m.Checksum(outs...)
-	total := m.Count
-	pool.put(m)
-
-	// Checkpoint ladder: one extra pass over the golden prefix captures
-	// every snapshot; trials then fork from the nearest rung below their
-	// injection point instead of replaying from instruction zero. The
-	// ladder is attached to the pool so freshly built worker machines
-	// warm-start pre-loaded with the deepest snapshot's state.
-	var ladder *interp.Ladder
-	if cfg.Checkpoints > 0 {
-		cm := pool.get()
-		_, lad, err := cm.RunWithSnapshots(interp.LadderRungs(cfg.Checkpoints, total))
-		if err != nil {
-			return nil, fmt.Errorf("sfi: checkpoint capture: %w", err)
-		}
-		pool.put(cm)
-		ladder = lad
-		pool.attachLadder(lad)
+	e, err := newExecutor(pool, outs, cfg.Checkpoints, cfg.Dmax, reg)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &CampaignResult{Trials: cfg.Trials}
@@ -480,7 +460,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	for t := range plans {
 		plans[t] = interp.FaultPlan{
 			Mode:          interp.CorruptOutput,
-			InjectAt:      r.intn(total),
+			InjectAt:      r.intn(e.total),
 			Bit:           uint8(r.intn(int64(cfg.Bits))),
 			DetectLatency: r.intn(cfg.Dmax + 1),
 		}
@@ -507,7 +487,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 		}
 		meta := &CampaignMeta{
 			App: cfg.App, Trials: cfg.Trials, Seed: cfg.Seed,
-			Dmax: cfg.Dmax, Bits: cfg.Bits, GoldenInstrs: total,
+			Dmax: cfg.Dmax, Bits: cfg.Bits, GoldenInstrs: e.total,
 			Regions: cfg.Regions,
 		}
 		for _, ri := range cfg.Regions {
@@ -588,49 +568,8 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	if cfg.Ctx != nil {
 		cancel = cfg.Ctx.Done()
 	}
-	// Fork-from-snapshot bookkeeping: restores counts trials served from
-	// the ladder, replay_instrs the short deltas actually re-executed to
-	// reach InjectAt, and saved_instrs the golden-prefix instructions the
-	// restores avoided re-running. The reconverge pair counts trials that
-	// ended early at a golden rung and the suffix instructions they skipped.
-	restores := reg.Counter("sfi.restore.count")
-	replayInstrs := reg.Counter("sfi.restore.replay_instrs")
-	savedInstrs := reg.Counter("sfi.restore.saved_instrs")
-	reconverged := reg.Counter("sfi.reconverge.count")
-	reconvSaved := reg.Counter("sfi.reconverge.saved_instrs")
 	doTrial := func(w *interp.Machine, t int) {
-		var err error
-		if snap := ladder.Best(plans[t].InjectAt); snap != nil && w.Restore(snap) == nil {
-			// Fork: rewind to the deepest snapshot strictly before the
-			// injection point, arm the fault, and replay only the delta.
-			// The restored state is snapshot-exact (instance sequencing,
-			// region buffers, counters), so the trial's record is
-			// byte-identical to the replay-everything path's.
-			w.InjectFault(plans[t])
-			w.ArmReconverge(ladder)
-			_, err = w.Resume()
-			restores.Add(1)
-			replayInstrs.Add(plans[t].InjectAt - snap.Count())
-			savedInstrs.Add(snap.Count())
-		} else {
-			w.Reset()
-			w.InjectFault(plans[t])
-			w.ArmReconverge(ladder)
-			_, err = w.Run()
-		}
-		rep := w.FaultReport()
-		// A trial that rejoined the golden run at a rung ends with the
-		// golden outputs by construction; the projected count is the only
-		// end-of-run input its record still needs.
-		final, reconv := w.Reconverged()
-		if reconv {
-			reconverged.Add(1)
-			reconvSaved.Add(final - w.Count)
-		} else {
-			final = w.Count
-		}
-		match := err == nil && (reconv || w.Checksum(outs...) == golden)
-		o := classify(rep, err, match)
+		o, rep, final, err := e.trial(w, plans[t])
 		mu.Lock()
 		res.Executed++
 		res.Counts[o]++
@@ -638,7 +577,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 			res.SameInstance++
 		}
 		if ledger {
-			res.Records[t] = makeRecord(t, plans[t], rep, o, err, total, final, classOf)
+			res.Records[t] = makeRecord(t, plans[t], rep, o, err, e.total, final, classOf)
 		}
 		if done != nil {
 			done[t] = true
@@ -714,6 +653,122 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	return res, nil
 }
 
+// The trial budget: every trial machine runs under
+// min(limit, hangFactor·golden + dmax + hangFloor) instructions, where
+// limit is the golden run's own budget (interp's default 2³²) and dmax
+// keeps every detection a campaign schedules reachable. Measured on all
+// 23 workloads (DESIGN.md §16.2), campaign trials that end cleanly end
+// within 2.0× golden and masked strikes within 1.7×. Visible strikes
+// end cleanly as late as 3 962× golden on unepic; the budget trap
+// leaves them visible. A runaway trial now stops within 64× golden plus
+// 2²⁴ instructions instead of at 2³².
+const (
+	hangFactor = 64
+	hangFloor  = 1 << 24
+)
+
+// trialBudget returns the trial budget for a golden run of total
+// instructions whose detections fall at most dmax after injection,
+// capped at limit without overflow.
+func trialBudget(total, dmax, limit int64) int64 {
+	if total >= (limit-hangFloor)/hangFactor {
+		return limit
+	}
+	b := hangFactor*total + hangFloor
+	if dmax >= limit-b {
+		return limit
+	}
+	return b + dmax
+}
+
+// executor is the one trial path of the campaign and the masking study:
+// the golden run's checksum and length, the optional checkpoint ladder,
+// and the trial budget.
+type executor struct {
+	outs   []*ir.Global
+	golden uint64
+	total  int64
+	ladder *interp.Ladder
+	budget int64
+
+	// restores, replayInstrs and savedInstrs count ladder forks, the
+	// deltas they replayed and the prefixes they skipped; reconverged and
+	// reconvSaved count early exits at a golden rung and the suffixes they
+	// skipped; hangs counts trials that ran into the trial budget.
+	restores, replayInstrs, savedInstrs, reconverged, reconvSaved, hangs *obs.Counter
+}
+
+// newExecutor runs the golden run on a pool machine and, when
+// checkpoints > 0, captures a ladder of that many rungs in one more pass,
+// both under the default budget. dmax is the study's largest detection
+// latency.
+func newExecutor(pool *machinePool, outs []*ir.Global, checkpoints int, dmax int64, reg *obs.Registry) (*executor, error) {
+	e := &executor{
+		outs:         outs,
+		restores:     reg.Counter("sfi.restore.count"),
+		replayInstrs: reg.Counter("sfi.restore.replay_instrs"),
+		savedInstrs:  reg.Counter("sfi.restore.saved_instrs"),
+		reconverged:  reg.Counter("sfi.reconverge.count"),
+		reconvSaved:  reg.Counter("sfi.reconverge.saved_instrs"),
+		hangs:        reg.Counter("sfi.hang.count"),
+	}
+	m := pool.get()
+	defer pool.put(m)
+	if _, err := m.Run(); err != nil {
+		return nil, fmt.Errorf("sfi: golden run: %w", err)
+	}
+	e.golden, e.total = m.Checksum(outs...), m.Count
+	e.budget = trialBudget(e.total, dmax, m.Cfg.MaxInstrs)
+	if checkpoints > 0 {
+		_, lad, err := m.RunWithSnapshots(interp.LadderRungs(checkpoints, e.total))
+		if err != nil {
+			return nil, fmt.Errorf("sfi: checkpoint capture: %w", err)
+		}
+		e.ladder = lad
+	}
+	return e, nil
+}
+
+// trial runs plan on w under the trial budget: a fork from the deepest
+// rung strictly before the injection point, or a replay from Reset when
+// there is none (every trial at zero checkpoints, the ladder-free
+// reference path), armed to end early at a golden rung either way. final
+// is the run's dynamic count, projected to the end after an early exit.
+func (e *executor) trial(w *interp.Machine, plan interp.FaultPlan) (o Outcome, rep interp.FaultReport, final int64, runErr error) {
+	w.Cfg.MaxInstrs = e.budget
+	if snap := e.ladder.Best(plan.InjectAt); snap != nil && w.Restore(snap) == nil {
+		// The restored state is snapshot-exact (instance sequencing,
+		// region buffers, counters), so the record is byte-identical to
+		// the replay path's.
+		w.InjectFault(plan)
+		w.ArmReconverge(e.ladder)
+		_, runErr = w.Resume()
+		e.restores.Add(1)
+		e.replayInstrs.Add(plan.InjectAt - snap.Count())
+		e.savedInstrs.Add(snap.Count())
+	} else {
+		w.Reset()
+		w.InjectFault(plan)
+		w.ArmReconverge(e.ladder)
+		_, runErr = w.Run()
+	}
+	rep = w.FaultReport()
+	// A trial that rejoined the golden run at a rung ends with the golden
+	// outputs by construction.
+	final, reconv := w.Reconverged()
+	if reconv {
+		e.reconverged.Add(1)
+		e.reconvSaved.Add(final - w.Count)
+	} else {
+		final = w.Count
+	}
+	if errors.Is(runErr, interp.ErrBudget) {
+		e.hangs.Add(1)
+	}
+	match := runErr == nil && (reconv || w.Checksum(e.outs...) == e.golden)
+	return classify(rep, runErr, match), rep, final, runErr
+}
+
 // machinePool hands out ready-to-run machines for one campaign. All
 // machines share a single pre-decoded Program (decoding is per-module,
 // not per-machine work) and are recycled through a mutex-guarded LIFO
@@ -727,11 +782,6 @@ type machinePool struct {
 	// prog is the shared pre-decoded Program; also handed to the
 	// adaptive region-map run so it skips re-decoding.
 	prog *interp.Program
-	// ladder, when attached, warm-starts freshly built machines: they
-	// come out of New pre-restored to the deepest snapshot, so a worker's
-	// first fork pays a dirty-delta restore instead of a cold image.
-	// Written once before trial workers spawn, read-only after.
-	ladder *interp.Ladder
 
 	mod    *ir.Module
 	metas  []interp.RegionMeta
@@ -745,10 +795,6 @@ type machinePool struct {
 func newMachinePool(mod *ir.Module, metas []interp.RegionMeta, engine interp.Engine) *machinePool {
 	return &machinePool{prog: interp.Predecode(mod), mod: mod, metas: metas, engine: engine}
 }
-
-// attachLadder publishes the campaign's checkpoint ladder to the pool.
-// Must be called before trial workers start building machines.
-func (p *machinePool) attachLadder(l *interp.Ladder) { p.ladder = l }
 
 // get returns the most recently put idle machine, or builds a new one.
 func (p *machinePool) get() *interp.Machine {
@@ -764,13 +810,6 @@ func (p *machinePool) get() *interp.Machine {
 	w.UseProgram(p.prog)
 	if p.metas != nil {
 		w.SetRuntime(p.metas)
-	}
-	if s := p.ladder.Deepest(); s != nil {
-		// Warm start: pre-load the deepest snapshot so the machine's
-		// frames, register slices, and memory deltas are materialized
-		// before its first trial. A failure here is harmless — the
-		// trial loop Resets and replays from scratch.
-		_ = w.Restore(s)
 	}
 	p.mu.Lock()
 	p.all = append(p.all, w)

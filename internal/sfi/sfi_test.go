@@ -1,6 +1,8 @@
 package sfi
 
 import (
+	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -333,6 +335,107 @@ func TestMachinePoolConcurrent(t *testing.T) {
 	for w := range seen {
 		if w.Mem != nil {
 			t.Error("a machine survived release with its image")
+		}
+	}
+}
+
+// TestMaskingLadderInvariant: the masking study's tallies are the same on
+// the Reset-replay path (no ladder) as on the default ladder, for both
+// engines and worker counts. On the default engine strikes end early at
+// golden rungs; runs pinned to the reference loop never do.
+func TestMaskingLadderInvariant(t *testing.T) {
+	for _, name := range []string{"175.vpr", "epic", "g721encode"} {
+		build, _ := buildOf(t, name)
+		var want *MaskingResult
+		for _, e := range []interp.Engine{interp.EngineFast, interp.EngineRef} {
+			for _, workers := range []int{1, 4} {
+				for _, ck := range []int{0, DefaultCheckpoints} {
+					reg := obs.NewRegistry()
+					got, err := measureMasking(build, MaskingConfig{Trials: 60, Seed: 1234, Workers: workers, Engine: e, Obs: reg}, ck)
+					if err != nil {
+						t.Fatalf("%s/%s/w%d/ck%d: %v", name, e, workers, ck, err)
+					}
+					if want == nil {
+						want = got
+					} else if *got != *want {
+						t.Errorf("%s/%s/w%d/ck%d: %+v, want %+v", name, e, workers, ck, got, want)
+					}
+					n := reg.Counter("sfi.reconverge.count").Value()
+					if early := ck > 0 && e == interp.EngineFast; early != (n > 0) {
+						t.Errorf("%s/%s/w%d/ck%d: sfi.reconverge.count = %d", name, e, workers, ck, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTrialBudgetEndsRunaway runs one trial straight through the
+// executor on a hand-built counting loop. The strike flips the loop
+// counter's sign bit, so the loop test holds for 2⁶³ iterations: the
+// trial must trap with ErrBudget at exactly the trial budget, classify
+// as Crashed, and count once in sfi.hang.count.
+func TestTrialBudgetEndsRunaway(t *testing.T) {
+	mod := ir.NewModule("spin")
+	out := mod.NewGlobal("out", 1)
+	f := mod.NewFunc("main", 0)
+	entry, loop, done := f.NewBlock("entry"), f.NewBlock("loop"), f.NewBlock("done")
+	i, n, c, a := f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg()
+	entry.Const(i, 0)
+	entry.Const(n, 1000)
+	entry.Jmp(loop)
+	loop.AddI(i, i, 1)
+	loop.Bin(ir.OpLt, c, i, n)
+	loop.Br(c, loop, done)
+	done.GlobalAddr(a, out)
+	done.Store(a, 0, i)
+	done.Ret(i)
+	f.Recompute()
+
+	reg := obs.NewRegistry()
+	pool := newMachinePool(mod, nil, interp.EngineFast)
+	defer pool.release()
+	e, err := newExecutor(pool, []*ir.Global{out}, DefaultCheckpoints, 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := hangFactor*e.total + hangFloor; e.budget != want {
+		t.Fatalf("trial budget %d, want %d·%d + %d = %d", e.budget, hangFactor, e.total, hangFloor, want)
+	}
+	w := pool.get()
+	defer pool.put(w)
+	plan := interp.FaultPlan{Mode: interp.CorruptRegFile, InjectAt: e.total / 2, TargetReg: int(i), Bit: 63, DetectLatency: 1 << 60}
+	o, rep, _, runErr := e.trial(w, plan)
+	if !errors.Is(runErr, interp.ErrBudget) || o != Crashed || !rep.Injected {
+		t.Fatalf("runaway trial: outcome %s err %v injected %v; want crashed with ErrBudget", o, runErr, rep.Injected)
+	}
+	if w.Count != e.budget {
+		t.Errorf("trial trapped at count %d, want the trial budget %d", w.Count, e.budget)
+	}
+	if got := reg.Counter("sfi.hang.count").Value(); got != 1 {
+		t.Errorf("sfi.hang.count = %d, want 1", got)
+	}
+}
+
+// TestTrialBudget pins the budget arithmetic, including the caps that
+// keep it from overflowing.
+func TestTrialBudget(t *testing.T) {
+	const limit = 1 << 32
+	const edge = (limit - hangFloor) / hangFactor // smallest golden length at the cap
+	cases := []struct {
+		total, dmax, want int64
+	}{
+		{1000, 0, 64_000 + hangFloor},
+		{1000, 100, 64_100 + hangFloor},
+		{1000, limit - 64_000 - hangFloor - 1, limit - 1},
+		{1000, math.MaxInt64, limit},
+		{edge - 1, 0, hangFactor*(edge-1) + hangFloor},
+		{edge, 0, limit},
+		{math.MaxInt64, 0, limit},
+	}
+	for _, c := range cases {
+		if got := trialBudget(c.total, c.dmax, limit); got != c.want {
+			t.Errorf("trialBudget(%d, %d) = %d, want %d", c.total, c.dmax, got, c.want)
 		}
 	}
 }

@@ -21,7 +21,10 @@
 # -adaptive stopping elides the same trials regardless of worker count
 # and engine, that fork-from-checkpoint trials (-checkpoints) leave
 # the trial ledger byte-identical to full golden-prefix replay, and that
-# laddered trials still end early at golden rungs.
+# laddered trials still end early at golden rungs. The masking smokes
+# check that the raw-strike study's table is identical on the reference
+# engine, and that a runaway masking strike stops at the trial budget
+# derived from the golden run (a non-zero sfi.hang.count).
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -150,6 +153,30 @@ echo "==> smoke: laddered trials end early at golden rungs"
 "$tmp/encore-sfi" -app 175.vpr -trials 40 -checkpoints 16 -metrics - > "$tmp/reconv.out"
 grep -A1 '"sfi.reconverge.count"' "$tmp/reconv.out" | grep -q '"value": [1-9]' || {
 	echo "encore-sfi -checkpoints 16: sfi.reconverge.count is zero or missing (early exit off?)" >&2
+	exit 1
+}
+
+echo "==> smoke: encore-sfi -masking table identical on -engine ref"
+# The masking study forks its strikes from the ladder and ends them at
+# golden rungs on the default engine; runs pinned to the reference loop
+# never end early, so the two tables must still match.
+for a in epic 175.vpr; do
+	"$tmp/encore-sfi" -app "$a" -trials 60 -seed 7 -masking >> "$tmp/mask-fast.txt"
+	"$tmp/encore-sfi" -app "$a" -trials 60 -seed 7 -masking -engine ref >> "$tmp/mask-ref.txt"
+done
+cmp -s "$tmp/mask-fast.txt" "$tmp/mask-ref.txt" || {
+	echo "encore-sfi -masking: table differs between default engine and -engine ref:" >&2
+	diff "$tmp/mask-fast.txt" "$tmp/mask-ref.txt" >&2 || true
+	exit 1
+}
+
+echo "==> smoke: a runaway masking strike stops at the trial budget"
+# Trial 80 of unepic's seed-1234 masking study flips a loop counter and
+# never ends; it must trap at the budget derived from the golden run
+# rather than run to the interpreter's 2^32 default.
+"$tmp/encore-sfi" -app unepic -masking -seed 1234 -trials 150 -metrics - > "$tmp/hang.out"
+grep -A1 '"sfi.hang.count"' "$tmp/hang.out" | grep -q '"value": [1-9]' || {
+	echo "encore-sfi -masking: sfi.hang.count is zero or missing (trial budget off?)" >&2
 	exit 1
 }
 
