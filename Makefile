@@ -21,13 +21,15 @@ bench:
 	$(GO) test ./internal/core ./internal/idem -run '^$$' -bench '.' -benchmem
 	$(GO) run ./cmd/encore-bench -quick -json $(BENCH) > /dev/null
 
-# Short-budget run of the generative oracles (internal/progen): each fuzz
+# Short-budget run of the generative oracles (internal/progen) and of the
+# daemon's tenant-IR input boundary (internal/serve FuzzParse): each fuzz
 # target replays its checked-in corpus and then explores for FUZZTIME.
 # Raise the budget for a deeper hunt: make fuzz-smoke FUZZTIME=5m
 fuzz-smoke:
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzIdempotence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzRecovery$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzEngines$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # Full health gate: gofmt, vet, build, tests, the race detector over the
 # concurrent packages, and the fuzz smoke. See scripts/check.sh.

@@ -12,12 +12,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"text/tabwriter"
 
-	"encore/internal/model"
 	"encore/internal/sfi"
+	"encore/internal/stats"
 )
 
 // Campaign pairs one campaign's ledger header with its trial records, in
@@ -140,109 +138,13 @@ type Report struct {
 	Regions []RegionRow `json:"regions"`
 }
 
-// meanAcc accumulates a streaming mean.
-type meanAcc struct {
-	sum float64
-	n   int
-}
-
-func (a meanAcc) mean() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sum / float64(a.n)
-}
-
 // Attribute aggregates one campaign's trial records per region and joins
-// them against the header's prediction table.
+// them against the header's prediction table. It replays the ledger
+// through the online estimator (stats.Replay) and renders the final
+// snapshot, so a finished campaign's report is the live stats view's by
+// construction.
 func Attribute(c *Campaign) *Report {
-	rep := &Report{
-		App:      c.Meta.App,
-		Trials:   c.Meta.Trials,
-		Seed:     c.Meta.Seed,
-		Dmax:     c.Meta.Dmax,
-		Outcomes: make(map[string]int),
-	}
-	if rep.Trials == 0 {
-		rep.Trials = len(c.Records)
-	}
-	rows := make(map[int]*RegionRow, len(c.Meta.Regions))
-	lenOf := make(map[int]float64, len(c.Meta.Regions))
-	for _, ri := range c.Meta.Regions {
-		rows[ri.ID] = &RegionRow{
-			ID: ri.ID, Fn: ri.Fn, Header: ri.Header, Class: ri.Class,
-			Selected: ri.Selected, PredAlpha: ri.Alpha,
-		}
-		lenOf[ri.ID] = ri.InstanceLen
-		if ri.Selected {
-			rep.PredCoverage += ri.DynFrac * ri.Alpha
-		}
-	}
-	latencies := make(map[int][]float64)
-	rollback := make(map[int]meanAcc)
-	reexec := make(map[int]meanAcc)
-	sameInst, recovered := 0, 0
-	for _, r := range c.Records {
-		rep.Outcomes[r.Outcome.String()]++
-		if !r.Injected {
-			continue
-		}
-		rep.Injected++
-		if r.Outcome == sfi.Recovered {
-			recovered++
-			if r.SameInstance {
-				sameInst++
-			}
-		}
-		if r.RegionID < 0 {
-			rep.Unattributed++
-			continue
-		}
-		row := rows[r.RegionID]
-		if row == nil {
-			// A strike in a region absent from the header table (e.g. a
-			// truncated header): synthesize a bare row so nothing is lost.
-			row = &RegionRow{ID: r.RegionID, Class: r.Class}
-			rows[r.RegionID] = row
-		}
-		row.Struck++
-		latencies[r.RegionID] = append(latencies[r.RegionID], float64(r.Latency))
-		if r.Outcome == sfi.Recovered {
-			row.Recovered++
-			if r.SameInstance {
-				row.SameInstance++
-			}
-		}
-		if r.RolledBack {
-			a := rollback[r.RegionID]
-			a.sum += float64(r.RollbackDistance)
-			a.n++
-			rollback[r.RegionID] = a
-		}
-		if r.ReExecInstrs > 0 {
-			a := reexec[r.RegionID]
-			a.sum += float64(r.ReExecInstrs)
-			a.n++
-			reexec[r.RegionID] = a
-		}
-	}
-	if rep.Injected > 0 {
-		rep.MeasuredRecovered = float64(recovered) / float64(rep.Injected)
-		rep.MeasuredSameInstance = float64(sameInst) / float64(rep.Injected)
-	}
-	rep.AbsErr = math.Abs(rep.MeasuredSameInstance - rep.PredCoverage)
-	for id, row := range rows {
-		if row.Struck > 0 {
-			row.Measured = float64(row.Recovered) / float64(row.Struck)
-			row.EmpAlpha = model.AlphaEmpirical(lenOf[id], latencies[id])
-		}
-		row.AbsErr = math.Abs(row.Measured - row.PredAlpha)
-		row.MeanRollback = rollback[id].mean()
-		row.MeanReExec = reexec[id].mean()
-		rep.Regions = append(rep.Regions, *row)
-	}
-	sort.Slice(rep.Regions, func(i, j int) bool { return rep.Regions[i].ID < rep.Regions[j].ID })
-	return rep
+	return FromStats(stats.Replay(c.Meta, c.Records).Snapshot())
 }
 
 // WriteText renders reports as aligned human-readable tables, one

@@ -5,14 +5,13 @@ import (
 )
 
 // FromStats converts an online estimator snapshot (internal/stats) into
-// the same Report that Attribute produces from a complete trial ledger.
-// For a finished campaign the two are exactly equal — float for float —
-// because the estimator accumulates the same sums in the same trial
-// order Attribute's batch pass does; TestFromStatsMatchesAttribute locks
-// that down. This is the bridge that lets encore-serve's live stats
-// endpoints and the post-hoc attribution report agree at campaign end,
-// and it also renders mid-campaign snapshots as partial reports (Trials
-// then reflects the observed prefix, not the plan).
+// an attribution Report. It is the only place reports are built:
+// Attribute renders a ledger by replaying it through an estimator, so the
+// live stats endpoints of encore-serve and the post-hoc report agree at
+// campaign end by construction (TestFromStatsMatchesAttribute checks the
+// live feed against the replay). It also renders mid-campaign snapshots
+// as partial reports (Trials then reflects the observed prefix, not the
+// plan).
 func FromStats(s *stats.Snapshot) *Report {
 	rep := &Report{
 		App:      s.App,

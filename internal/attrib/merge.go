@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"encore/internal/sfi"
+	"encore/internal/stats"
 )
 
 // MergeTraces merges per-shard JSONL campaign traces into one stream,
@@ -106,11 +107,12 @@ type rawTrial struct {
 }
 
 // PriorRegions distills a finished campaign into the per-region tallies
-// adaptive stopping reuses (sfi.CampaignConfig.Prior): for every region
-// with a content hash in the header, how many injected trials struck it
-// and how many of those recovered. Regions without a hash (pre-hashing
-// ledgers) are omitted — without the content key there is no sound way
-// to claim the region is unchanged. Rows come back in region-ID order.
+// adaptive stopping reuses (sfi.CampaignConfig.Prior): for every struck
+// region with a content hash in the header, how many injected trials
+// struck it and how many of those recovered, read off the replayed
+// estimator's snapshot. Regions without a hash (pre-hashing ledgers) are
+// omitted — without the content key there is no sound way to claim the
+// region is unchanged. Rows come back in region-ID order.
 func PriorRegions(c *Campaign) []sfi.PriorRegion {
 	hashOf := make(map[int]string, len(c.Meta.Regions))
 	for _, ri := range c.Meta.Regions {
@@ -118,34 +120,11 @@ func PriorRegions(c *Campaign) []sfi.PriorRegion {
 			hashOf[ri.ID] = ri.Hash
 		}
 	}
-	struck := map[int]*sfi.PriorRegion{}
-	for i := range c.Records {
-		rec := &c.Records[i]
-		if !rec.Injected {
-			continue
+	var out []sfi.PriorRegion
+	for _, r := range stats.Replay(c.Meta, c.Records).Snapshot().Regions {
+		if hash, ok := hashOf[r.ID]; ok && r.Struck > 0 {
+			out = append(out, sfi.PriorRegion{Hash: hash, Struck: r.Struck, Recovered: r.Recovered})
 		}
-		hash, ok := hashOf[rec.RegionID]
-		if !ok {
-			continue
-		}
-		p := struck[rec.RegionID]
-		if p == nil {
-			p = &sfi.PriorRegion{Hash: hash}
-			struck[rec.RegionID] = p
-		}
-		p.Struck++
-		if rec.Outcome == sfi.Recovered {
-			p.Recovered++
-		}
-	}
-	ids := make([]int, 0, len(struck))
-	for id := range struck {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]sfi.PriorRegion, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *struck[id])
 	}
 	return out
 }

@@ -50,8 +50,8 @@ var (
 
 // compileKey identifies one memoizable (workload, config) compile. It
 // mirrors core.Config's scalar knobs; configs with a non-zero Interp
-// sub-config are not cached (interp.Config holds maps and interfaces, and
-// a custom interpreter setup usually means the caller wants a private
+// sub-config are not cached (interp.Config holds a Hook interface, and a
+// custom interpreter setup usually means the caller wants a private
 // result anyway) — except for Interp.Engine, which the harness itself
 // sets on every compile and which therefore joins the key.
 type compileKey struct {
@@ -76,7 +76,7 @@ type compileEntry struct {
 func cacheKey(sp workload.Spec, cfg core.Config) (compileKey, bool) {
 	ic := cfg.Interp
 	if ic.MemWords != 0 || ic.StackWords != 0 || ic.MaxInstrs != 0 || ic.MaxDepth != 0 ||
-		ic.Profile || ic.Hook != nil || ic.Externs != nil {
+		ic.Profile || ic.Hook != nil {
 		return compileKey{}, false
 	}
 	return compileKey{

@@ -19,16 +19,16 @@ import (
 //
 //	cvm.count = exact count + cost of the block's unretired tail
 //
-// and steps that expose the counters mid-block — calls, externs,
-// SetRecovery's entryCount, traps — subtract the tail (a compile-time
-// constant per pc) to recover the exact value. The same pre-add doubles
-// as the stop check: a stop event (fault window, scheduled detection,
-// budget exhaustion, checkpoint rung; see fastStop) falls inside a
-// segment entered at count c with total cost C (terminator cost 1
-// included) iff c + C > stop. The re-entry steps test exactly that and
-// delegate the segment to the reference loop, whose per-instruction
-// checks meet the event at the precise instruction it is due — so fault
-// windows, scheduled detections, budget traps, and snapshot captures are
+// and steps that expose the counters mid-block — calls, SetRecovery's
+// entryCount, traps — subtract the tail (a compile-time constant per pc)
+// to recover the exact value. The same pre-add doubles as the stop
+// check: a stop event (fault window, scheduled detection, budget
+// exhaustion, checkpoint rung; see fastStop) falls inside a segment
+// entered at count c with total cost C (terminator cost 1 included) iff
+// c + C > stop. The re-entry steps test exactly that and delegate the
+// segment to the reference loop, whose per-instruction checks meet the
+// event at the precise instruction it is due — so fault windows,
+// scheduled detections, budget traps, and snapshot captures are
 // bit-identical across engines.
 //
 // Two compiled variants exist per Program — plain and profiled (the
@@ -390,7 +390,7 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 			// Make the counters exact across the call: the pre-added tail
 			// of the caller's block is re-added by resume[retPC] on return,
 			// so nested frames never see inflated counts at their own sync
-			// points (SetRecovery, externs, traps).
+			// points (SetRecovery, traps).
 			v.count -= adjC
 			v.ovh -= adjO
 			m := v.m
@@ -413,52 +413,27 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 			v.next = entryStep
 		}
 	case uint8(ir.OpExtern):
-		aux, dst := in.aux, in.dst
-		name, eargs := p.externs[in.aux].name, p.externs[in.aux].args
-		retPC := pc + 1
-		adjC, adjO := rc-1, ro
-		return func(v *cvm, regs []int64) {
-			m := v.m
-			ef := m.externFns[aux]
-			if ef == nil {
+		e := p.externs[in.aux]
+		name, fn, eargs, dst := e.name, e.fn, e.args, e.dst
+		if fn == nil {
+			adjC, adjO := rc-1, ro
+			return func(v *cvm, _ []int64) {
 				v.count -= adjC
 				v.ovh -= adjO
 				v.exit = exitTrap
-				v.err = m.trap(ErrExtern, "%q", name)
-				return
+				v.err = v.m.trap(ErrExtern, "%q", name)
 			}
+		}
+		// Builtins read only their arguments and touch no counter,
+		// watermark or frame (builtinExterns), so the shadow state needs
+		// no sync around the call.
+		return func(v *cvm, regs []int64) {
+			m := v.m
 			m.extArgs = m.extArgs[:0]
 			for _, r := range eargs {
 				m.extArgs = append(m.extArgs, regs[r])
 			}
-			// Externs may observe the machine or re-enter Call: sync exact
-			// shadow state out, and reload it (plus frame pointers, which a
-			// nested Call's frame growth can invalidate) afterwards.
-			m.Count = v.count - adjC
-			m.BaseCount = m.Count - (v.ovh - adjO)
-			m.dirtyLo, m.dirtyHi = v.dLo, v.dHi
-			m.dirtyStkLo, m.dirtyStkHi = v.sLo, v.sHi
-			val := ef(m, m.extArgs)
-			v.count = m.Count + adjC
-			v.ovh = m.Count - m.BaseCount + adjO
-			v.dLo, v.dHi = m.dirtyLo, m.dirtyHi
-			v.sLo, v.sHi = m.dirtyStkLo, m.dirtyStkHi
-			fr := &m.frames[len(m.frames)-1]
-			regs = fr.regs
-			v.regs = regs
-			v.fp = fr.fp
-			regs[dst] = val
-			if v.count > v.stop {
-				// The handler advanced the count into a stop event (budget
-				// or fault window): hand the rest of the block to the
-				// reference loop, which meets the event exactly where its
-				// per-instruction check fires.
-				v.count -= adjC
-				v.ovh -= adjO
-				v.exit = exitDelegate
-				v.delegPC = retPC
-				return
-			}
+			regs[dst] = fn(m, m.extArgs)
 			next(v, regs)
 		}
 	case uint8(ir.OpSetRecovery):

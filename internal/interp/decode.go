@@ -62,10 +62,12 @@ type dcall struct {
 	dst   int32
 }
 
-// dext is one decoded extern call site. The handler is resolved per
-// machine (Config.Externs may differ between machines sharing a Program).
+// dext is one decoded extern call site. The handler is resolved against
+// the builtins at decode time; fn is nil for an unknown name, whose site
+// compiles to an ErrExtern trap.
 type dext struct {
 	name string
+	fn   externFunc
 	args []int32
 	dst  int32
 }
@@ -105,9 +107,6 @@ type Program struct {
 func (p *Program) refPos(pc int32) (*ir.Block, int) {
 	return p.blocks[p.blockOf[pc]], int(p.idxOf[pc])
 }
-
-// NumBlocks returns the number of basic blocks in the decoded module.
-func (p *Program) NumBlocks() int { return len(p.blocks) }
 
 // Predecode lowers mod into its flat executable form. The result is a
 // read-only snapshot: re-decode after structurally editing the module.
@@ -171,7 +170,8 @@ func Predecode(mod *ir.Module) *Program {
 				case ir.OpExtern:
 					d.aux = int32(len(p.externs))
 					p.externs = append(p.externs, dext{
-						name: in.Extern, args: regList(in.Args), dst: int32(in.Dst),
+						name: in.Extern, fn: builtinExterns[in.Extern],
+						args: regList(in.Args), dst: int32(in.Dst),
 					})
 				}
 				p.code = append(p.code, d)
@@ -229,24 +229,13 @@ func (m *Machine) UseProgram(p *Program) {
 		panic("interp: UseProgram: program decoded from a different module")
 	}
 	m.prog = p
-	m.externFns = nil
 }
 
 // program returns the machine's decoded program, decoding lazily on first
-// use, and resolves extern handlers against this machine's Config.
+// use.
 func (m *Machine) program() *Program {
 	if m.prog == nil {
 		m.prog = Predecode(m.Mod)
-	}
-	if m.externFns == nil && len(m.prog.externs) > 0 {
-		m.externFns = make([]ExternFunc, len(m.prog.externs))
-		for i := range m.prog.externs {
-			ef := m.Cfg.Externs[m.prog.externs[i].name]
-			if ef == nil {
-				ef = builtinExterns[m.prog.externs[i].name]
-			}
-			m.externFns[i] = ef
-		}
 	}
 	return m.prog
 }

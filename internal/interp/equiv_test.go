@@ -103,7 +103,11 @@ func diffRuns(t *testing.T, label string, ref, got engineRun, outs []*ir.Global)
 
 	// Profile equivalence by Freq semantics: the default engine's merged
 	// dense counters may leave explicit zero entries the reference path
-	// never creates, so zero-valued entries are identity.
+	// never creates, so zero-valued entries are identity. Unprofiled runs
+	// (snapshot restores) have no profile to compare.
+	if got.m.Prof == nil && ref.m.Prof == nil {
+		return
+	}
 	for _, pair := range []struct{ a, b *interp.Profile }{{got.m.Prof, ref.m.Prof}, {ref.m.Prof, got.m.Prof}} {
 		for b, c := range pair.a.Block {
 			if c != 0 && pair.b.Block[b] != c {

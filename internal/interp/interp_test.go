@@ -165,6 +165,10 @@ func TestExternsAndOutput(t *testing.T) {
 	}
 }
 
+// TestUnknownExternTraps checks that an extern name outside the builtins
+// traps with ErrExtern on both engines, and that the trap retires the
+// same instructions on each: the call itself counts, the rest of the
+// block does not.
 func TestUnknownExternTraps(t *testing.T) {
 	m := ir.NewModule("t")
 	f := m.NewFunc("main", 0)
@@ -176,6 +180,29 @@ func TestUnknownExternTraps(t *testing.T) {
 	mach := New(m, Config{})
 	if _, err := mach.Run(); !errors.Is(err, ErrExtern) {
 		t.Errorf("want ErrExtern, got %v", err)
+	}
+
+	m2 := ir.NewModule("t2")
+	f2 := m2.NewFunc("main", 0)
+	b2 := f2.NewBlock("entry")
+	x, y := f2.NewReg(), f2.NewReg()
+	b2.Const(x, 5)
+	b2.CallExtern(y, "emit", x)
+	b2.CallExtern(y, "no-such-extern", x, y)
+	b2.Const(x, 6)
+	b2.Ret(x)
+	f2.Recompute()
+	for _, e := range []Engine{EngineRef, EngineFast} {
+		mach := New(m2, Config{Engine: e})
+		if _, err := mach.Run(); !errors.Is(err, ErrExtern) {
+			t.Errorf("%s: want ErrExtern, got %v", e, err)
+		}
+		if mach.Count != 3 || mach.BaseCount != 3 {
+			t.Errorf("%s: trap at count (%d,%d), want (3,3)", e, mach.Count, mach.BaseCount)
+		}
+		if out := mach.Output(); len(out) != 1 || out[0] != 5 {
+			t.Errorf("%s: output before the trap = %v, want [5]", e, out)
+		}
 	}
 }
 

@@ -51,9 +51,6 @@ var (
 	ErrExtern      = errors.New("interp: unknown extern")
 )
 
-// ExternFunc implements a statically-opaque library call.
-type ExternFunc func(m *Machine, args []int64) int64
-
 // Hook observes execution. OnInstr fires before each instruction;
 // idx == len(b.Instrs) denotes the block terminator.
 type Hook interface {
@@ -107,14 +104,13 @@ type regionState struct {
 
 // Config parametrizes a machine.
 type Config struct {
-	MemWords   int64 // total memory size in words (default 1<<20)
-	StackWords int64 // words reserved for frames at the top of memory (default 1<<16)
+	MemWords   int64 // total memory size in words (default ir.DefaultMemWords)
+	StackWords int64 // words reserved for frames at the top of memory (default ir.DefaultStackWords)
 	MaxInstrs  int64 // dynamic instruction budget (default 1<<32)
 	MaxDepth   int   // call depth limit (default 1024)
 
 	Profile bool // collect block and edge execution counts
 	Hook    Hook
-	Externs map[string]ExternFunc
 
 	// Engine selects the dispatch engine for quiescent execution
 	// (engine.go): the closure-compiled engine (EngineFast, the zero
@@ -202,9 +198,8 @@ type Machine struct {
 
 	// Pre-decoded program state (decode.go). prog is decoded lazily on
 	// first default-engine run, or installed via UseProgram for sharing.
-	prog      *Program
-	externFns []ExternFunc // per-extern-site handlers resolved for this machine
-	extArgs   []int64      // scratch argument buffer for default-engine extern calls
+	prog    *Program
+	extArgs []int64 // scratch argument buffer for default-engine extern calls
 
 	// Dense profiling counters, indexed by Program block/edge IDs; merged
 	// into Prof at closure-engine exit.
@@ -399,13 +394,11 @@ func grabMem(words int64) []int64 {
 }
 
 // Release zeroes the machine's dirty memory ranges and donates the image
-// to the shared pool; the machine must not be used afterwards. Machines
-// with custom externs keep their image out of the pool: extern handlers
-// can write memory the dirty watermarks never see.
+// to the shared pool; the machine must not be used afterwards.
 func (m *Machine) Release() {
 	m.flushObs()
 	m.obsSink = nil
-	if m.Mem != nil && m.Cfg.Externs == nil {
+	if m.Mem != nil {
 		m.clearDirty(m.dirtyLo, m.dirtyHi)
 		m.clearDirty(m.dirtyStkLo, m.dirtyStkHi)
 		memPool.Put(m.Mem)
@@ -416,10 +409,10 @@ func (m *Machine) Release() {
 // New builds a machine for mod. The module is laid out on first use.
 func New(mod *ir.Module, cfg Config) *Machine {
 	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 20
+		cfg.MemWords = ir.DefaultMemWords
 	}
 	if cfg.StackWords == 0 {
-		cfg.StackWords = 1 << 16
+		cfg.StackWords = ir.DefaultStackWords
 	}
 	if cfg.MaxInstrs == 0 {
 		cfg.MaxInstrs = 1 << 32
@@ -455,21 +448,15 @@ func (m *Machine) SetRuntime(metas []RegionMeta) {
 // inclusive address range written since the last Reset (stores, restores,
 // fault injections) and only that range is cleared, so reset cost scales
 // with the run's memory footprint rather than Cfg.MemWords — which New
-// may have auto-grown far beyond the workload's needs. Custom externs can
-// write memory without the watermark seeing it, so machines with
-// Cfg.Externs fall back to a full clear.
+// may have auto-grown far beyond the workload's needs.
 func (m *Machine) Reset() {
 	// Reset is a metrics boundary: fold the finished run's counters into
 	// the attached registry (if any) before they are cleared.
 	m.flushObs()
-	switch {
-	case m.Mem == nil || int64(len(m.Mem)) != m.Cfg.MemWords:
+	if m.Mem == nil || int64(len(m.Mem)) != m.Cfg.MemWords {
 		m.Mem = grabMem(m.Cfg.MemWords)
 		m.lastResetWords = 0
-	case m.Cfg.Externs != nil:
-		clear(m.Mem)
-		m.lastResetWords = int64(len(m.Mem))
-	default:
+	} else {
 		m.lastResetWords = m.clearDirty(m.dirtyLo, m.dirtyHi) +
 			m.clearDirty(m.dirtyStkLo, m.dirtyStkHi)
 	}

@@ -212,10 +212,7 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 				}
 				continue
 			case ir.OpExtern:
-				ef := m.Cfg.Externs[in.Extern]
-				if ef == nil {
-					ef = builtinExterns[in.Extern]
-				}
+				ef := builtinExterns[in.Extern]
 				if ef == nil {
 					return 0, m.trap(ErrExtern, "%q", in.Extern)
 				}

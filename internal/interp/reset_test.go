@@ -71,21 +71,6 @@ func TestResetDirtyRange(t *testing.T) {
 	}
 }
 
-// TestResetExternsFullClear checks the conservative fallback: custom
-// externs can write memory the watermark never sees, so those machines
-// must clear the full image.
-func TestResetExternsFullClear(t *testing.T) {
-	mod, _ := buildStoreKernel()
-	m := New(mod, Config{MemWords: 1 << 18, Externs: map[string]ExternFunc{}})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if w := m.LastResetWords(); w != int64(len(m.Mem)) {
-		t.Fatalf("extern machine cleared %d of %d words; want a full clear", w, len(m.Mem))
-	}
-}
-
 // buildSpanKernel assembles a loop that stores i into buf[i] for
 // i in [0, span): a kernel whose dirty memory footprint is directly
 // controlled by span.

@@ -201,10 +201,16 @@ func b2i(v bool) int64 {
 	return 0
 }
 
-// builtinExterns are always available. "emit" appends its argument to the
-// machine's output stream; "mix" is an opaque value combiner used by
-// workloads to force statically-unanalyzable data flow.
-var builtinExterns = map[string]ExternFunc{
+// externFunc implements a statically-opaque library call.
+type externFunc func(m *Machine, args []int64) int64
+
+// builtinExterns are the only externs a program can call; any other name
+// traps with ErrExtern. "emit" appends its argument to the machine's
+// output stream; "mix" is an opaque value combiner used by workloads to
+// force statically-unanalyzable data flow. Neither touches memory, the
+// counters or the frame stack, so the default engine calls them mid-block
+// with no state sync.
+var builtinExterns = map[string]externFunc{
 	"emit": func(m *Machine, args []int64) int64 {
 		if len(args) > 0 {
 			m.output = append(m.output, args[0])

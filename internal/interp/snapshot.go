@@ -17,8 +17,9 @@ import (
 //
 // Snapshots capture engine-invariant machine state only — memory as
 // dirty-range deltas against the pristine zero image, the frame stack in
-// the default engine's pc form, counters, region buffers, profile — so a
-// snapshot restores onto a machine running either engine.
+// the default engine's pc form, counters, region buffers — so a snapshot
+// restores onto a machine running either engine. Profiled machines can
+// neither capture nor restore: a snapshot carries no profile.
 
 // savedRegion is the frozen form of one frame's live checkpoint buffer.
 // Region metadata is recorded by ID (not pointer) so a snapshot restores
@@ -72,7 +73,6 @@ type Snapshot struct {
 
 	frames []savedFrame
 	output []int64
-	prof   *Profile // deep copy; nil when the capture run was unprofiled
 }
 
 // Count reports the dynamic instruction count at the capture point: the
@@ -168,16 +168,14 @@ func LadderRungs(k int, total int64) []int64 {
 // reference loop; that loop freezes the machine at the rung's exact
 // instruction boundary and hands back. Snapshots hold only
 // engine-invariant state, so they restore onto machines using either
-// engine. Hooks and custom externs are rejected: a hook needs the
-// reference loop throughout, and an extern that re-enters Call leaves
-// intermediate frames without pc-form return points, making a flat
-// capture unsound.
+// engine. Hooks and profiled machines are rejected: a hook needs the
+// reference loop throughout, and snapshots carry no profile.
 func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 	if m.Cfg.Hook != nil {
 		return 0, nil, fmt.Errorf("interp: RunWithSnapshots does not support hooks")
 	}
-	if m.Cfg.Externs != nil {
-		return 0, nil, fmt.Errorf("interp: RunWithSnapshots does not support custom externs")
+	if m.Cfg.Profile {
+		return 0, nil, fmt.Errorf("interp: RunWithSnapshots does not support profiled machines")
 	}
 	main := m.Mod.FuncByName("main")
 	if main == nil {
@@ -223,9 +221,9 @@ func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 
 // captureSnapshot freezes the machine at pc into the active ladder and
 // consumes every rung the run has now reached. Called by the reference
-// loop as it hands back, once framesToFast has put the frames and the
-// profile into the default engine's convention; the machine fields
-// (counters, dirty watermarks, profile maps) are authoritative there.
+// loop as it hands back, once framesToFast has put the frames into the
+// default engine's convention; the machine fields (counters, dirty
+// watermarks) are authoritative there.
 func (m *Machine) captureSnapshot(pc int32) {
 	m.snapLadder.snaps = append(m.snapLadder.snaps, m.snapshot(pc))
 	for len(m.snapRungs) > 0 && m.snapRungs[0] <= m.Count {
@@ -283,31 +281,18 @@ func (m *Machine) snapshot(pc int32) *Snapshot {
 			sf.region = sr
 		}
 	}
-	if m.Prof != nil {
-		prof := &Profile{
-			Block: make(map[*ir.Block]int64, len(m.Prof.Block)),
-			Edge:  make(map[*ir.Block][]int64, len(m.Prof.Edge)),
-		}
-		for b, c := range m.Prof.Block {
-			prof.Block[b] = c
-		}
-		for b, e := range m.Prof.Edge {
-			prof.Edge[b] = append([]int64(nil), e...)
-		}
-		s.prof = prof
-	}
 	return s
 }
 
 // Restore rewinds the machine to a snapshot's exact state: counters,
-// frame stack, region buffers, output, profile, and memory — the
-// machine's current dirty ranges are re-zeroed (the Reset dirty-range
-// machinery) and the snapshot's deltas overlaid, so restore cost scales
-// with the two footprints rather than Cfg.MemWords. The snapshot must
-// come from the same module, with matching memory geometry and region
-// table. After a successful Restore the machine accepts InjectFault and
-// must be continued with Resume (not Run, which would push a fresh main
-// frame).
+// frame stack, region buffers, output, and memory — the machine's
+// current dirty ranges are re-zeroed (the Reset dirty-range machinery)
+// and the snapshot's deltas overlaid, so restore cost scales with the
+// two footprints rather than Cfg.MemWords. The snapshot must come from
+// the same module, with matching memory geometry and region table, and
+// the machine must be unprofiled. After a successful Restore the machine
+// accepts InjectFault and must be continued with Resume (not Run, which
+// would push a fresh main frame).
 func (m *Machine) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("interp: Restore of a nil snapshot")
@@ -319,8 +304,8 @@ func (m *Machine) Restore(s *Snapshot) error {
 		return fmt.Errorf("interp: snapshot memory geometry %d/%d does not match machine %d/%d",
 			s.memWords, s.stackWords, m.Cfg.MemWords, m.Cfg.StackWords)
 	}
-	if m.Cfg.Profile && s.prof == nil {
-		return fmt.Errorf("interp: profiled machine cannot restore an unprofiled snapshot")
+	if m.Cfg.Profile {
+		return fmt.Errorf("interp: Restore does not support profiled machines")
 	}
 	for i := range s.frames {
 		if sr := s.frames[i].region; sr != nil && sr.id >= 0 {
@@ -334,14 +319,10 @@ func (m *Machine) Restore(s *Snapshot) error {
 	// run's counters into the attached registry before overwriting them.
 	m.flushObs()
 
-	switch {
-	case m.Mem == nil || int64(len(m.Mem)) != m.Cfg.MemWords:
+	if m.Mem == nil || int64(len(m.Mem)) != m.Cfg.MemWords {
 		m.Mem = grabMem(m.Cfg.MemWords)
 		m.lastRestoreWords = 0
-	case m.Cfg.Externs != nil:
-		clear(m.Mem)
-		m.lastRestoreWords = int64(len(m.Mem))
-	default:
+	} else {
 		m.lastRestoreWords = m.clearDirty(m.dirtyLo, m.dirtyHi) +
 			m.clearDirty(m.dirtyStkLo, m.dirtyStkHi)
 	}
@@ -418,23 +399,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.obsBias.regionEntries = s.regionEntries
 	m.fault = nil
 	m.output = append(m.output[:0], s.output...)
-	if m.Cfg.Profile {
-		prof := &Profile{
-			Block: make(map[*ir.Block]int64, len(s.prof.Block)),
-			Edge:  make(map[*ir.Block][]int64, len(s.prof.Edge)),
-		}
-		for b, c := range s.prof.Block {
-			prof.Block[b] = c
-		}
-		for b, e := range s.prof.Edge {
-			prof.Edge[b] = append([]int64(nil), e...)
-		}
-		m.Prof = prof
-	}
-	if m.pBlocks != nil {
-		clear(m.pBlocks)
-		clear(m.pEdges)
-	}
 	if m.obsSink != nil {
 		m.obsSink.restoreWords.Observe(m.lastRestoreWords)
 	}
@@ -463,9 +427,8 @@ func (m *Machine) Resume() (int64, error) {
 	pc := m.resumePC
 	p := m.program()
 	if until, ok := m.refStart(); ok {
-		// The snapshot's frames and profile use the default engine's
-		// convention; framesToRef and loopRefFrom's entry credit convert
-		// them exactly as for a mid-run handoff.
+		// The snapshot's frames use the default engine's convention;
+		// framesToRef converts them exactly as for a mid-run handoff.
 		m.framesToRef(p, 0)
 		b, idx := p.refPos(pc)
 		return m.loopRefFrom(0, b, idx, until)
@@ -509,11 +472,11 @@ type reconvState struct {
 // would pass Cfg.MaxInstrs is not taken: that run must reach its budget
 // trap. The check needs the default engine's hand-backs, so runs pinned
 // to the reference loop (EngineRef, a Hook) always run to the end, and
-// it stays off for profiled machines, machines with custom externs, and
-// a ladder that is empty or from another module or memory geometry.
+// it stays off for profiled machines and for a ladder that is empty or
+// from another module or memory geometry.
 func (m *Machine) ArmReconverge(l *Ladder) {
 	m.reconv = reconvState{}
-	if l.Len() == 0 || m.Cfg.Profile || m.Cfg.Externs != nil {
+	if l.Len() == 0 || m.Cfg.Profile {
 		return
 	}
 	if s := l.snaps[0]; s.prog.mod != m.Mod || s.memWords != m.Cfg.MemWords || s.stackWords != m.Cfg.StackWords {

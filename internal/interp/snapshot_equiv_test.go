@@ -18,7 +18,8 @@ var snapshotWorkloads = []string{"rawcaudio", "175.vpr", "g721encode"}
 // workloads: a ladder captured once on the golden run, restored onto a
 // fresh machine of each engine, must resume into exactly the observable
 // outcome of running that engine from scratch — return value, counters,
-// checksum, checkpoint accounting, and the merged execution profile.
+// checksum, and checkpoint accounting. Capture and restore run on
+// unprofiled machines: snapshots carry no profile.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	for _, name := range snapshotWorkloads {
 		name := name
@@ -33,7 +34,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			capm := interp.New(res.Mod, interp.Config{Profile: true})
+			capm := interp.New(res.Mod, interp.Config{})
 			defer capm.Release()
 			capm.SetRuntime(res.Metas)
 			if _, err := capm.Run(); err != nil {
@@ -49,13 +50,13 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			}
 
 			for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast} {
-				full := interp.New(res.Mod, interp.Config{Profile: true, Engine: e})
+				full := interp.New(res.Mod, interp.Config{Engine: e})
 				defer full.Release()
 				full.SetRuntime(res.Metas)
 				fret, ferr := full.Run()
 				ref := engineRun{engine: e, m: full, ret: fret, err: ferr}
 
-				m := interp.New(res.Mod, interp.Config{Profile: true, Engine: e})
+				m := interp.New(res.Mod, interp.Config{Engine: e})
 				defer m.Release()
 				m.SetRuntime(res.Metas)
 				for i, snap := range lad.Snapshots() {

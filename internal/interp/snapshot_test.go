@@ -130,8 +130,8 @@ func TestRestoreClearsDirtyDelta(t *testing.T) {
 }
 
 // TestRestoreValidation covers the rejection paths: nil snapshot, module
-// mismatch, geometry mismatch, profile mismatch, Resume sequencing, and
-// the capture-pass extern/hook restrictions.
+// mismatch, geometry mismatch, Resume sequencing, and profiled machines,
+// which can neither capture nor restore.
 func TestRestoreValidation(t *testing.T) {
 	mod, _ := buildSpanKernel("snapval", 64, 16)
 	capm := New(mod, Config{MemWords: 1 << 18})
@@ -162,7 +162,10 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	pm := New(mod, Config{MemWords: 1 << 18, Profile: true})
 	if err := pm.Restore(snap); err == nil {
-		t.Error("profiled machine restoring an unprofiled snapshot must fail")
+		t.Error("Restore on a profiled machine must fail")
+	}
+	if _, _, err := pm.RunWithSnapshots([]int64{4}); err == nil {
+		t.Error("RunWithSnapshots on a profiled machine must fail")
 	}
 	if err := m.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -172,10 +175,5 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if _, err := m.Resume(); err == nil {
 		t.Error("second Resume without a new Restore must fail")
-	}
-
-	em := New(mod, Config{MemWords: 1 << 18, Externs: map[string]ExternFunc{}})
-	if _, _, err := em.RunWithSnapshots([]int64{4}); err == nil {
-		t.Error("RunWithSnapshots with custom externs must fail")
 	}
 }

@@ -375,14 +375,30 @@ func (m *Module) FuncByName(name string) *Func {
 	return nil
 }
 
-// Layout assigns each global a base address, starting at word 16 (low
-// addresses are reserved so that address 0 acts as a trap cell), and
+// Memory-image limits. The interpreter's default image holds
+// DefaultMemWords words, the top DefaultStackWords of them reserved for
+// call frames, and Verify rejects a module whose data segment would not
+// fit below that stack area (MaxDataWords). MaxRegs caps one function's
+// register file, so a call stack at the interpreter's default depth
+// limit of 1 024 frames holds at most 8 MB of registers.
+const (
+	DefaultMemWords   = 1 << 20
+	DefaultStackWords = 1 << 16
+	MaxDataWords      = DefaultMemWords - DefaultStackWords
+	MaxRegs           = 1024
+)
+
+// dataBase is the first global's address: low addresses are reserved so
+// that address 0 acts as a trap cell.
+const dataBase = 16
+
+// Layout assigns each global a base address, starting at dataBase, and
 // records the end of the data segment. Idempotent.
 func (m *Module) Layout() {
 	if m.laidOut {
 		return
 	}
-	addr := int64(16)
+	addr := int64(dataBase)
 	for _, g := range m.Globals {
 		g.Addr = addr
 		addr += g.Size

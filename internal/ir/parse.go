@@ -258,33 +258,41 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 	if len(fields) == 0 {
 		return nil
 	}
+	// arg returns field i, or "" past the end of the line. Every operand
+	// parser rejects "", so a line with too few operands is a parse error.
+	arg := func(i int) string {
+		if i < len(fields) {
+			return fields[i]
+		}
+		return ""
+	}
 
 	// Terminators.
 	switch fields[0] {
 	case "jmp":
-		tb, err := blockRef(fields[1])
+		tb, err := blockRef(arg(1))
 		if err != nil {
 			return err
 		}
 		b.Term = Terminator{Op: TermJmp, Cond: NoReg, Val: NoReg, Targets: []*Block{tb}}
 		return nil
 	case "br":
-		c, err := reg(fields[1])
+		c, err := reg(arg(1))
 		if err != nil {
 			return err
 		}
-		t1, err := blockRef(fields[2])
+		t1, err := blockRef(arg(2))
 		if err != nil {
 			return err
 		}
-		t2, err := blockRef(fields[3])
+		t2, err := blockRef(arg(3))
 		if err != nil {
 			return err
 		}
 		b.Term = Terminator{Op: TermBr, Cond: c, Val: NoReg, Targets: []*Block{t1, t2}}
 		return nil
 	case "switch":
-		c, err := reg(fields[1])
+		c, err := reg(arg(1))
 		if err != nil {
 			return err
 		}
@@ -307,7 +315,7 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 			b.Term = Terminator{Op: TermRet, Cond: NoReg, Val: NoReg}
 			return nil
 		}
-		v, err := reg(fields[1])
+		v, err := reg(arg(1))
 		if err != nil {
 			return err
 		}
@@ -315,21 +323,21 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 		return nil
 	case "store":
 		// store [rA+off] = rB
-		a, off, err := mem(fields[1])
+		a, off, err := mem(arg(1))
 		if err != nil {
 			return err
 		}
-		v, err := reg(fields[3])
+		v, err := reg(arg(3))
 		if err != nil {
 			return err
 		}
 		b.Store(a, off, v)
 		return nil
 	case "setrecovery", "ckptreg", "ckptmem", "restore":
-		return p.ckptInstr(b, fields, mem, reg, num)
+		return p.ckptInstr(b, fields[0], arg, mem, reg, num)
 	}
 
-	// Value-producing instructions: "rD = <op> ...".
+	// Value-producing instructions: "rD = <op> ...", operands from field 3.
 	if len(fields) < 3 || fields[1] != "=" {
 		return p.errf("unrecognized instruction %q", t)
 	}
@@ -341,25 +349,25 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 	args := fields[3:]
 	switch op {
 	case "const":
-		v, err := num(args[0])
+		v, err := num(arg(3))
 		if err != nil {
 			return err
 		}
 		b.Const(d, v)
 	case "load":
-		a, off, err := mem(args[0])
+		a, off, err := mem(arg(3))
 		if err != nil {
 			return err
 		}
 		b.Load(d, a, off)
 	case "frame":
-		v, err := num(args[0])
+		v, err := num(arg(3))
 		if err != nil {
 			return err
 		}
 		b.FrameAddr(d, v)
 	case "global":
-		gi, err := num(strings.TrimPrefix(args[0], "#"))
+		gi, err := num(strings.TrimPrefix(arg(3), "#"))
 		if err != nil {
 			return err
 		}
@@ -404,27 +412,27 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 		}
 		switch {
 		case code.IsBinary():
-			a, err := reg(args[0])
+			a, err := reg(arg(3))
 			if err != nil {
 				return err
 			}
-			c2, err := reg(args[1])
+			c2, err := reg(arg(4))
 			if err != nil {
 				return err
 			}
 			b.Bin(code, d, a, c2)
 		case code == OpAddI, code == OpMulI, code == OpAndI, code == OpShlI, code == OpShrI:
-			a, err := reg(args[0])
+			a, err := reg(arg(3))
 			if err != nil {
 				return err
 			}
-			v, err := num(args[1])
+			v, err := num(arg(4))
 			if err != nil {
 				return err
 			}
 			b.ImmOp(code, d, a, v)
 		case code.IsUnary():
-			a, err := reg(args[0])
+			a, err := reg(arg(3))
 			if err != nil {
 				return err
 			}
@@ -437,42 +445,42 @@ func (p *parser) instrOrTerm(m *Module, f *Func, b *Block, t string) error {
 }
 
 // ckptInstr parses the instrumentation pseudo-ops.
-func (p *parser) ckptInstr(b *Block, fields []string,
+func (p *parser) ckptInstr(b *Block, op string, arg func(int) string,
 	mem func(string) (Reg, int64, error),
 	reg func(string) (Reg, error),
 	num func(string) (int64, error)) error {
 	rid := func(s string) (int64, error) {
 		return num(strings.TrimPrefix(s, "region="))
 	}
-	switch fields[0] {
+	switch op {
 	case "setrecovery":
-		id, err := rid(fields[1])
+		id, err := rid(arg(1))
 		if err != nil {
 			return err
 		}
 		b.SetRecovery(int(id))
 	case "restore":
-		id, err := rid(fields[1])
+		id, err := rid(arg(1))
 		if err != nil {
 			return err
 		}
 		b.Restore(int(id))
 	case "ckptreg":
-		r, err := reg(fields[1])
+		r, err := reg(arg(1))
 		if err != nil {
 			return err
 		}
-		id, err := rid(fields[2])
+		id, err := rid(arg(2))
 		if err != nil {
 			return err
 		}
 		b.CkptReg(r, int(id))
 	case "ckptmem":
-		a, off, err := mem(fields[1])
+		a, off, err := mem(arg(1))
 		if err != nil {
 			return err
 		}
-		id, err := rid(fields[2])
+		id, err := rid(arg(2))
 		if err != nil {
 			return err
 		}

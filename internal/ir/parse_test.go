@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -94,9 +95,19 @@ func TestParseErrors(t *testing.T) {
 		"module x\nfunc f(params=0 regs=1 frame=0):\nentry#0:\n  r0 = call nope()\n  ret r0", // unknown callee
 		"module x\nfunc f(params=0 regs=0 frame=0):\nentry#0:\n  jmp other#7",                // bad block id
 	}
+	// Every mnemonic with too few operands: a parse error, never an index
+	// panic.
+	for _, l := range []string{
+		"jmp", "br r0", "br r0 entry#0", "switch", "store [r0+0]", "store [r0+0] =",
+		"setrecovery", "restore", "ckptreg r0", "ckptmem [r0+0]",
+		"r0 = const", "r0 = load", "r0 = frame", "r0 = global",
+		"r0 = add r0", "r0 = addi r0", "r0 = neg",
+	} {
+		cases = append(cases, "module x\nglobal g[4]\nfunc f(params=0 regs=1 frame=0):\nentry#0:\n  "+l+"\n  ret\n")
+	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
-			t.Errorf("expected error for %q", strings.SplitN(src, "\n", 2)[0]+"...")
+			t.Errorf("expected error for %q", src)
 		}
 	}
 }
@@ -119,5 +130,34 @@ entry#0:
 	in := m.Funcs[0].Blocks[0].Instrs[2]
 	if in.Op != OpLoad || in.Imm != -2 {
 		t.Errorf("negative offset parsed as %+v", in)
+	}
+}
+
+// TestVerifyImageLimits checks the size limits Verify enforces so that a
+// verified module fits the interpreter's default memory image.
+func TestVerifyImageLimits(t *testing.T) {
+	fn := func(params, regs int) string {
+		return fmt.Sprintf("func main(params=%d regs=%d frame=0):\nentry#0:\n  ret\n", params, regs)
+	}
+	fits := int64(MaxDataWords - dataBase)
+	cases := []struct {
+		src string
+		ok  bool
+	}{
+		{fmt.Sprintf("module x\nglobal g[%d]\n", fits) + fn(0, 1), true},
+		{fmt.Sprintf("module x\nglobal g[%d]\n", fits+1) + fn(0, 1), false},
+		{fmt.Sprintf("module x\nglobal g[%d]\nglobal h[%d]\n", fits, 1) + fn(0, 1), false},
+		{"module x\nglobal g[-4]\n" + fn(0, 1), false},
+		{"module x\nglobal g[4611686018427387904]\nglobal h[4611686018427387904]\n" + fn(0, 1), false},
+		{"module x\n" + fn(0, MaxRegs), true},
+		{"module x\n" + fn(0, MaxRegs+1), false},
+		{"module x\n" + fn(3, 3), true},
+		{"module x\n" + fn(7, 3), false},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if (err == nil) != c.ok {
+			t.Errorf("%q: err = %v, want ok=%v", strings.SplitN(c.src, "\n", 3)[1], err, c.ok)
+		}
 	}
 }

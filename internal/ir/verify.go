@@ -2,11 +2,23 @@ package ir
 
 import "fmt"
 
-// Verify checks structural well-formedness of the module: every block is
-// terminated, branch targets live in the same function, register operands
-// are in range, call arities match, and the CFG edge lists are consistent
-// with the terminators. It returns the first problem found.
+// Verify checks structural well-formedness of the module: global sizes
+// are non-negative and the data segment fits MaxDataWords, every function
+// has at most MaxRegs registers and room for its parameters, every block
+// is terminated, branch targets live in the same function, register
+// operands are in range, call arities match, and the CFG edge lists are
+// consistent with the terminators. It returns the first problem found.
 func (m *Module) Verify() error {
+	end := int64(dataBase)
+	for _, g := range m.Globals {
+		if g.Size < 0 {
+			return fmt.Errorf("global %s: negative size %d", g.Name, g.Size)
+		}
+		if g.Size > MaxDataWords-end {
+			return fmt.Errorf("global %s: data segment exceeds %d words", g.Name, MaxDataWords)
+		}
+		end += g.Size
+	}
 	for _, f := range m.Funcs {
 		if err := f.Verify(); err != nil {
 			return fmt.Errorf("func %s: %w", f.Name, err)
@@ -17,6 +29,12 @@ func (m *Module) Verify() error {
 
 // Verify checks a single function; see Module.Verify.
 func (f *Func) Verify() error {
+	if f.NumRegs > MaxRegs {
+		return fmt.Errorf("%d registers exceed the limit of %d", f.NumRegs, MaxRegs)
+	}
+	if f.NumParams < 0 || f.NumParams > f.NumRegs {
+		return fmt.Errorf("%d params do not fit %d registers", f.NumParams, f.NumRegs)
+	}
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}

@@ -12,11 +12,9 @@ import (
 // into totals, a sink preserves each record (the SFI trial ledger is the
 // canonical producer; see internal/sfi.TrialRecord).
 //
-// Two backends exist: a JSONL writer (NewJSONLSink) that marshals each
-// record to one line of JSON, and a bounded in-memory ring (NewRingSink)
-// that retains the most recent records for in-process consumers. Like the
-// rest of the package, a nil *EventSink is a valid no-op, so producers can
-// thread one through unconditionally.
+// A sink (NewJSONLSink) marshals each record to one line of JSON. Like
+// the rest of the package, a nil *EventSink is a valid no-op, so
+// producers can thread one through unconditionally.
 //
 // Emit serializes under an internal mutex and is safe for concurrent use,
 // but producers that need a deterministic stream (the trial ledger's
@@ -24,10 +22,7 @@ import (
 // themselves.
 type EventSink struct {
 	mu      sync.Mutex
-	enc     *json.Encoder // JSONL backend; nil for ring sinks
-	ring    []any         // ring backend; nil for JSONL sinks
-	next    int           // ring write position
-	wrapped bool          // ring has overwritten at least one record
+	enc     *json.Encoder
 	emitted int64
 	err     error
 }
@@ -39,19 +34,8 @@ func NewJSONLSink(w io.Writer) *EventSink {
 	return &EventSink{enc: json.NewEncoder(w)}
 }
 
-// NewRingSink returns a sink that retains the most recent max records in
-// memory; older records are overwritten. max <= 0 selects 1024.
-func NewRingSink(max int) *EventSink {
-	if max <= 0 {
-		max = 1024
-	}
-	return &EventSink{ring: make([]any, 0, max)}
-}
-
-// Emit records one event. On a JSONL sink the value is marshaled
-// immediately; on a ring sink the value itself is retained, so callers
-// must not mutate it afterwards. A nil sink, or a sink whose writer has
-// already failed, drops the event.
+// Emit records one event, marshaling the value immediately. A nil sink,
+// or a sink whose writer has already failed, drops the event.
 func (s *EventSink) Emit(v any) {
 	if s == nil {
 		return
@@ -61,44 +45,11 @@ func (s *EventSink) Emit(v any) {
 	if s.err != nil {
 		return
 	}
-	if s.enc != nil {
-		if err := s.enc.Encode(v); err != nil {
-			s.err = err
-			return
-		}
-		s.emitted++
+	if err := s.enc.Encode(v); err != nil {
+		s.err = err
 		return
 	}
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, v)
-	} else {
-		s.ring[s.next] = v
-		s.wrapped = true
-	}
-	s.next = (s.next + 1) % cap(s.ring)
 	s.emitted++
-}
-
-// Events returns the ring sink's retained records in emission order
-// (oldest first). JSONL and nil sinks return nil.
-func (s *EventSink) Events() []any {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ring == nil {
-		return nil
-	}
-	if !s.wrapped {
-		out := make([]any, len(s.ring))
-		copy(out, s.ring)
-		return out
-	}
-	out := make([]any, 0, cap(s.ring))
-	out = append(out, s.ring[s.next:]...)
-	out = append(out, s.ring[:s.next]...)
-	return out
 }
 
 // Emitted returns how many records the sink has accepted (0 on nil).
@@ -111,7 +62,7 @@ func (s *EventSink) Emitted() int64 {
 	return s.emitted
 }
 
-// Err returns the first marshal or write error a JSONL sink hit, or nil.
+// Err returns the first marshal or write error the sink hit, or nil.
 func (s *EventSink) Err() error {
 	if s == nil {
 		return nil

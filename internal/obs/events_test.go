@@ -61,30 +61,10 @@ func TestJSONLSinkRetainsFirstError(t *testing.T) {
 	}
 }
 
-func TestRingSinkWraps(t *testing.T) {
-	s := NewRingSink(3)
-	for i := 0; i < 5; i++ {
-		s.Emit(i)
-	}
-	got := s.Events()
-	want := []any{2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("Events = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Events = %v, want %v", got, want)
-		}
-	}
-	if s.Emitted() != 5 {
-		t.Fatalf("Emitted = %d, want 5", s.Emitted())
-	}
-}
-
 func TestNilSinkNoOps(t *testing.T) {
 	var s *EventSink
 	s.Emit(1) // must not panic
-	if s.Events() != nil || s.Emitted() != 0 || s.Err() != nil {
+	if s.Emitted() != 0 || s.Err() != nil {
 		t.Fatal("nil sink should be a silent no-op")
 	}
 }

@@ -228,17 +228,6 @@ func TestProgressUnknownTotal(t *testing.T) {
 	}
 }
 
-func TestTimed(t *testing.T) {
-	r := NewRegistry()
-	err := r.Timed("stage", func() error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := r.Snapshot(); len(snap.Spans) != 1 || snap.Spans[0].Name != "stage" {
-		t.Fatalf("Timed did not record a span: %+v", snap.Spans)
-	}
-}
-
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth")

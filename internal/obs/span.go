@@ -75,11 +75,3 @@ func (r *Registry) recordSpan(path string, start time.Time, d time.Duration) {
 		st.max = d
 	}
 }
-
-// Timed runs fn under a span with the given path and returns fn's error.
-// Convenience for single-statement stages.
-func (r *Registry) Timed(name string, fn func() error) error {
-	sp := r.Span(name)
-	defer sp.End()
-	return fn()
-}

@@ -195,11 +195,28 @@ entry#0:
 	}
 }
 
-// TestSubmitValidation walks the 400/404 surface.
+// hostileModules are inline modules that crash the process unless
+// submit-time validation rejects them: past the parser, each panics or
+// exhausts memory on the campaign goroutine, taking every tenant's
+// campaigns with it, except "missing operand", which the parser must
+// reject without panicking. FuzzParse's checked-in corpus holds the same
+// inputs.
+var hostileModules = map[string]string{
+	"negative global":         "module m\nglobal g[-4]\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const 1\n  ret r0\n",
+	"huge global":             "module m\nglobal g[4611686018427387904]\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const 1\n  ret r0\n",
+	"oversized data":          "module m\nglobal g[3000000000]\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const 1\n  ret r0\n",
+	"oversized register file": "module m\nfunc main(params=0 regs=4000000000 frame=0):\nentry#0:\n  r0 = const 1\n  ret r0\n",
+	"params beyond registers": "module m\nfunc main(params=7 regs=3 frame=0):\nentry#0:\n  r0 = const 1\n  ret r0\n",
+	"missing operand":         "module m\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const\n  ret r0\n",
+}
+
+// TestSubmitValidation walks the 400/404 surface, including every
+// hostile module, and then checks that the daemon still runs a
+// well-formed campaign to done.
 func TestSubmitValidation(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{Obs: obs.NewRegistry()}))
 	defer ts.Close()
-	for _, tc := range []struct {
+	cases := []struct {
 		name, body string
 	}{
 		{"bad json", `{`},
@@ -211,11 +228,23 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative checkpoints", `{"workload":"rawcaudio","checkpoints":-1}`},
 		{"bad module", `{"module":"not ir"}`},
 		{"unknown output", `{"module":"module m\nglobal g[1]\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const 0\n  ret r0\n","outputs":["zz"]}`},
-	} {
+	}
+	for name, mod := range hostileModules {
+		body, _ := json.Marshal(SubmitRequest{Module: mod, Trials: 4})
+		cases = append(cases, struct{ name, body string }{name, string(body)})
+	}
+	for _, tc := range cases {
 		code, _, apiErr, _ := submit(t, ts.URL, "", tc.body)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d (%+v), want 400", tc.name, code, apiErr)
+		if code != http.StatusBadRequest || apiErr.Code != "bad-request" {
+			t.Errorf("%s: status %d (%+v), want 400 bad-request", tc.name, code, apiErr)
 		}
+	}
+	code, st, apiErr, _ := submit(t, ts.URL, "", `{"workload":"rawcaudio","trials":4}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("well-formed submit after the rejected ones: status %d (%+v)", code, apiErr)
+	}
+	if final := waitState(t, ts.URL, st.ID); final.State != StateDone {
+		t.Fatalf("well-formed campaign settled %q (%s), want done", final.State, final.Error)
 	}
 	resp, err := http.Get(ts.URL + "/v1/campaigns/c999999")
 	if err != nil {

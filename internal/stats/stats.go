@@ -4,11 +4,12 @@
 // latency / rollback-distance / re-execution moments (Welford), all fed
 // one sfi.TrialRecord at a time in ledger order.
 //
-// The package is the live counterpart of internal/attrib: attrib joins a
-// *complete* JSONL ledger after the campaign ends, while an Estimator
-// answers the same questions at any prefix of the campaign — which is
-// what confidence-interval-driven early stopping, the encore-serve stats
-// endpoints, and encore-sfi's upgraded -progress line need.
+// The Estimator is the one outcome accumulator in the repository: it
+// answers coverage questions at any prefix of a campaign — which is what
+// confidence-interval-driven early stopping, the encore-serve stats
+// endpoints, and encore-sfi's upgraded -progress line need — and
+// internal/attrib renders a complete ledger's report by replaying it
+// through one (Replay) and reading the final snapshot.
 //
 // Determinism invariant: records reach the estimator through
 // sfi.CampaignConfig.Stats, which delivers them in trial-index order
@@ -18,11 +19,6 @@
 // Snapshot() — and its JSON encoding — is bit-identical for a given
 // trial prefix across any (workers, shard, engine) shape. The package
 // tests and scripts/check.sh lock that down.
-//
-// Exactness invariant: for a finished campaign, attrib.FromStats on the
-// final Snapshot reproduces attrib.Attribute's report *exactly* (float
-// for float), because the estimator accumulates the same sums in the
-// same order attrib does. internal/attrib's tests lock that down.
 package stats
 
 import (
@@ -38,11 +34,6 @@ import (
 	"encore/internal/sfi"
 )
 
-// WilsonZ is the normal quantile behind every confidence interval in
-// this package: 1.96, the two-sided 95% value. It equals ci.Z95; the
-// constant is re-exported here for compatibility.
-const WilsonZ = ci.Z95
-
 // Wilson returns the Wilson-score interval for k successes out of n
 // trials at the 95% level: the clamped [lo, hi] bounds and the interval
 // half-width. Unlike the naive Wald interval it is well-behaved at
@@ -54,9 +45,9 @@ func Wilson(k, n int) (lo, hi, half float64) {
 }
 
 // moments is a streaming accumulator for a value sequence: exact running
-// sum (for means that must match attrib's sum/n bit for bit) plus
-// Welford's online mean/M2 recurrence for the variance. Fed in one
-// canonical order it is fully deterministic.
+// sum (for the reported sum/n mean) plus Welford's online mean/M2
+// recurrence for the variance. Fed in one canonical order it is fully
+// deterministic.
 type moments struct {
 	n    int64
 	sum  float64
@@ -72,8 +63,7 @@ func (m *moments) observe(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// avg is the exact sum/n mean (0 when empty) — the same expression
-// attrib's meanAcc evaluates, so the two layers agree bit for bit.
+// avg is the exact sum/n mean (0 when empty).
 func (m *moments) avg() float64 {
 	if m.n == 0 {
 		return 0
@@ -137,9 +127,9 @@ func New() *Estimator {
 
 // ObserveCampaign implements sfi.StatsSink: it seeds the estimator with
 // the campaign header — one region row per prediction-table entry (so
-// unstruck regions still appear in snapshots, mirroring attrib) and the
-// analytical coverage prediction Σ dyn_frac·α over selected regions,
-// summed in table order so the value matches attrib bit for bit.
+// unstruck regions still appear in snapshots) and the analytical
+// coverage prediction Σ dyn_frac·α over selected regions, summed in
+// table order.
 func (e *Estimator) ObserveCampaign(meta sfi.CampaignMeta) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -161,8 +151,7 @@ func (e *Estimator) ObserveCampaign(meta sfi.CampaignMeta) {
 
 // ObserveTrial implements sfi.StatsSink: it folds one trial record into
 // the campaign-level and per-region accumulators. Records must arrive in
-// trial order (sfi.RunCampaign's Stats plumbing guarantees this); the
-// update mirrors attrib.Attribute's aggregation exactly.
+// trial order (sfi.RunCampaign's Stats plumbing guarantees this).
 func (e *Estimator) ObserveTrial(rec sfi.TrialRecord) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -185,7 +174,7 @@ func (e *Estimator) ObserveTrial(rec sfi.TrialRecord) {
 	rs := e.regions[rec.RegionID]
 	if rs == nil {
 		// A strike in a region absent from the header table: synthesize a
-		// bare row so nothing is lost (attrib does the same).
+		// bare row so nothing is lost.
 		rs = &regionState{outcomes: map[string]int{}}
 		rs.info.ID = rec.RegionID
 		rs.info.Class = rec.Class
@@ -294,8 +283,8 @@ type RegionStats struct {
 
 	// Streaming moments: detection latency over struck trials, rollback
 	// distance over rolled-back trials, re-executed instructions over
-	// completed trials that re-executed. Means are exact sums (they match
-	// attrib's report bit for bit); stds come from Welford's recurrence.
+	// completed trials that re-executed. Means are exact sum/n; stds come
+	// from Welford's recurrence.
 	LatencyMean  float64 `json:"latency_mean"`
 	LatencyStd   float64 `json:"latency_std"`
 	MeanRollback float64 `json:"mean_rollback"`

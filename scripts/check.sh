@@ -4,15 +4,17 @@
 # machinery (the interpreter's shared closure-compiled programs, the obs
 # registry, the compiler's per-function analysis fan-out, the SFI trial
 # pool, the campaign daemon, and the experiments compile cache / worker
-# pool), a short-budget run of the generative fuzz oracles
-# (internal/progen), plus command smoke runs that exercise the
+# pool), a short-budget run of the fuzz targets (the generative oracles
+# in internal/progen and the daemon's tenant-IR boundary, FuzzParse in
+# internal/serve), plus command smoke runs that exercise the
 # observability flags end to end — including a check that metrics
 # counters are identical under ENCORE_WORKERS=1 and the default pool,
 # that the default engine reproduces the reference engine's output bit
 # for bit across the full workload suite and the SFI trial ledger, and
 # that the encore-serve daemon's streamed campaign ledger is
 # byte-identical to the batch encore-sfi -trace ledger for the same
-# (workload, config, seed). The telemetry smokes additionally check that
+# (workload, config, seed), after the same daemon has answered a
+# malformed tenant module with 400 bad-request. The telemetry smokes additionally check that
 # encore-sfi -stats output is byte-identical across worker counts and
 # engines, and that the Prometheus expositions (CLI -prom and the
 # daemon's /metrics?format=prom) pass scripts/promlint.go. The campaign
@@ -54,7 +56,7 @@ go test ./...
 echo "==> go test -race ./internal/interp ./internal/obs ./internal/core ./internal/sfi ./internal/serve ./internal/workpool ./internal/experiments ./internal/trace ./internal/attrib ./internal/stats ./internal/ci ./internal/progen"
 go test -race ./internal/interp ./internal/obs ./internal/core ./internal/sfi ./internal/serve ./internal/workpool ./internal/experiments ./internal/trace ./internal/attrib ./internal/stats ./internal/ci ./internal/progen
 
-echo "==> fuzz smoke (generative oracles, ${FUZZTIME:-10s} per target)"
+echo "==> fuzz smoke (generative oracles and FuzzParse, ${FUZZTIME:-10s} per target)"
 make -s fuzz-smoke FUZZTIME="${FUZZTIME:-10s}"
 
 tmp=$(mktemp -d)
@@ -228,11 +230,11 @@ go run scripts/promlint.go "$tmp/sfi.prom" || { echo "encore-sfi -prom: promlint
 "$tmp/encore" -app rawcaudio -prom "$tmp/encore.prom" > /dev/null
 go run scripts/promlint.go "$tmp/encore.prom" || { echo "encore -prom: promlint failed" >&2; exit 1; }
 
-echo "==> smoke: encore-serve served ledger == batch ledger"
-# Boot the daemon on an ephemeral port, submit the same campaign the
-# -trace smoke above ran in batch (rawcaudio, 5 trials, seed 1, dmax
-# 100), and cmp the streamed ledger against the batch bytes. Then check
-# /metrics and graceful SIGTERM drain.
+echo "==> smoke: encore-serve rejects a malformed module, then served ledger == batch ledger"
+# Boot the daemon on an ephemeral port, submit a malformed module, then
+# the same campaign the -trace smoke above ran in batch (rawcaudio, 5
+# trials, seed 1, dmax 100), and cmp the streamed ledger against the
+# batch bytes. Then check /metrics and graceful SIGTERM drain.
 "$tmp/encore-serve" -addr 127.0.0.1:0 2> "$tmp/serve.log" &
 serve_pid=$!
 addr=""
@@ -242,6 +244,14 @@ for _ in $(seq 1 100); do
 	sleep 0.1
 done
 [ -n "$addr" ] || { echo "encore-serve: never reported a listen address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+# A malformed tenant module (negative global size) must answer 400
+# bad-request at submit and leave the daemon serving: the served-vs-batch
+# cmp below runs on the same process.
+code=$(curl -sS -o "$tmp/serve-bad.json" -w '%{http_code}' -X POST "http://$addr/v1/campaigns" \
+	-H 'Content-Type: application/json' \
+	-d '{"module":"module m\nglobal g[-4]\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const 1\n  ret r0\n","trials":4}')
+[ "$code" = 400 ] || { echo "encore-serve: malformed module answered $code, want 400" >&2; exit 1; }
+grep -q '"code":"bad-request"' "$tmp/serve-bad.json" || { echo "encore-serve: malformed module error code is not bad-request" >&2; cat "$tmp/serve-bad.json" >&2; exit 1; }
 cid=$(curl -sS -X POST "http://$addr/v1/campaigns" \
 	-H 'Content-Type: application/json' \
 	-d '{"workload":"rawcaudio","trials":5,"seed":1,"dmax":100}' \
