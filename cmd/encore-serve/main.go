@@ -60,7 +60,7 @@ func runServe(argv []string, logw io.Writer, ready chan<- string) error {
 		retryAfter   = fs.Int("retry-after", 1, "Retry-After hint in seconds for 429/503 responses")
 		workers      = fs.Int("workers", 0, "default trial parallelism per campaign (0 = GOMAXPROCS)")
 		engine       = fs.String("engine", "", "default execution engine: fast or ref")
-		checkpoints  = fs.Int("checkpoints", sfi.DefaultCheckpoints, "default golden-run snapshot rungs for fork-from-checkpoint trials (0 = replay the full prefix)")
+		checkpoints  = fs.Int("checkpoints", sfi.DefaultCheckpoints, "default golden-run ladder target k for fork-from-checkpoint trials: k to 2k-1 rungs on a long run (0 = replay the full prefix)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight campaigns")
 		statsEvery   = fs.Int("stats-every", 0, "default stats-stream cadence in settled trials (0 = built-in default)")
 		adaptiveCI   = fs.Float64("adaptive-ci", 0, "default Wilson half-width target for adaptive campaigns (0 = sfi default; never enables adaptive by itself)")

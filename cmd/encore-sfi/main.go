@@ -16,16 +16,18 @@
 //	encore-sfi -report file|- [-json]
 //	encore-sfi -merge [-trace file|-] [-stats file|-] shard1.jsonl shard2.jsonl …
 //
-// -checkpoints k captures k evenly spaced machine snapshots during the
-// golden run (interp.RunWithSnapshots); each trial then restores the
-// deepest snapshot strictly before its injection point and replays only
-// the short delta, instead of re-executing the whole golden prefix from
-// instruction zero. Once a trial's fault settles, the same ladder ends
-// the trial at the first later rung whose snapshot its state matches
-// (interp.ArmReconverge). Outcomes, ledgers, and stats are
-// byte-identical at any k (0 disables forking and early exit); the knob
-// only moves trial throughput. It sets the campaign's ladder only: the
-// -masking study always runs on sfi.DefaultCheckpoints rungs.
+// -checkpoints k makes the golden run capture a ladder of evenly spaced
+// machine snapshots as it goes (interp.RunLadder): k is a target, and a
+// run longer than k·interp.LadderFloor instructions ends with k to 2k−1
+// rungs. Each trial then restores the deepest snapshot strictly before
+// its injection point and replays only the short delta, instead of
+// re-executing the whole golden prefix from instruction zero. Once a
+// trial's fault settles, the same ladder ends the trial at the first
+// later rung whose snapshot its state matches (interp.ArmReconverge).
+// Outcomes, ledgers, and stats are byte-identical at any k (0 disables
+// forking and early exit); the knob only moves trial throughput. It sets
+// the campaign's ladder only: the -masking study always targets
+// sfi.DefaultCheckpoints rungs.
 //
 // -progress emits a rate-limited trial counter to stderr while a campaign
 // runs; each line carries the worst-region confidence interval — the
@@ -122,7 +124,7 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		seed        = fs.Uint64("seed", 1, "PRNG seed")
 		masking     = fs.Bool("masking", false, "also run the raw-strike masking study")
 		workers     = fs.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS; clamped to the trial count)")
-		checkpoints = fs.Int("checkpoints", sfi.DefaultCheckpoints, fmt.Sprintf("golden-run snapshot rungs for fork-from-checkpoint campaign trials (0 = replay the full prefix; -masking always uses %d)", sfi.DefaultCheckpoints))
+		checkpoints = fs.Int("checkpoints", sfi.DefaultCheckpoints, fmt.Sprintf("golden-run ladder target k for fork-from-checkpoint campaign trials: k to 2k-1 rungs on a long run (0 = replay the full prefix; -masking always uses %d)", sfi.DefaultCheckpoints))
 		engine      = fs.String("engine", "", "trial execution engine: fast or ref (outcomes are engine-invariant)")
 		progress    = fs.Bool("progress", false, "report per-campaign trial progress on stderr")
 		metrics     = fs.String("metrics", "", "write the observability snapshot as JSON to this file (- = stdout)")
@@ -273,7 +275,13 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 	for _, sp := range specs {
 		sp := sp
 		art := sp.Build()
-		res, err := core.Compile(art.Mod, ccfg)
+		// A campaign reads no measured field of the compile result, so
+		// the instrumented module skips Finalize's measurement run.
+		an, err := core.Analyze(art.Mod, ccfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", sp.Name, err)
+		}
+		res, err := an.Instrument(ccfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.Name, err)
 		}

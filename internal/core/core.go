@@ -255,6 +255,22 @@ func Analyze(mod *ir.Module, cfg Config) (*Analysis, error) {
 // (Selected bits, instrumented module), so it must be called at most once
 // per Analysis; sweeps replay a Snapshot instead.
 func (a *Analysis) Finalize(cfg Config) (*Result, error) {
+	return a.finalize(cfg, true)
+}
+
+// Instrument is Finalize without the measurement run: selection and
+// instrumentation only, under the same "compile/finalize" span but with
+// no "measure" child. The Result's measured fields (BaselineInstrs,
+// TotalInstrs, MeasuredOverhead and the checkpoint counters) stay zero.
+// Fault-injection campaigns use it: their golden run executes the
+// instrumented module anyway and reads nothing the measurement yields.
+func (a *Analysis) Instrument(cfg Config) (*Result, error) {
+	return a.finalize(cfg, false)
+}
+
+// finalize is Finalize, with the measurement run only when measure is
+// set.
+func (a *Analysis) finalize(cfg Config, measure bool) (*Result, error) {
 	eff := a.Cfg
 	eff.Gamma, eff.Budget = cfg.Gamma, cfg.Budget
 	eff.Interp = cfg.Interp
@@ -279,27 +295,38 @@ func (a *Analysis) Finalize(cfg Config) (*Result, error) {
 		Mod: a.Mod, Cfg: eff, Prof: a.Prof, Regions: a.Regions, Candidates: a.Candidates,
 		Metas: metas, Stats: stats, EstOverhead: est,
 	}
-
-	// Measurement run on the instrumented module.
+	if !measure {
+		return res, nil
+	}
 	spMeas := root.Child("measure")
 	defer spMeas.End()
-	ic := eff.Interp
-	ic.Obs = reg
-	m := interp.New(a.Mod, ic)
-	defer m.Release()
-	m.SetRuntime(metas)
-	if _, err := m.Run(); err != nil {
-		return nil, fmt.Errorf("core: instrumented run: %w", err)
+	if err := res.measure(reg); err != nil {
+		return nil, err
 	}
-	res.BaselineInstrs = m.BaseCount
-	res.TotalInstrs = m.Count
-	if m.BaseCount > 0 {
-		res.MeasuredOverhead = float64(m.Count-m.BaseCount) / float64(m.BaseCount)
-	}
-	res.CkptRegBytes = m.CkptRegBytes
-	res.CkptMemBytes = m.CkptMemBytes
-	res.RegionEntries = m.RegionEntries
 	return res, nil
+}
+
+// measure runs the instrumented module once under r.Cfg.Interp,
+// reporting the interpreter counters into reg, and fills r's measured
+// fields.
+func (r *Result) measure(reg *obs.Registry) error {
+	ic := r.Cfg.Interp
+	ic.Obs = reg
+	m := interp.New(r.Mod, ic)
+	defer m.Release()
+	m.SetRuntime(r.Metas)
+	if _, err := m.Run(); err != nil {
+		return fmt.Errorf("core: instrumented run: %w", err)
+	}
+	r.BaselineInstrs = m.BaseCount
+	r.TotalInstrs = m.Count
+	if m.BaseCount > 0 {
+		r.MeasuredOverhead = float64(m.Count-m.BaseCount) / float64(m.BaseCount)
+	}
+	r.CkptRegBytes = m.CkptRegBytes
+	r.CkptMemBytes = m.CkptMemBytes
+	r.RegionEntries = m.RegionEntries
+	return nil
 }
 
 // Compile runs the full pipeline on mod, instrumenting it in place. It is

@@ -221,13 +221,11 @@ type Machine struct {
 	lastResetWords   int64
 	lastRestoreWords int64
 
-	// Checkpoint-ladder state (snapshot.go): snapRungs holds the pending
-	// capture points of an active RunWithSnapshots pass (ascending dynamic
-	// instruction counts, consumed as they are reached), snapLadder
-	// collects the captured snapshots, and resumePC/resumeReady carry the
-	// continuation point a Restore installs for Resume.
-	snapRungs   []int64
-	snapLadder  *Ladder
+	// Checkpoint-ladder state (snapshot.go): capt is the schedule of an
+	// active capture pass (RunWithSnapshots or RunLadder), nil otherwise,
+	// and resumePC/resumeReady carry the continuation point a Restore
+	// installs for Resume.
+	capt        *capturePass
 	resumePC    int32
 	resumeReady bool
 	// reconv is the golden-state reconvergence check ArmReconverge arms.
@@ -485,7 +483,7 @@ func (m *Machine) Reset() {
 	m.instanceSeq = 0
 	m.obsBias.count, m.obsBias.base = 0, 0
 	m.obsBias.ckptReg, m.obsBias.ckptMem, m.obsBias.regionEntries = 0, 0, 0
-	m.snapRungs, m.snapLadder = nil, nil
+	m.capt = nil
 	m.resumeReady = false
 	m.reconv = reconvState{}
 	m.frames = m.frames[:0]

@@ -271,10 +271,11 @@ func TestReconvergeCompareCatchesDifference(t *testing.T) {
 	}
 	snap := f.lad.snaps[hit.rung]
 	top := len(snap.frames) - 1
+	data, stk := deltaWords(snap.data), deltaWords(snap.stk)
 	if top < 1 || snap.frames[top].region == nil || len(snap.frames[top].region.entries) == 0 ||
-		len(snap.data) == 0 || snap.data[len(snap.data)-1] == 0 || len(snap.stk) == 0 || len(snap.output) == 0 {
+		len(data) == 0 || data[len(data)-1] == 0 || len(stk) == 0 || len(snap.output) == 0 {
 		t.Fatalf("rung %d lacks the state the alterations need: %d frames, data %d words, stack %d words, output %d",
-			hit.rung, len(snap.frames), len(snap.data), len(snap.stk), len(snap.output))
+			hit.rung, len(snap.frames), len(data), len(stk), len(snap.output))
 	}
 	one := func(s *Snapshot) *Ladder { return &Ladder{snaps: []*Snapshot{s}, total: f.lad.total, ret: f.lad.ret} }
 	if run := f.fork(t, one(snap), 0); !run.reconv {
@@ -285,14 +286,21 @@ func TestReconvergeCompareCatchesDifference(t *testing.T) {
 		name  string
 		alter func(s *Snapshot)
 	}{
-		{"data word in span", func(s *Snapshot) { s.data[len(s.data)/2] ^= 1 }},
+		{"data word in span", func(s *Snapshot) {
+			w := slices.Clone(data)
+			w[len(w)/2] ^= 1
+			s.data = withWords(s.data, w)
+		}},
 		{"trial-only data tail", func(s *Snapshot) {
 			// The snapshot no longer covers its last dirty word, so the
 			// trial's nonzero word there lies in a trial-only tail.
-			s.data = s.data[:len(s.data)-1]
-			s.dataHi--
+			s.data = withWords(s.data, data[:len(data)-1])
 		}},
-		{"stack word", func(s *Snapshot) { s.stk[len(s.stk)-1] ^= 1 }},
+		{"stack word", func(s *Snapshot) {
+			w := slices.Clone(stk)
+			w[len(w)-1] ^= 1
+			s.stk = withWords(s.stk, w)
+		}},
 		{"register in a non-top frame", func(s *Snapshot) { s.frames[0].regs[0] ^= 1 }},
 		{"region buffer entry", func(s *Snapshot) { s.frames[len(s.frames)-1].region.entries[0].val ^= 1 }},
 		{"extra output value", func(s *Snapshot) { s.output = append(s.output, 7) }},
@@ -334,11 +342,10 @@ func TestReconvergeBudgetGuard(t *testing.T) {
 	sameResult(t, "exact budget", exact, f.replay(t, final))
 }
 
-// cloneSnapshot deep-copies the parts of s the alterations touch.
+// cloneSnapshot deep-copies the parts of s the alterations touch in
+// place; the memory alterations replace a delta instead.
 func cloneSnapshot(s *Snapshot) *Snapshot {
 	c := *s
-	c.data = slices.Clone(s.data)
-	c.stk = slices.Clone(s.stk)
 	c.output = slices.Clone(s.output)
 	c.frames = slices.Clone(s.frames)
 	for i := range c.frames {

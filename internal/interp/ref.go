@@ -48,7 +48,7 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 			p := m.program()
 			pc := p.blockPC[b] + int32(idx)
 			m.framesToFast(p, baseDepth, pc)
-			if len(m.snapRungs) > 0 && m.Count >= m.snapRungs[0] {
+			if m.capt != nil && m.Count >= m.capt.next {
 				m.captureSnapshot(pc)
 			}
 			if m.reconv.settled && m.reconverged(pc) {

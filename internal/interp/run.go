@@ -166,9 +166,10 @@ func (m *Machine) framesToFast(p *Program, baseDepth int, pc int32) {
 // InjectAt and the post-instruction output corruption of the first
 // instruction retiring at InjectAt; after injection it is the scheduled
 // detection point — a settled fault has no pending events), and
-// tightened again to the next checkpoint-capture rung when a
-// RunWithSnapshots pass is active and to the next reconvergence stop
-// once an armed trial's fault has settled (ArmReconverge).
+// tightened again to the next checkpoint-capture rung when a capture
+// pass (RunWithSnapshots, RunLadder) is active and to the next
+// reconvergence stop once an armed trial's fault has settled
+// (ArmReconverge).
 func (m *Machine) fastStop() int64 {
 	stop := m.Cfg.MaxInstrs
 	if m.fault != nil {
@@ -183,8 +184,8 @@ func (m *Machine) fastStop() int64 {
 			}
 		}
 	}
-	if len(m.snapRungs) > 0 && m.snapRungs[0] < stop {
-		stop = m.snapRungs[0]
+	if m.capt != nil && m.capt.next < stop {
+		stop = m.capt.next
 	}
 	if r := &m.reconv; r.settled && r.next < len(r.lad.snaps) {
 		if rs := r.lad.snaps[r.next].count + r.delta; rs < stop {

@@ -2,8 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"encore/internal/ir"
 )
@@ -50,7 +50,9 @@ type savedFrame struct {
 // state, independent of which engine resumes it. Memory is stored as the
 // dirty-range deltas against the pristine zero image (the same watermarks
 // the dirty-range Reset uses), so snapshot size scales with the run's
-// footprint at the capture point, not Cfg.MemWords.
+// footprint at the capture point, not Cfg.MemWords; and a delta chunk
+// the previous capture holds unchanged is shared, not copied, so a ladder
+// stores words that no later code writes, such as input arrays, once.
 type Snapshot struct {
 	prog *Program // identity check: snapshots restore within one module
 
@@ -64,15 +66,92 @@ type Snapshot struct {
 	instanceSeq                int64
 	sp                         int64
 
-	// Dirty-range memory deltas. lo/hi are the raw inclusive watermarks at
-	// capture (hi < lo = range untouched); data/stk hold Mem[lo:hi+1].
-	dataLo, dataHi int64
-	data           []int64
-	stkLo, stkHi   int64
-	stk            []int64
+	// Dirty-range memory deltas of the data segment and the stack area.
+	data, stk memDelta
 
 	frames []savedFrame
 	output []int64
+}
+
+// snapChunk is the word length of a memory-delta chunk, the unit a
+// capture shares with the capture before it.
+const snapChunk = 256
+
+// memDelta is a snapshot's copy of one memory segment: lo/hi are the raw
+// inclusive dirty watermarks at capture (hi < lo: untouched), and chunks
+// hold Mem[lo:hi+1] cut at multiples of snapChunk, so chunk j starts at
+// lo for j = 0 and at (lo/snapChunk+j)·snapChunk after. Chunks are never
+// written after capture: a later capture may share them.
+type memDelta struct {
+	lo, hi int64
+	chunks [][]int64
+}
+
+// capture copies mem[lo:hi+1] into d, sharing every chunk whose range
+// and words equal a chunk of prev (the previous capture; may be nil).
+// chunks is a reused backing array for the chunk list; chunk bodies are
+// never reused, since another snapshot may share them.
+func (d *memDelta) capture(mem []int64, lo, hi int64, prev *memDelta, chunks [][]int64) {
+	*d = memDelta{lo: lo, hi: hi, chunks: chunks[:0]}
+	for at := lo; at <= hi; {
+		end := min((at/snapChunk+1)*snapChunk, hi+1)
+		src := mem[at:end]
+		if c := prev.chunkAt(at); c != nil && slices.Equal(c, src) {
+			d.chunks = append(d.chunks, c)
+		} else {
+			d.chunks = append(d.chunks, slices.Clone(src))
+		}
+		at = end
+	}
+}
+
+// chunkAt returns d's chunk that starts at address at, or nil.
+func (d *memDelta) chunkAt(at int64) []int64 {
+	if d == nil || at < d.lo || at > d.hi || at != d.lo && at%snapChunk != 0 {
+		return nil
+	}
+	if j := at/snapChunk - d.lo/snapChunk; j < int64(len(d.chunks)) {
+		return d.chunks[j]
+	}
+	return nil
+}
+
+// restore overlays d's words onto mem.
+func (d *memDelta) restore(mem []int64) {
+	at := d.lo
+	for _, c := range d.chunks {
+		at += int64(copy(mem[at:], c))
+	}
+}
+
+// sameAs reports whether memory segment mem, dirtied over [lo, hi], holds
+// exactly d's words. Words outside the machine's dirty range and outside
+// d's span are zero in both, so the segments are equal iff d's span
+// matches word for word and every word the machine dirtied beyond that
+// span is zero. The tails are OR-reduced rather than tested word by
+// word, keeping the compare branch-free per word.
+func (d *memDelta) sameAs(mem []int64, lo, hi int64) bool {
+	slo, shi := hi+1, hi+1 // d's span [slo, shi), empty by default
+	if len(d.chunks) > 0 {
+		slo, shi = d.lo, d.lo
+		for _, c := range d.chunks {
+			if !slices.Equal(mem[shi:shi+int64(len(c))], c) {
+				return false
+			}
+			shi += int64(len(c))
+		}
+	}
+	if hi < lo {
+		return true
+	}
+	var acc int64
+	for _, w := range mem[lo:max(lo, min(hi+1, slo))] {
+		acc |= w
+	}
+	for _, w := range mem[min(hi+1, max(lo, shi)) : hi+1] {
+		acc |= w
+	}
+	return acc == 0
 }
 
 // Count reports the dynamic instruction count at the capture point: the
@@ -83,9 +162,10 @@ func (s *Snapshot) Count() int64 { return s.count }
 // Ladder is an ascending sequence of snapshots captured on one golden
 // run, plus the run's total dynamic length and return value.
 type Ladder struct {
-	snaps []*Snapshot
-	total int64
-	ret   int64
+	snaps    []*Snapshot
+	captures int
+	total    int64
+	ret      int64
 }
 
 // Len reports how many snapshots the ladder holds.
@@ -94,6 +174,15 @@ func (l *Ladder) Len() int {
 		return 0
 	}
 	return len(l.snaps)
+}
+
+// Captures reports how many snapshots the capture pass took, including
+// the ones RunLadder dropped as it thinned the ladder.
+func (l *Ladder) Captures() int {
+	if l == nil {
+		return 0
+	}
+	return l.captures
 }
 
 // Snapshots returns the ladder's snapshots in ascending capture order.
@@ -160,47 +249,93 @@ func LadderRungs(k int, total int64) []int64 {
 	return rungs
 }
 
+// LadderFloor is the initial rung stride SFI campaigns pass to
+// RunLadder: no rung sits below it, so a run of at most LadderFloor
+// instructions gets an empty ladder, and the capture pass stays cheap
+// relative to the run it rides on.
+const LadderFloor = 4096
+
+// capturePass is the schedule of an active capture pass. next is the
+// dynamic count of the next capture, math.MaxInt64 once none is left.
+// An explicit pass (RunWithSnapshots) takes its rungs from the pending
+// list; a doubling pass (RunLadder, k > 0) places rung i at i·stride and
+// thins the ladder whenever it holds 2k rungs, keeping the dropped
+// snapshots in spare for later captures to reuse.
+type capturePass struct {
+	lad  *Ladder
+	next int64
+
+	rungs []int64 // explicit: pending rungs, ascending, next first
+
+	k      int // doubling: target rung count
+	stride int64
+	spare  []*Snapshot
+}
+
 // RunWithSnapshots executes main from a fresh Reset, capturing a snapshot
 // at each requested rung (dynamic instruction counts, deduplicated and
 // sorted internally) in a single pass, and returns the run's result with
 // the captured ladder. The capture pass always runs on the default
 // engine, which delegates the segment reaching each rung to the
-// reference loop; that loop freezes the machine at the rung's exact
-// instruction boundary and hands back. Snapshots hold only
+// reference loop; that loop freezes the machine at the rung's
+// instruction boundary (one count past it when a two-count memory
+// checkpoint straddles the rung) and hands back. Snapshots hold only
 // engine-invariant state, so they restore onto machines using either
 // engine. Hooks and profiled machines are rejected: a hook needs the
 // reference loop throughout, and snapshots carry no profile.
 func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
-	if m.Cfg.Hook != nil {
-		return 0, nil, fmt.Errorf("interp: RunWithSnapshots does not support hooks")
-	}
-	if m.Cfg.Profile {
-		return 0, nil, fmt.Errorf("interp: RunWithSnapshots does not support profiled machines")
-	}
-	main := m.Mod.FuncByName("main")
-	if main == nil {
-		return 0, nil, ErrNoMain
-	}
-	m.Reset()
 	norm := make([]int64, 0, len(rungs))
 	for _, r := range rungs {
 		if r > 0 {
 			norm = append(norm, r)
 		}
 	}
-	sort.Slice(norm, func(i, j int) bool { return norm[i] < norm[j] })
-	w := 0
-	for _, r := range norm {
-		if w == 0 || norm[w-1] != r {
-			norm[w] = r
-			w++
-		}
+	slices.Sort(norm)
+	norm = slices.Compact(norm)
+	c := &capturePass{next: math.MaxInt64, rungs: norm}
+	if len(norm) > 0 {
+		c.next = norm[0]
 	}
-	norm = norm[:w]
+	return m.runCapture(c)
+}
 
-	lad := &Ladder{snaps: make([]*Snapshot, 0, len(norm))}
-	m.snapRungs, m.snapLadder = norm, lad
-	defer func() { m.snapRungs, m.snapLadder = nil, nil }()
+// RunLadder executes main from a fresh Reset and captures a ladder of
+// about k evenly spaced rungs in the same pass, without knowing the
+// run's length in advance: it snapshots at every multiple of a stride
+// that starts at floor, and whenever it holds 2k rungs it drops the odd
+// multiples and doubles the stride. A run longer than k·floor
+// instructions therefore ends with k to 2k−1 rungs at stride,
+// 2·stride, … for one stride = floor·2^j (2k−1 at most for any length),
+// and the machine's final state is the plain run's, so the pass doubles
+// as the golden run. A dropped rung's buffers are reused by a later
+// capture. Campaigns pass LadderFloor; a smaller floor gives short
+// programs rungs too (progen's oracle uses 1). k ≤ 0 or floor ≤ 0
+// captures nothing. The engine and rejection rules are
+// RunWithSnapshots'.
+func (m *Machine) RunLadder(k int, floor int64) (int64, *Ladder, error) {
+	c := &capturePass{next: math.MaxInt64}
+	if k > 0 && floor > 0 {
+		c.k, c.stride, c.next = k, floor, floor
+	}
+	return m.runCapture(c)
+}
+
+// runCapture runs main from a fresh Reset under capture schedule c.
+func (m *Machine) runCapture(c *capturePass) (int64, *Ladder, error) {
+	if m.Cfg.Hook != nil {
+		return 0, nil, fmt.Errorf("interp: capture passes do not support hooks")
+	}
+	if m.Cfg.Profile {
+		return 0, nil, fmt.Errorf("interp: capture passes do not support profiled machines")
+	}
+	main := m.Mod.FuncByName("main")
+	if main == nil {
+		return 0, nil, ErrNoMain
+	}
+	m.Reset()
+	c.lad = &Ladder{}
+	m.capt = c
+	defer func() { m.capt = nil }()
 
 	if err := m.pushFrame(main, nil); err != nil {
 		return 0, nil, err
@@ -215,25 +350,60 @@ func (m *Machine) RunWithSnapshots(rungs []int64) (int64, *Ladder, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	lad.total, lad.ret = m.Count, ret
-	return ret, lad, nil
+	c.lad.total, c.lad.ret = m.Count, ret
+	return ret, c.lad, nil
 }
 
 // captureSnapshot freezes the machine at pc into the active ladder and
-// consumes every rung the run has now reached. Called by the reference
-// loop as it hands back, once framesToFast has put the frames into the
-// default engine's convention; the machine fields (counters, dirty
-// watermarks) are authoritative there.
+// advances the schedule past the count the run has reached. Called by
+// the reference loop as it hands back, once framesToFast has put the
+// frames into the default engine's convention; the machine fields
+// (counters, dirty watermarks) are authoritative there.
 func (m *Machine) captureSnapshot(pc int32) {
-	m.snapLadder.snaps = append(m.snapLadder.snaps, m.snapshot(pc))
-	for len(m.snapRungs) > 0 && m.snapRungs[0] <= m.Count {
-		m.snapRungs = m.snapRungs[1:]
+	c := m.capt
+	var reuse *Snapshot
+	if n := len(c.spare); n > 0 {
+		reuse, c.spare = c.spare[n-1], c.spare[:n-1]
 	}
+	var prev *Snapshot
+	if n := len(c.lad.snaps); n > 0 {
+		prev = c.lad.snaps[n-1]
+	}
+	c.lad.snaps = append(c.lad.snaps, m.snapshot(pc, prev, reuse))
+	c.lad.captures++
+	if c.k == 0 {
+		for len(c.rungs) > 0 && c.rungs[0] <= m.Count {
+			c.rungs = c.rungs[1:]
+		}
+		c.next = math.MaxInt64
+		if len(c.rungs) > 0 {
+			c.next = c.rungs[0]
+		}
+		return
+	}
+	// Rung i (1-based) was captured at i·stride. At 2k rungs, keep the
+	// even multiples: they are the rungs of the doubled stride.
+	if snaps := c.lad.snaps; len(snaps) == 2*c.k {
+		for i := range c.k {
+			c.spare = append(c.spare, snaps[2*i])
+			snaps[i] = snaps[2*i+1]
+		}
+		clear(snaps[c.k:])
+		c.lad.snaps = snaps[:c.k]
+		c.stride *= 2
+	}
+	c.next = int64(len(c.lad.snaps)+1) * c.stride
 }
 
-// snapshot deep-copies the machine's current state.
-func (m *Machine) snapshot(pc int32) *Snapshot {
-	s := &Snapshot{
+// snapshot deep-copies the machine's current state into s, reusing its
+// buffers, or into a fresh Snapshot when s is nil. Memory chunks equal
+// to prev's (the previous capture, may be nil) are shared.
+func (m *Machine) snapshot(pc int32, prev, s *Snapshot) *Snapshot {
+	if s == nil {
+		s = new(Snapshot)
+	}
+	data, stk, output, frames := s.data.chunks, s.stk.chunks, s.output, s.frames
+	*s = Snapshot{
 		prog:           m.program(),
 		memWords:       m.Cfg.MemWords,
 		stackWords:     m.Cfg.StackWords,
@@ -246,42 +416,55 @@ func (m *Machine) snapshot(pc int32) *Snapshot {
 		maxBufferBytes: m.MaxBufferBytes,
 		instanceSeq:    m.instanceSeq,
 		sp:             m.sp,
-		dataLo:         m.dirtyLo,
-		dataHi:         m.dirtyHi,
-		stkLo:          m.dirtyStkLo,
-		stkHi:          m.dirtyStkHi,
-		output:         append([]int64(nil), m.output...),
+		output:         refill(output, m.output),
 	}
-	if s.dataHi >= s.dataLo {
-		s.data = append([]int64(nil), m.Mem[s.dataLo:s.dataHi+1]...)
+	var pdata, pstk *memDelta
+	if prev != nil {
+		pdata, pstk = &prev.data, &prev.stk
 	}
-	if s.stkHi >= s.stkLo {
-		s.stk = append([]int64(nil), m.Mem[s.stkLo:s.stkHi+1]...)
-	}
-	s.frames = make([]savedFrame, len(m.frames))
+	s.data.capture(m.Mem, m.dirtyLo, m.dirtyHi, pdata, data)
+	s.stk.capture(m.Mem, m.dirtyStkLo, m.dirtyStkHi, pstk, stk)
+	s.frames = slices.Grow(frames[:0], len(m.frames))[:len(m.frames)]
 	for i := range m.frames {
 		fr := &m.frames[i]
 		sf := &s.frames[i]
 		sf.fn = fr.fn
-		sf.regs = append([]int64(nil), fr.regs...)
+		sf.regs = refill(sf.regs, fr.regs)
 		sf.fp = fr.fp
 		sf.retPC, sf.retDst = fr.retPC, fr.retDst
-		if rs := fr.region; rs != nil {
-			sr := &savedRegion{
-				id:         -1,
-				entries:    append([]ckptEntry(nil), rs.entries...),
-				bytes:      rs.bytes,
-				instance:   rs.instance,
-				frame:      rs.frame,
-				entryCount: rs.entryCount,
-			}
-			if rs.meta != nil {
-				sr.id = rs.meta.ID
-			}
-			sf.region = sr
+		rs := fr.region
+		if rs == nil {
+			sf.region = nil
+			continue
 		}
+		sr := sf.region
+		if sr == nil {
+			sr = new(savedRegion)
+		}
+		*sr = savedRegion{
+			id:         -1,
+			entries:    refill(sr.entries, rs.entries),
+			bytes:      rs.bytes,
+			instance:   rs.instance,
+			frame:      rs.frame,
+			entryCount: rs.entryCount,
+		}
+		if rs.meta != nil {
+			sr.id = rs.meta.ID
+		}
+		sf.region = sr
 	}
 	return s
+}
+
+// refill returns a copy of src in buf's backing array when it fits, and
+// in an exactly sized new one when it does not, so a rung captured into
+// a dropped rung's buffers carries no append growth slack.
+func refill[T any](buf, src []T) []T {
+	if cap(buf) < len(src) {
+		return slices.Clone(src)
+	}
+	return append(buf[:0], src...)
 }
 
 // Restore rewinds the machine to a snapshot's exact state: counters,
@@ -327,14 +510,10 @@ func (m *Machine) Restore(s *Snapshot) error {
 			m.clearDirty(m.dirtyStkLo, m.dirtyStkHi)
 	}
 	m.stackBase = m.Cfg.MemWords - m.Cfg.StackWords
-	if s.data != nil {
-		copy(m.Mem[s.dataLo:s.dataLo+int64(len(s.data))], s.data)
-	}
-	if s.stk != nil {
-		copy(m.Mem[s.stkLo:s.stkLo+int64(len(s.stk))], s.stk)
-	}
-	m.dirtyLo, m.dirtyHi = s.dataLo, s.dataHi
-	m.dirtyStkLo, m.dirtyStkHi = s.stkLo, s.stkHi
+	s.data.restore(m.Mem)
+	s.stk.restore(m.Mem)
+	m.dirtyLo, m.dirtyHi = s.data.lo, s.data.hi
+	m.dirtyStkLo, m.dirtyStkHi = s.stk.lo, s.stk.hi
 
 	// Drop the machine's current frames, recycling checkpoint buffers, and
 	// rebuild the snapshot's stack reusing the backing array and register
@@ -548,8 +727,8 @@ func (m *Machine) sameState(s *Snapshot, pc int32) bool {
 			return false
 		}
 	}
-	return sameMem(m.Mem, m.dirtyLo, m.dirtyHi, s.dataLo, s.data) &&
-		sameMem(m.Mem, m.dirtyStkLo, m.dirtyStkHi, s.stkLo, s.stk)
+	return s.data.sameAs(m.Mem, m.dirtyLo, m.dirtyHi) &&
+		s.stk.sameAs(m.Mem, m.dirtyStkLo, m.dirtyStkHi)
 }
 
 // sameRegion compares a live checkpoint buffer with a frozen one.
@@ -562,31 +741,4 @@ func sameRegion(rs *regionState, sr *savedRegion) bool {
 		id = rs.meta.ID
 	}
 	return id == sr.id && rs.bytes == sr.bytes && rs.frame == sr.frame && slices.Equal(rs.entries, sr.entries)
-}
-
-// sameMem compares one memory segment with a snapshot's copy of it,
-// sdata taken at slo. Words outside the machine's dirty range [lo, hi]
-// and outside the snapshot's span are zero in both, so the segments are
-// equal iff the snapshot's span matches word for word and every word the
-// machine dirtied beyond that span is zero. The tails are OR-reduced
-// rather than tested word by word, keeping the compare branch-free per
-// word.
-func sameMem(mem []int64, lo, hi, slo int64, sdata []int64) bool {
-	shi := slo + int64(len(sdata)) // exclusive
-	if len(sdata) == 0 {
-		slo, shi = hi+1, hi+1
-	} else if !slices.Equal(mem[slo:shi], sdata) {
-		return false
-	}
-	if hi < lo {
-		return true
-	}
-	var acc int64
-	for _, w := range mem[lo:max(lo, min(hi+1, slo))] {
-		acc |= w
-	}
-	for _, w := range mem[min(hi+1, max(lo, shi)) : hi+1] {
-		acc |= w
-	}
-	return acc == 0
 }

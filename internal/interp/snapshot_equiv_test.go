@@ -3,6 +3,7 @@ package interp_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"encore/internal/core"
@@ -18,8 +19,11 @@ var snapshotWorkloads = []string{"rawcaudio", "175.vpr", "g721encode"}
 // workloads: a ladder captured once on the golden run, restored onto a
 // fresh machine of each engine, must resume into exactly the observable
 // outcome of running that engine from scratch — return value, counters,
-// checksum, and checkpoint accounting. Capture and restore run on
-// unprofiled machines: snapshots carry no profile.
+// checksum, and checkpoint accounting. It covers both capture passes:
+// RunWithSnapshots at LadderRungs' spacing, and the one-pass RunLadder,
+// whose end state must also be the plain golden run's and whose rungs
+// are partly captured into the buffers of dropped ones. Capture and
+// restore run on unprofiled machines: snapshots carry no profile.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	for _, name := range snapshotWorkloads {
 		name := name
@@ -37,16 +41,34 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			capm := interp.New(res.Mod, interp.Config{})
 			defer capm.Release()
 			capm.SetRuntime(res.Metas)
-			if _, err := capm.Run(); err != nil {
-				t.Fatal(err)
+			gret, gerr := capm.Run()
+			if gerr != nil {
+				t.Fatal(gerr)
 			}
 			total := capm.Count
+			goldenMem := slices.Clone(capm.Mem)
 			_, lad, err := capm.RunWithSnapshots(interp.LadderRungs(4, total))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if lad.Len() == 0 {
 				t.Fatalf("no snapshots captured for a %d-instruction run", total)
+			}
+
+			onem := interp.New(res.Mod, interp.Config{})
+			defer onem.Release()
+			onem.SetRuntime(res.Metas)
+			oret, one, oerr := onem.RunLadder(4, interp.LadderFloor)
+			if oerr != nil {
+				t.Fatal(oerr)
+			}
+			diffRuns(t, "one-pass ladder", engineRun{engine: interp.EngineFast, m: capm, ret: gret},
+				engineRun{engine: interp.EngineFast, m: onem, ret: oret}, art.Outputs)
+			if !slices.Equal(onem.Mem, goldenMem) || one.GoldenInstrs() != total {
+				t.Errorf("one-pass ladder: end memory or length (%d, golden %d) differs from the golden run", one.GoldenInstrs(), total)
+			}
+			if one.Len() < 4 || one.Len() > 7 || one.Captures() <= 8 {
+				t.Fatalf("one-pass ladder: %d rungs, %d captures; want 4..7 rungs after at least one doubling", one.Len(), one.Captures())
 			}
 
 			for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast} {
@@ -59,12 +81,14 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				m := interp.New(res.Mod, interp.Config{Engine: e})
 				defer m.Release()
 				m.SetRuntime(res.Metas)
-				for i, snap := range lad.Snapshots() {
-					if err := m.Restore(snap); err != nil {
-						t.Fatalf("restore snap %d on %s: %v", i, e, err)
+				for _, l := range []*interp.Ladder{lad, one} {
+					for i, snap := range l.Snapshots() {
+						if err := m.Restore(snap); err != nil {
+							t.Fatalf("restore snap %d on %s: %v", i, e, err)
+						}
+						rret, rerr := m.Resume()
+						diffRuns(t, "restored", ref, engineRun{engine: e, m: m, ret: rret, err: rerr}, art.Outputs)
 					}
-					rret, rerr := m.Resume()
-					diffRuns(t, "restored", ref, engineRun{engine: e, m: m, ret: rret, err: rerr}, art.Outputs)
 				}
 			}
 		})

@@ -408,28 +408,55 @@ func diffFaultedEngines(p Params, res *core.Result) error {
 // runs a second time with early exit armed against the ladder; when it
 // reconverges, its projected count, fault report and return value must
 // equal the replay trial's, which must have completed with the golden
-// checksum. This locks the invariants the SFI campaign scheduler builds
-// on.
+// checksum. It checks both capture passes: RunWithSnapshots at
+// LadderRungs' spacing, and the campaign's one-pass RunLadder, whose end
+// state must also be the golden run's. RunLadder starts from a stride of
+// one instruction here, so even a short program's pass thins its ladder
+// several times. This locks the invariants the SFI campaign scheduler
+// builds on.
 func diffSnapshotRestore(p Params, res *core.Result) error {
 	capm := interp.New(res.Mod, interp.Config{MaxInstrs: oracleBudget})
 	defer capm.Release()
 	capm.SetRuntime(res.Metas)
-	if _, err := capm.Run(); err != nil {
+	gret, err := capm.Run()
+	if err != nil {
 		return nil // fault-free failures are diffEngines's to report
 	}
 	total, golden := capm.Count, capm.Checksum(res.Mod.Globals...)
 	if total < minDynInstrs {
 		return nil
 	}
+	fail := func(detail string) error {
+		return &Counterexample{Oracle: "snapshot", Params: p, Detail: detail, IR: res.Mod.String()}
+	}
 	_, lad, err := capm.RunWithSnapshots(interp.LadderRungs(5, total))
 	if err != nil {
-		return &Counterexample{Oracle: "snapshot", Params: p, Detail: err.Error(), IR: res.Mod.String()}
+		return fail(err.Error())
 	}
+	oret, one, err := capm.RunLadder(3, 1)
+	if err != nil {
+		return fail(err.Error())
+	}
+	if oret != gret || capm.Count != total || capm.Checksum(res.Mod.Globals...) != golden {
+		return fail(fmt.Sprintf("one-pass ladder run: ret %d/%d count %d/%d, golden checksum %v",
+			oret, gret, capm.Count, total, capm.Checksum(res.Mod.Globals...) == golden))
+	}
+	for _, l := range []*interp.Ladder{lad, one} {
+		if err := diffLadderForks(p, res, l, golden); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// diffLadderForks runs diffSnapshotRestore's fault-free and faulted fork
+// checks against one golden ladder.
+func diffLadderForks(p Params, res *core.Result, lad *interp.Ladder, golden uint64) error {
+	total := lad.GoldenInstrs()
 	for _, e := range []interp.Engine{interp.EngineRef, interp.EngineFast} {
 		fail := func(detail string) error {
 			return &Counterexample{Oracle: "snapshot", Params: p,
-				Detail: fmt.Sprintf("engine %v: %s", e, detail), IR: res.Mod.String()}
+				Detail: fmt.Sprintf("engine %v, %d-rung ladder: %s", e, lad.Len(), detail), IR: res.Mod.String()}
 		}
 		full := interp.New(res.Mod, interp.Config{MaxInstrs: oracleBudget, Engine: e})
 		defer full.Release()

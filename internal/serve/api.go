@@ -64,8 +64,9 @@ type SubmitRequest struct {
 	// ShardSize is the trials-per-scheduling-step batch (0 = heuristic).
 	// Ledgers are shard-size-invariant.
 	ShardSize int `json:"shard_size,omitempty"`
-	// Checkpoints is the golden-run snapshot-ladder size for
-	// fork-from-checkpoint trials. Omitted = the server default;
+	// Checkpoints is the golden-run ladder target for
+	// fork-from-checkpoint trials (sfi.CampaignConfig.Checkpoints: k to
+	// 2k−1 rungs on a long run). Omitted = the server default;
 	// explicit 0 disables the ladder (every trial replays the full
 	// golden prefix); negative is rejected. Ledgers are
 	// checkpoint-count-invariant.

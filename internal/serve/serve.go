@@ -1,8 +1,8 @@
 // Package serve implements encore-serve's campaign daemon: an HTTP/JSON
 // service that accepts concurrent fault-injection campaign requests
 // (workload or inline IR module, plus the γ/η/Pmin/Dmax/engine/seed
-// knobs), compiles them through the core.Analyze/Finalize split behind a
-// keyed core.SnapshotCache, schedules trials as sharded batches on the
+// knobs), compiles them through the core.Analyze/Instrument split behind
+// a keyed core.SnapshotCache, schedules trials as sharded batches on the
 // shared internal/workpool, and streams each campaign's sfi.TrialRecord
 // JSONL ledger back incrementally over a chunked response.
 //
@@ -28,6 +28,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -66,14 +67,15 @@ type Config struct {
 	// Engine is the default interpreter engine for campaigns that do not
 	// name one. Ledgers are engine-invariant; this only moves throughput.
 	Engine interp.Engine
-	// Checkpoints is the default golden-run snapshot-ladder size for
+	// Checkpoints is the default golden-run ladder target for
 	// campaigns that do not request their own (requests may pass an
 	// explicit 0 to disable forking). Ledgers are
 	// checkpoint-count-invariant; this only moves throughput.
 	Checkpoints int
 	// Obs selects the metrics registry for the serve/campaign spans, the
-	// serve.campaigns.* admission counters, and the serve.inflight.*
-	// gauges. Nil selects obs.Default().
+	// serve.campaigns.* admission counters, the serve.inflight.* gauges,
+	// and each campaign's compile and sfi metrics. Nil selects
+	// obs.Default().
 	Obs *obs.Registry
 	// StatsEvery is the default stats-stream snapshot cadence (one
 	// snapshot per StatsEvery settled trials); zero selects
@@ -330,9 +332,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // run executes one admitted campaign end to end and settles its state.
 // It owns the campaign's slice of the admission budget until the run is
 // over, and returns it before the settled state becomes visible: a
-// client that sees the campaign settle may resubmit at once.
+// client that sees the campaign settle may resubmit at once. A panic on
+// the campaign's goroutine fails that campaign alone: it is logged with
+// its stack (campaign_panic) and settles like any other error, so the
+// budget is released and the daemon keeps serving.
 func (s *Server) run(c *campaign) {
-	res, err := s.execute(c)
+	res, err := func() (res *sfi.CampaignResult, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				s.reg.Counter("serve.campaigns.panicked").Inc()
+				s.log.event("campaign_panic", map[string]any{
+					"campaign": c.id, "tenant": c.tenant, "app": c.spec.app,
+					"panic": fmt.Sprint(p), "stack": string(debug.Stack()),
+				})
+				res, err = nil, fmt.Errorf("campaign panicked: %v", p)
+			}
+		}()
+		return s.execute(c)
+	}()
 	c.cancel() // release the context's resources; the run is over
 	s.adm.release(c.tenant, c.spec.trials)
 	c.finishRun(res, err)
@@ -353,12 +370,14 @@ func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 	}
 
 	csp := sp.Child("compile")
-	snap, err := s.cache.Get(c.spec.source, c.spec.ccfg, func() (*core.Analysis, error) {
+	ccfg := c.spec.ccfg
+	ccfg.Obs = s.reg
+	snap, err := s.cache.Get(c.spec.source, ccfg, func() (*core.Analysis, error) {
 		mod, _, err := c.spec.build()
 		if err != nil {
 			return nil, err
 		}
-		return core.Analyze(mod, c.spec.ccfg)
+		return core.Analyze(mod, ccfg)
 	})
 	if err != nil {
 		csp.End()
@@ -374,7 +393,9 @@ func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 		csp.End()
 		return nil, err
 	}
-	res, err := a.Finalize(c.spec.ccfg)
+	// Campaigns read no measured field, and the golden run executes the
+	// instrumented module anyway: skip Finalize's measurement run.
+	res, err := a.Instrument(ccfg)
 	csp.End()
 	if err != nil {
 		return nil, err

@@ -521,3 +521,99 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("serve.inflight.trials gauge = %d (present %v), want 0 after settle", v, ok)
 	}
 }
+
+// TestCampaignPanicContained checks the daemon's panic boundary: a
+// campaign whose goroutine panics (here, in the Gate test seam) settles
+// failed with the panic logged alongside its stack, its admission budget
+// is released, and the daemon keeps serving — a second campaign that
+// only fits in the freed budget runs to done.
+func TestCampaignPanicContained(t *testing.T) {
+	reg := obs.NewRegistry()
+	logw := newSyncBuffer()
+	srv := NewServer(Config{
+		Obs: reg, Log: logw, MaxInFlightTrials: 8,
+		Gate: func(ctx context.Context, id string) {
+			if id == "c000001" {
+				panic("gate exploded")
+			}
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	code, first, _, _ := submit(t, ts.URL, "", `{"workload":"rawcaudio","trials":5}`)
+	if code != http.StatusAccepted || first.ID != "c000001" {
+		t.Fatalf("first submit: status %d id %q", code, first.ID)
+	}
+	if st := waitState(t, ts.URL, first.ID); st.State != StateFailed || !strings.Contains(st.Error, "gate exploded") {
+		t.Fatalf("panicking campaign settled %q (error %q), want failed with the panic value", st.State, st.Error)
+	}
+	// 5 + 5 trials exceed the 8-trial budget: this admission only
+	// succeeds if the panicking campaign gave its share back.
+	code, second, apiErr, _ := submit(t, ts.URL, "", `{"workload":"rawcaudio","trials":5}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after panic: status %d (%+v), want 202", code, apiErr)
+	}
+	if st := waitState(t, ts.URL, second.ID); st.State != StateDone || st.Executed != 5 {
+		t.Fatalf("campaign after panic settled %q executed=%d, want done/5", st.State, st.Executed)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("Drain after a contained panic: %v", err)
+	}
+	for _, g := range []string{"serve.inflight.trials", "serve.inflight.campaigns"} {
+		if v := reg.Gauge(g).Value(); v != 0 {
+			t.Errorf("%s = %d after both campaigns settled, want 0", g, v)
+		}
+	}
+	if n := reg.Counter("serve.campaigns.panicked").Value(); n != 1 {
+		t.Errorf("serve.campaigns.panicked = %d, want 1", n)
+	}
+	if n := reg.Counter("serve.campaigns.failed").Value(); n != 1 {
+		t.Errorf("serve.campaigns.failed = %d, want 1", n)
+	}
+	var logged map[string]any
+	for _, line := range strings.Split(strings.TrimRight(logw.String(), "\n"), "\n") {
+		var v map[string]any
+		if err := json.Unmarshal([]byte(line), &v); err != nil {
+			t.Fatalf("non-JSON log line %q: %v", line, err)
+		}
+		if v["event"] == "campaign_panic" {
+			logged = v
+		}
+	}
+	if logged == nil || logged["campaign"] != first.ID || logged["panic"] != "gate exploded" {
+		t.Fatalf("campaign_panic log event = %+v", logged)
+	}
+	if stack, _ := logged["stack"].(string); !strings.Contains(stack, "TestCampaignPanicContained") {
+		t.Errorf("campaign_panic stack does not reach the panicking Gate:\n%s", stack)
+	}
+}
+
+// TestServedCampaignSkipsMeasureRun checks a served campaign compiles
+// without Finalize's measurement run: the daemon's registry records the
+// finalize stage but no compile/finalize/measure span.
+func TestServedCampaignSkipsMeasureRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts := httptest.NewServer(NewServer(Config{Obs: reg}))
+	defer ts.Close()
+	code, st, _, _ := submit(t, ts.URL, "", `{"workload":"rawcaudio","trials":5}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	if st := waitState(t, ts.URL, st.ID); st.State != StateDone {
+		t.Fatalf("campaign settled %q, want done", st.State)
+	}
+	spans := map[string]bool{}
+	for _, sp := range reg.Snapshot().Spans {
+		spans[sp.Name] = true
+	}
+	if !spans["compile/finalize"] || !spans["compile/finalize/instrument"] {
+		t.Fatalf("daemon spans %v lack the finalize stage", spans)
+	}
+	if spans["compile/finalize/measure"] {
+		t.Error("served campaign ran Finalize's measurement run (compile/finalize/measure span present)")
+	}
+}

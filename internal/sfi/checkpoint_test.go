@@ -7,6 +7,7 @@ package sfi_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -23,11 +24,35 @@ import (
 // restore oracle also sweeps.
 var checkpointWorkloads = []string{"rawcaudio", "175.vpr", "g721encode"}
 
+// wantLadder replays RunLadder's schedule from interp.LadderFloor for a
+// golden run of total instructions: the rungs held at the end and the
+// snapshots taken. Rung i is taken at i·stride when i·stride < total, and
+// holding 2k rungs halves them and doubles the stride.
+func wantLadder(k int, total int64) (rungs, captures int64) {
+	stride := int64(interp.LadderFloor)
+	for at := stride; at < total; at = (rungs + 1) * stride {
+		rungs++
+		captures++
+		if rungs == int64(2*k) {
+			rungs, stride = int64(k), 2*stride
+		}
+	}
+	return rungs, captures
+}
+
+// ladderCounters reads a campaign registry's golden-pass counters.
+func ladderCounters(reg *obs.Registry) [2]int64 {
+	return [2]int64{reg.Counter("sfi.ladder.rungs").Value(), reg.Counter("sfi.ladder.captures").Value()}
+}
+
 // TestCheckpointLedgerInvariant locks the tentpole guarantee of
 // fork-from-snapshot trials: a campaign's outcome counters, trial
 // ledger, and stats snapshot are byte-identical at any checkpoint
 // count, worker count, engine, shard split, or adaptive schedule. The
-// ladder is purely a throughput knob.
+// ladder is purely a throughput knob. The checkpoint counts cover the
+// one-pass ladder's schedule: a target whose golden pass thins its
+// ladder exactly once, and k = 1, which thins it at every rung after
+// the first.
 func TestCheckpointLedgerInvariant(t *testing.T) {
 	for _, name := range checkpointWorkloads {
 		name := name
@@ -76,19 +101,37 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 			}
 
 			ref, refRaw, refSnap := run(nil, nil)
+			total := ref.Meta.GoldenInstrs
+			// kOne puts the run between 2·kOne and 4·kOne floors long, so
+			// the golden pass doubles its stride exactly once.
+			kOne := int(total/(3*interp.LadderFloor)) + 1
+			if r, c := wantLadder(kOne, total); c-r != int64(kOne) {
+				t.Fatalf("k=%d on a %d-instruction run drops %d rungs, want one doubling", kOne, total, c-r)
+			}
 
 			variants := []struct {
 				label string
+				ck    int
 				mut   func(*sfi.CampaignConfig)
 			}{
-				{"ckpt4", func(c *sfi.CampaignConfig) { c.Checkpoints = 4 }},
-				{"ckpt16", func(c *sfi.CampaignConfig) { c.Checkpoints = 16 }},
-				{"ckpt16/workers1", func(c *sfi.CampaignConfig) { c.Checkpoints = 16; c.Workers = 1 }},
-				{"ckpt16/ref", func(c *sfi.CampaignConfig) { c.Checkpoints = 16; c.Engine = interp.EngineRef }},
+				{"ckpt1", 1, nil},
+				{"ckpt4", 4, nil},
+				{fmt.Sprintf("ckpt%d", kOne), kOne, nil},
+				{"ckpt16", 16, nil},
+				{"ckpt16/workers1", 16, func(c *sfi.CampaignConfig) { c.Workers = 1 }},
+				{"ckpt16/ref", 16, func(c *sfi.CampaignConfig) { c.Engine = interp.EngineRef }},
 			}
 			for _, v := range variants {
 				var reg *obs.Registry
-				camp, raw, snap := run(v.mut, &reg)
+				camp, raw, snap := run(func(c *sfi.CampaignConfig) {
+					c.Checkpoints = v.ck
+					if v.mut != nil {
+						v.mut(c)
+					}
+				}, &reg)
+				if r, c := wantLadder(v.ck, total); ladderCounters(reg) != [2]int64{r, c} {
+					t.Errorf("%s: ladder rungs/captures %v, want %v", v.label, ladderCounters(reg), [2]int64{r, c})
+				}
 				if camp.Counts != ref.Counts || camp.SameInstance != ref.SameInstance || camp.Executed != ref.Executed {
 					t.Errorf("%s: counters diverged: %v/%d vs %v/%d",
 						v.label, camp.Counts, camp.SameInstance, ref.Counts, ref.SameInstance)
@@ -182,13 +225,16 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 }
 
-// TestCheckpointsBeyondShortRun runs a program shorter than the ladder
-// it asks for: the colliding rungs drop out, and the campaign's ledger
-// is byte-identical to the ladder-free run's instead of failing.
+// TestCheckpointsBeyondShortRun runs short programs at the edges of the
+// golden pass's schedule: a 6-instruction module, which gets no rung at
+// any target, and a counting loop of about five ladder floors, which
+// gets one rung per floor at a target of 3, thins its ladder once at 2
+// and twice at 1. Every campaign's ledger is byte-identical to the
+// ladder-free run's, and the ladder counters match the schedule.
 func TestCheckpointsBeyondShortRun(t *testing.T) {
-	mod := ir.NewModule("tiny")
-	out := mod.NewGlobal("out", 1)
-	f := mod.NewFunc("main", 0)
+	tiny := ir.NewModule("tiny")
+	out := tiny.NewGlobal("out", 1)
+	f := tiny.NewFunc("main", 0)
 	b := f.NewBlock("entry")
 	a, v := f.NewReg(), f.NewReg()
 	b.Const(v, 41)
@@ -197,33 +243,73 @@ func TestCheckpointsBeyondShortRun(t *testing.T) {
 	b.Store(a, 0, v)
 	b.Ret(v)
 	f.Recompute()
-	res, err := core.Compile(mod, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	ledger := func(ck int) ([]byte, int64) {
-		t.Helper()
-		camp, err := sfi.RunCampaign(res.Mod, res.Metas, []*ir.Global{out}, sfi.CampaignConfig{
-			Trials: 40, Seed: 5, Dmax: 4, Ledger: true, Checkpoints: ck,
-		})
-		if err != nil {
-			t.Fatalf("checkpoints %d: %v", ck, err)
-		}
-		raw, err := json.Marshal(camp.Records)
+	loop, sum := countingLoop(3500)
+	for _, c := range []struct {
+		mod     *ir.Module
+		out     *ir.Global
+		targets []int
+		rungs   []int64 // wanted rungs held, per target
+	}{
+		{tiny, out, []int{1, sfi.DefaultCheckpoints}, []int64{0, 0}},
+		{loop, sum, []int{1, 2, 3, sfi.DefaultCheckpoints}, []int64{1, 2, 5, 5}},
+	} {
+		res, err := core.Compile(c.mod, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return raw, camp.Meta.GoldenInstrs
+		ledger := func(ck int) ([]byte, int64, [2]int64) {
+			t.Helper()
+			reg := obs.NewRegistry()
+			camp, err := sfi.RunCampaign(res.Mod, res.Metas, []*ir.Global{c.out}, sfi.CampaignConfig{
+				Trials: 40, Seed: 5, Dmax: 4, Ledger: true, Checkpoints: ck, Obs: reg,
+			})
+			if err != nil {
+				t.Fatalf("%s, checkpoints %d: %v", c.mod.Name, ck, err)
+			}
+			raw, err := json.Marshal(camp.Records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw, camp.Meta.GoldenInstrs, ladderCounters(reg)
+		}
+		raw0, total, _ := ledger(0)
+		for i, ck := range c.targets {
+			raw, _, got := ledger(ck)
+			if !bytes.Equal(raw0, raw) {
+				t.Errorf("%s: ledger at %d checkpoints diverged from checkpoints=0 on a %d-instruction run",
+					c.mod.Name, ck, total)
+			}
+			if r, cp := wantLadder(ck, total); got != [2]int64{r, cp} || r != c.rungs[i] {
+				t.Errorf("%s: %d checkpoints on a %d-instruction run: rungs/captures %v, schedule %v, want %d rungs",
+					c.mod.Name, ck, total, got, [2]int64{r, cp}, c.rungs[i])
+			}
+		}
 	}
-	raw0, total := ledger(0)
-	if total >= sfi.DefaultCheckpoints {
-		t.Fatalf("golden run is %d instructions; the test needs fewer than %d", total, sfi.DefaultCheckpoints)
-	}
-	if raw16, _ := ledger(sfi.DefaultCheckpoints); !bytes.Equal(raw0, raw16) {
-		t.Errorf("ledger at %d checkpoints diverged from checkpoints=0 on a %d-instruction run",
-			sfi.DefaultCheckpoints, total)
-	}
+}
+
+// countingLoop returns a module that sums 0..n-1 into its output global,
+// about 6·n dynamic instructions before instrumentation.
+func countingLoop(n int64) (*ir.Module, *ir.Global) {
+	mod := ir.NewModule("loop")
+	out := mod.NewGlobal("out", 1)
+	f := mod.NewFunc("main", 0)
+	entry, head, body, exit := f.NewBlock("entry"), f.NewBlock("head"), f.NewBlock("body"), f.NewBlock("exit")
+	i, acc, bound, cond, a := f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg()
+	entry.Const(i, 0)
+	entry.Const(acc, 0)
+	entry.Jmp(head)
+	head.Const(bound, n)
+	head.Bin(ir.OpLt, cond, i, bound)
+	head.Br(cond, body, exit)
+	body.Add(acc, acc, i)
+	body.AddI(i, i, 1)
+	body.Jmp(head)
+	exit.GlobalAddr(a, out)
+	exit.Store(a, 0, acc)
+	exit.Ret(acc)
+	f.Recompute()
+	return mod, out
 }
 
 // TestReconvergeCounters pins the early-exit counters as deterministic
@@ -276,5 +362,45 @@ func TestReconvergeCounters(t *testing.T) {
 	}
 	if sum != want {
 		t.Errorf("3 shards sum to count/saved %v, single run %v", sum, want)
+	}
+}
+
+// TestLadderCounters pins the golden pass's counters as deterministic
+// campaign quantities: sfi.ladder.rungs and sfi.ladder.captures are the
+// same at 1 and 4 workers and on both engines, and match the schedule.
+func TestLadderCounters(t *testing.T) {
+	sp, err := workload.ByName("g721encode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := sp.Build()
+	res, err := core.Compile(art.Mod, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [2]int64
+	for i, cfg := range []sfi.CampaignConfig{
+		{Workers: 1},
+		{Workers: 4},
+		{Workers: 1, Engine: interp.EngineRef},
+		{Workers: 4, Engine: interp.EngineRef},
+	} {
+		reg := obs.NewRegistry()
+		cfg.Trials, cfg.Seed, cfg.Dmax, cfg.Checkpoints, cfg.Obs, cfg.Ledger = 20, 2, 100, sfi.DefaultCheckpoints, reg, true
+		camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ladderCounters(reg)
+		if i == 0 {
+			r, c := wantLadder(sfi.DefaultCheckpoints, camp.Meta.GoldenInstrs)
+			if want = [2]int64{r, c}; got != want || r < sfi.DefaultCheckpoints || c == r {
+				t.Fatalf("rungs/captures %v, schedule %v: want at least %d rungs after a doubling",
+					got, want, sfi.DefaultCheckpoints)
+			}
+		}
+		if got != want {
+			t.Errorf("workers %d engine %v: rungs/captures %v, want %v", cfg.Workers, cfg.Engine, got, want)
+		}
 	}
 }

@@ -43,9 +43,11 @@ func (r *rng) intn(n int64) int64 {
 	return int64(r.next() % uint64(n))
 }
 
-// DefaultCheckpoints is the golden-run ladder size the encore-sfi and
+// DefaultCheckpoints is the golden-run ladder target the encore-sfi and
 // encore-serve commands and the experiment harness run campaigns with
 // (CampaignConfig.Checkpoints), and the one every masking study runs on.
+// A target K gives a golden run longer than K·interp.LadderFloor
+// instructions K to 2K−1 rungs.
 const DefaultCheckpoints = 16
 
 // DefaultLatchFraction is the fraction of raw state-element strikes that
@@ -60,7 +62,7 @@ const DefaultLatchFraction = 0.35
 const maskingBits = 32
 
 // MaskingConfig parametrizes the hardware-masking Monte Carlo. The study
-// always runs on a golden-run ladder of DefaultCheckpoints rungs.
+// always runs on a golden-run ladder targeting DefaultCheckpoints rungs.
 type MaskingConfig struct {
 	Trials  int
 	Seed    uint64
@@ -103,7 +105,7 @@ func MeasureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig) 
 	return measureMasking(build, cfg, DefaultCheckpoints)
 }
 
-// measureMasking is MeasureMasking on a ladder of the given size; at 0
+// measureMasking is MeasureMasking on a ladder of the given target; at 0
 // every trial replays from Reset and runs to the end.
 func measureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig, checkpoints int) (*MaskingResult, error) {
 	if cfg.Trials <= 0 {
@@ -269,19 +271,22 @@ type CampaignConfig struct {
 	// throughput.
 	Engine interp.Engine
 
-	// Checkpoints enables fork-from-snapshot trial execution: the golden
-	// run captures up to this many evenly spaced machine snapshots in one
-	// pass (interp.LadderRungs, which drops rungs that collide on a short
-	// run), and each trial restores the deepest snapshot strictly before
-	// its InjectAt instead of re-executing the whole golden prefix. The
-	// same ladder ends each trial early once its settled fault's state
-	// rejoins the golden run at a later rung (interp.ArmReconverge).
-	// Zero disables both (every trial replays from Reset and runs to the
-	// end, the historical behavior); negative is an error. Trial
-	// outcomes, the ledger, stats, shard slices, and adaptive decisions
-	// are bit-identical at any checkpoint count — TestCheckpointLedgerInvariant
-	// pins that down — so the knob only affects throughput. The commands
-	// and the experiment harness run at DefaultCheckpoints.
+	// Checkpoints enables fork-from-snapshot trial execution. It is a
+	// target K, not an exact rung count: the golden run itself captures
+	// evenly spaced machine snapshots as it goes (interp.RunLadder from
+	// interp.LadderFloor), ending with K to 2K−1 rungs once it is longer
+	// than K·LadderFloor instructions, fewer on a shorter run and none
+	// at or below LadderFloor. Each trial restores the deepest snapshot
+	// strictly before its InjectAt instead of re-executing the whole
+	// golden prefix. The same ladder ends each trial early once its
+	// settled fault's state rejoins the golden run at a later rung
+	// (interp.ArmReconverge). Zero disables both (a plain golden run, and
+	// every trial replays from Reset and runs to the end, the historical
+	// behavior); negative is an error. Trial outcomes, the ledger, stats,
+	// shard slices, and adaptive decisions are bit-identical at any
+	// checkpoint count — TestCheckpointLedgerInvariant pins that down —
+	// so the knob only affects throughput. The commands and the
+	// experiment harness run at DefaultCheckpoints.
 	Checkpoints int
 
 	// Obs selects the metrics registry for the "sfi/campaign" span, the
@@ -698,10 +703,11 @@ type executor struct {
 	restores, replayInstrs, savedInstrs, reconverged, reconvSaved, hangs *obs.Counter
 }
 
-// newExecutor runs the golden run on a pool machine and, when
-// checkpoints > 0, captures a ladder of that many rungs in one more pass,
-// both under the default budget. dmax is the study's largest detection
-// latency.
+// newExecutor runs the golden run on a pool machine under the default
+// budget. When checkpoints > 0 the golden run is a RunLadder pass from
+// interp.LadderFloor targeting that many rungs, so the ladder costs no
+// extra execution; at 0 it is a plain Run on the pool's engine. dmax is
+// the study's largest detection latency.
 func newExecutor(pool *machinePool, outs []*ir.Global, checkpoints int, dmax int64, reg *obs.Registry) (*executor, error) {
 	e := &executor{
 		outs:         outs,
@@ -714,18 +720,19 @@ func newExecutor(pool *machinePool, outs []*ir.Global, checkpoints int, dmax int
 	}
 	m := pool.get()
 	defer pool.put(m)
-	if _, err := m.Run(); err != nil {
+	var err error
+	if checkpoints > 0 {
+		_, e.ladder, err = m.RunLadder(checkpoints, interp.LadderFloor)
+	} else {
+		_, err = m.Run()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sfi: golden run: %w", err)
 	}
 	e.golden, e.total = m.Checksum(outs...), m.Count
 	e.budget = trialBudget(e.total, dmax, m.Cfg.MaxInstrs)
-	if checkpoints > 0 {
-		_, lad, err := m.RunWithSnapshots(interp.LadderRungs(checkpoints, e.total))
-		if err != nil {
-			return nil, fmt.Errorf("sfi: checkpoint capture: %w", err)
-		}
-		e.ladder = lad
-	}
+	reg.Add("sfi.ladder.rungs", int64(e.ladder.Len()))
+	reg.Add("sfi.ladder.captures", int64(e.ladder.Captures()))
 	return e, nil
 }
 

@@ -21,8 +21,9 @@
 # smokes additionally check that a 3-shard -shard/-merge split
 # reproduces the single-process ledger and stats byte for byte, that
 # -adaptive stopping elides the same trials regardless of worker count
-# and engine, that fork-from-checkpoint trials (-checkpoints) leave
-# the trial ledger byte-identical to full golden-prefix replay, and that
+# and engine, that fork-from-checkpoint trials (-checkpoints 1, 16 and
+# 64, on rawcaudio and 164.gzip) leave the trial ledger byte-identical
+# to full golden-prefix replay, and that
 # laddered trials still end early at golden rungs. The masking smokes
 # check that the raw-strike study's table is identical on the reference
 # engine, and that a runaway masking strike stops at the trial budget
@@ -139,14 +140,20 @@ cmp -s "$tmp/trace.jsonl" "$tmp/trace-ref.jsonl" || { echo "encore-sfi -engine r
 echo "==> smoke: checkpoint-ladder ledger byte-identical to full-replay"
 # Fork-from-checkpoint trials restore a golden-run snapshot instead of
 # replaying the whole prefix; the trial ledger must not move by a byte
-# between a ladder-free run and a dense ladder.
-"$tmp/encore-sfi" -app rawcaudio -trials 20 -seed 3 -checkpoints 0 -trace "$tmp/ck0.jsonl" > /dev/null
-"$tmp/encore-sfi" -app rawcaudio -trials 20 -seed 3 -checkpoints 8 -trace "$tmp/ck8.jsonl" > /dev/null
-cmp -s "$tmp/ck0.jsonl" "$tmp/ck8.jsonl" || {
-	echo "encore-sfi -checkpoints: ledger differs between 0 and 8:" >&2
-	diff "$tmp/ck0.jsonl" "$tmp/ck8.jsonl" >&2 || true
-	exit 1
-}
+# between a ladder-free run and any ladder the golden pass captures:
+# target 1 (thinned at every rung), 16 (the default) and 64 (thinned
+# exactly once on both runs), on a shorter and a longer program.
+for a in rawcaudio 164.gzip; do
+	"$tmp/encore-sfi" -app "$a" -trials 20 -seed 3 -checkpoints 0 -trace "$tmp/ck0-$a.jsonl" > /dev/null
+	for k in 1 16 64; do
+		"$tmp/encore-sfi" -app "$a" -trials 20 -seed 3 -checkpoints "$k" -trace "$tmp/ck$k-$a.jsonl" > /dev/null
+		cmp -s "$tmp/ck0-$a.jsonl" "$tmp/ck$k-$a.jsonl" || {
+			echo "encore-sfi -app $a -checkpoints: ledger differs between 0 and $k:" >&2
+			diff "$tmp/ck0-$a.jsonl" "$tmp/ck$k-$a.jsonl" >&2 || true
+			exit 1
+		}
+	done
+done
 
 echo "==> smoke: laddered trials end early at golden rungs"
 # A trial whose settled fault rejoins the golden run ends at the next
