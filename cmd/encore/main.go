@@ -177,15 +177,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if err := obs.WriteMetrics(*metrics, obs.Default()); err != nil {
+	if err := obs.WriteMetricsTo(*metrics, obs.Default(), os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "encore: metrics:", err)
 		os.Exit(1)
 	}
-	if err := obs.WritePrometheusFile(*prom, obs.Default()); err != nil {
+	if err := obs.WritePrometheusFileTo(*prom, obs.Default(), os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "encore: prom:", err)
 		os.Exit(1)
 	}
-	if err := obs.WriteChromeTraceFile(*chrome, obs.Default()); err != nil {
+	if err := obs.WriteChromeTraceFileTo(*chrome, obs.Default(), os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "encore: chrometrace:", err)
 		os.Exit(1)
 	}

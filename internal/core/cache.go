@@ -7,6 +7,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"encore/internal/alias"
@@ -54,7 +55,9 @@ func NewSnapshotCache() *SnapshotCache {
 // must run Analyze over a fresh build of the source under (an Obs/Profile
 // variation of) the same cfg; Get snapshots its result. A failed analyze
 // is cached too — a deterministically broken source should not re-run its
-// pipeline per request.
+// pipeline per request. So is a panicking one: its panic becomes the
+// entry's error, returned by every later Get, before Get re-panics with
+// the original value.
 func (c *SnapshotCache) Get(source string, cfg Config, analyze func() (*Analysis, error)) (*AnalysisSnapshot, error) {
 	key := snapshotKey{
 		source:    source,
@@ -73,6 +76,12 @@ func (c *SnapshotCache) Get(source string, cfg Config, analyze func() (*Analysis
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
+		defer func() {
+			if p := recover(); p != nil {
+				e.err = fmt.Errorf("core: analysis panicked: %v", p)
+				panic(p)
+			}
+		}()
 		a, err := analyze()
 		if err != nil {
 			e.err = err

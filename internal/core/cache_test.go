@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,5 +126,34 @@ func TestSnapshotCacheCachesErrors(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Fatalf("failed analyze ran %d times, want 1", runs)
+	}
+}
+
+// TestSnapshotCachePanicBecomesError checks that a panicking analyze is
+// cached as an error: the first Get re-panics with the original value,
+// and later Gets return the error without running analyze again instead
+// of a nil snapshot with a nil error.
+func TestSnapshotCachePanicBecomesError(t *testing.T) {
+	cache := NewSnapshotCache()
+	runs := 0
+	get := func() (snap *AnalysisSnapshot, panicked any, err error) {
+		defer func() { panicked = recover() }()
+		snap, err = cache.Get("panics", DefaultConfig(), func() (*Analysis, error) {
+			runs++
+			panic("analyze blew up")
+		})
+		return snap, nil, err
+	}
+	if _, p, _ := get(); p != "analyze blew up" {
+		t.Fatalf("first Get recovered %v, want the analyze panic", p)
+	}
+	for i := 0; i < 2; i++ {
+		snap, p, err := get()
+		if p != nil || snap != nil || err == nil || !strings.Contains(err.Error(), "analyze blew up") {
+			t.Fatalf("Get after the panic = (%v, %v, panic %v), want the cached panic as an error", snap, err, p)
+		}
+	}
+	if runs != 1 {
+		t.Fatalf("panicking analyze ran %d times, want 1", runs)
 	}
 }

@@ -675,26 +675,15 @@ func compileStep(p *Program, cp *cprog, pc int32, next step, rc, ro int64, profi
 	}
 }
 
-// loopClosure enters the closure engine for a fresh call.
-func (m *Machine) loopClosure() (int64, error) {
-	p := m.program()
-	fr := &m.frames[len(m.frames)-1]
-	pc, ok := p.entry[fr.fn]
-	if !ok {
-		m.popFrame()
-		return 0, m.trap(ErrNoMain, "function %s has no body", fr.fn.Name)
-	}
-	return m.loopClosureFrom(len(m.frames)-1, pc)
-}
-
-// loopClosureFrom runs the closure engine from an arbitrary pc with an
-// explicit base frame depth — the entry point for fresh calls, Resume,
-// RunWithSnapshots, and the reference loop handing control back. Any
-// stop event (fastStop) terminates the compiled segment by delegating it
-// to the reference loop, whose per-instruction checks meet the event
-// bit-identically; a symptom (out-of-bounds access under a pending
-// fault) hands over the same way with detection rescheduled to fire at
-// once.
+// loopClosureFrom runs the closure engine from pc until the frame stack
+// drains back past baseDepth — entered through Machine.enter or by the
+// reference loop handing control back. Any stop event (fastStop)
+// terminates the compiled segment by delegating it to the reference loop,
+// whose per-instruction checks meet the event bit-identically; a symptom
+// (out-of-bounds access under a pending fault) hands over the same way
+// with detection rescheduled to fire at once. Both engines keep return
+// points and profile counts in one form, so either handoff passes only
+// the pc.
 func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
 	p := m.program()
 	cp := p.closures(m.Prof != nil)
@@ -748,10 +737,8 @@ func (m *Machine) loopClosureFrom(baseDepth int, pc int32) (int64, error) {
 		m.fault.detectAt = m.Count
 		until = m.Count
 	}
-	m.framesToRef(p, baseDepth)
 	m.HandoffsToRef++
-	rb, ridx := p.refPos(v.delegPC)
-	return m.loopRefFrom(baseDepth, rb, ridx, until)
+	return m.loopRefFrom(baseDepth, v.delegPC, until)
 }
 
 // closures returns the Program's compiled form for the requested

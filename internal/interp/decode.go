@@ -84,15 +84,16 @@ type Program struct {
 	externs  []dext
 	switches [][]int32
 
-	// pc -> (dense block ID, instruction index) for handing execution
-	// from the default engine to the reference loop mid-run (stop
-	// events). idxOf == len(b.Instrs) denotes the terminator slot.
+	// pc -> (dense block ID, instruction index): the reference loop's
+	// position for a pc, where it enters a run or a handoff and where a
+	// return resumes. idxOf == len(b.Instrs) denotes the terminator slot.
 	blockOf []int32
 	idxOf   []int32
-	// block -> pc of its first instruction, for the reverse handoff (the
-	// reference loop returning control once a stop event is behind it).
-	// The pc of position (b, idx) is blockPC[b] + idx; idx ==
-	// len(b.Instrs) addresses the terminator slot.
+	// block -> pc of its first instruction, from which the reference
+	// loop takes a call's return pc and the pc it hands back at, so its
+	// frames keep the default engine's pc-form return points. The pc of
+	// position (b, idx) is blockPC[b] + idx; idx == len(b.Instrs)
+	// addresses the terminator slot.
 	blockPC map[*ir.Block]int32
 
 	// Closure-compiled forms (closure.go), built lazily on first use by

@@ -101,14 +101,20 @@ func diffRuns(t *testing.T, label string, ref, got engineRun, outs []*ir.Global)
 		t.Errorf("%s: max buffer: got=%d ref=%d", label, got.m.MaxBufferBytes, ref.m.MaxBufferBytes)
 	}
 
-	// Profile equivalence by Freq semantics: the default engine's merged
-	// dense counters may leave explicit zero entries the reference path
-	// never creates, so zero-valued entries are identity. Unprofiled runs
-	// (snapshot restores) have no profile to compare.
-	if got.m.Prof == nil && ref.m.Prof == nil {
+	diffProfile(t, label, got.m.Prof, ref.m.Prof)
+}
+
+// diffProfile compares a run's execution profile against the reference
+// oracle's by Freq semantics: the default engine's merged dense counters
+// may leave explicit zero entries the reference loop never creates, so
+// zero-valued entries are identity. Unprofiled runs (snapshot restores)
+// have no profile to compare.
+func diffProfile(t *testing.T, label string, got, ref *interp.Profile) {
+	t.Helper()
+	if got == nil && ref == nil {
 		return
 	}
-	for _, pair := range []struct{ a, b *interp.Profile }{{got.m.Prof, ref.m.Prof}, {ref.m.Prof, got.m.Prof}} {
+	for _, pair := range []struct{ a, b *interp.Profile }{{got, ref}, {ref, got}} {
 		for b, c := range pair.a.Block {
 			if c != 0 && pair.b.Block[b] != c {
 				t.Errorf("%s: block freq %s: %d vs %d", label, b, c, pair.b.Block[b])
@@ -130,12 +136,13 @@ func diffRuns(t *testing.T, label string, ref, got engineRun, outs []*ir.Global)
 
 // TestEngineEquivalenceFaulted extends the guard to fault trials on
 // profiled machines: the default engine hands each stop segment to the
-// reference loop and takes the run back once the fault settles, and
-// the frames' in-flight blocks change counting convention at every
-// handoff. Across fault modes, injection points, and detection
-// latencies, the result must match a run pinned to the reference loop
-// on every observable except the handoff tallies, which a pinned run
-// does not have.
+// reference loop and takes the run back once the fault settles. Across
+// fault modes, injection points, and detection latencies, the result
+// must match a run pinned to the reference loop on every observable
+// except the handoff tallies, which a pinned run does not have. A run
+// that traps promises no final state, but its trap class, counters and
+// profile must still match: both engines count a block when its
+// terminator retires, so the blocks a trap cuts short count in neither.
 func TestEngineEquivalenceFaulted(t *testing.T) {
 	for _, name := range snapshotWorkloads {
 		sp, err := workload.ByName(name)
@@ -178,12 +185,11 @@ func TestEngineEquivalenceFaulted(t *testing.T) {
 				t.Errorf("%s: fault reports diverge:\ndefault: %+v\nref:     %+v", label, def.FaultReport(), ref.FaultReport())
 			}
 			if runs[0].err != nil || runs[1].err != nil {
-				// A trap stops each engine mid-block in its own profile
-				// convention; the trap class and counters still agree.
 				if errClass(runs[0].err) != errClass(runs[1].err) || def.Count != ref.Count || def.BaseCount != ref.BaseCount {
 					t.Errorf("%s: trapped runs diverge: %v/%v count (%d,%d)/(%d,%d)", label,
 						runs[1].err, runs[0].err, def.Count, def.BaseCount, ref.Count, ref.BaseCount)
 				}
+				diffProfile(t, label+"/trapped", def.Prof, ref.Prof)
 				continue
 			}
 			diffRuns(t, label, runs[0], runs[1], art.Outputs)

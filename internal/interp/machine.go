@@ -25,7 +25,9 @@
 // and forth — the default engine hands the segment reaching its next
 // stop event (fault window, detection, budget, checkpoint rung) to the
 // reference loop, which hands back once the event is behind it — and the
-// machine counts those handoffs.
+// machine counts those handoffs. Both engines keep machine state in one
+// form (pc-form return points, a block counted in the profile when its
+// terminator retires), so a handoff passes only a pc.
 // Observability likewise stays off the hot path: a machine with an
 // attached obs.Registry (AttachObs, or Config.Obs) folds its counters in
 // only at Reset/Release boundaries.
@@ -138,16 +140,11 @@ type Profile struct {
 // the frames backing array so the next push at the same depth can reuse
 // it (pushFrame re-zeroes reused registers).
 type frame struct {
-	fn    *ir.Func
-	regs  []int64
-	fp    int64 // frame-pointer word address for OpFrame
-	retTo struct {
-		b   *ir.Block
-		idx int
-		dst ir.Reg
-	}
-	// Default-engine return point: pc to resume at and the destination
-	// register of the pending call (-1 for none).
+	fn   *ir.Func
+	regs []int64
+	fp   int64 // frame-pointer word address for OpFrame
+	// Return point of the pending call, the same in both engines: the pc
+	// to resume at and the destination register (-1 for none).
 	retPC  int32
 	retDst int32
 	region *regionState // innermost active region in this frame, or nil
@@ -448,19 +445,7 @@ func (m *Machine) SetRuntime(metas []RegionMeta) {
 // with the run's memory footprint rather than Cfg.MemWords — which New
 // may have auto-grown far beyond the workload's needs.
 func (m *Machine) Reset() {
-	// Reset is a metrics boundary: fold the finished run's counters into
-	// the attached registry (if any) before they are cleared.
-	m.flushObs()
-	if m.Mem == nil || int64(len(m.Mem)) != m.Cfg.MemWords {
-		m.Mem = grabMem(m.Cfg.MemWords)
-		m.lastResetWords = 0
-	} else {
-		m.lastResetWords = m.clearDirty(m.dirtyLo, m.dirtyHi) +
-			m.clearDirty(m.dirtyStkLo, m.dirtyStkHi)
-	}
-	m.stackBase = m.Cfg.MemWords - m.Cfg.StackWords
-	m.dirtyLo, m.dirtyHi = int64(len(m.Mem)), -1
-	m.dirtyStkLo, m.dirtyStkHi = int64(len(m.Mem)), -1
+	m.lastResetWords = m.rewind(&Snapshot{})
 	for _, g := range m.Mod.Globals {
 		// Initializer words count as dirty: Release and the next Reset
 		// must re-zero them even if the program never stores there.
@@ -476,24 +461,48 @@ func (m *Machine) Reset() {
 	if m.obsSink != nil {
 		m.obsSink.resetWords.Observe(m.lastResetWords)
 	}
-	m.Count, m.BaseCount = 0, 0
-	m.CkptRegBytes, m.CkptMemBytes, m.RegionEntries = 0, 0, 0
-	m.MaxBufferBytes = 0
-	m.HandoffsToRef, m.HandoffsToFast = 0, 0
-	m.instanceSeq = 0
-	m.obsBias.count, m.obsBias.base = 0, 0
-	m.obsBias.ckptReg, m.obsBias.ckptMem, m.obsBias.regionEntries = 0, 0, 0
-	m.capt = nil
-	m.resumeReady = false
-	m.reconv = reconvState{}
-	m.frames = m.frames[:0]
-	m.sp = m.Cfg.MemWords - m.Cfg.StackWords
-	m.stackTop = m.Cfg.MemWords
-	m.fault = nil
-	m.output = m.output[:0]
 	if m.Cfg.Profile {
 		m.Prof = &Profile{Block: map[*ir.Block]int64{}, Edge: map[*ir.Block][]int64{}}
 	}
+}
+
+// rewind ends the machine's current run for Reset (with an empty
+// snapshot) and Restore: it folds the finished run's counters into the
+// attached registry before they are overwritten, re-zeroes the memory
+// the run dirtied, drops the frames and their region buffers, clears the
+// fault, capture, resume and reconvergence state, and installs s's
+// counters and output. The machine never dispatched the prefix behind s,
+// so s's counters also bias the next flush. It returns how many memory
+// words it cleared.
+func (m *Machine) rewind(s *Snapshot) (words int64) {
+	m.flushObs()
+	if m.Mem == nil || int64(len(m.Mem)) != m.Cfg.MemWords {
+		m.Mem = grabMem(m.Cfg.MemWords)
+	} else {
+		words = m.clearDirty(m.dirtyLo, m.dirtyHi) + m.clearDirty(m.dirtyStkLo, m.dirtyStkHi)
+	}
+	m.stackBase = m.Cfg.MemWords - m.Cfg.StackWords
+	m.dirtyLo, m.dirtyHi = int64(len(m.Mem)), -1
+	m.dirtyStkLo, m.dirtyStkHi = int64(len(m.Mem)), -1
+	for i := range m.frames {
+		if rs := m.frames[i].region; rs != nil {
+			m.freeRegion(rs)
+			m.frames[i].region = nil
+		}
+	}
+	m.frames = m.frames[:0]
+	m.sp, m.stackTop = m.stackBase, m.Cfg.MemWords
+	m.fault, m.capt, m.resumeReady, m.reconv = nil, nil, false, reconvState{}
+	m.HandoffsToRef, m.HandoffsToFast = 0, 0
+	m.Count, m.BaseCount = s.count, s.baseCount
+	m.CkptRegBytes, m.CkptMemBytes = s.ckptRegBytes, s.ckptMemBytes
+	m.RegionEntries, m.MaxBufferBytes = s.regionEntries, s.maxBufferBytes
+	m.instanceSeq = s.instanceSeq
+	m.obsBias.count, m.obsBias.base = s.count, s.baseCount
+	m.obsBias.ckptReg, m.obsBias.ckptMem = s.ckptRegBytes, s.ckptMemBytes
+	m.obsBias.regionEntries = s.regionEntries
+	m.output = append(m.output[:0], s.output...)
+	return words
 }
 
 // LastResetWords reports how many memory words the most recent Reset

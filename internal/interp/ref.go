@@ -6,29 +6,30 @@ import (
 
 // loopRefFrom is the reference interpreter core: it walks the ir.Block /
 // ir.Instr structures directly and carries the full observation machinery
-// (hooks, fault injection points, scheduled detection). It runs from an
-// arbitrary (block, index) position until the frame stack drains back
-// past baseDepth, returning the value of the final return. It is the
-// entry point for fresh calls (Call, with the function's entry block) and
-// for mid-run handoffs from the default engine, which counts a block
-// only when its terminator retires, so the in-flight block is counted
-// here on entry in either case.
+// (hooks, fault injection points, scheduled detection). It runs from pc
+// until the frame stack drains back past baseDepth, returning the value of
+// the final return. It keeps machine state exactly as the default engine
+// does, so a handoff in either direction passes only a pc: return points
+// are pcs (a call takes its return pc from Program.blockPC, a return
+// resolves it through Program.refPos), and a block is counted in the
+// profile when its terminator retires. Its profile stays keyed by
+// *ir.Block, and its instruction semantics and branch targets come from
+// the ir structures alone.
 //
 // The default engine (closure.go) must stay observationally equivalent
-// to this loop on fault-free, hook-free runs: identical return values,
-// Count/BaseCount, checkpoint-byte counters, and profile counts. The
-// equivalence guard test (equiv_test.go) pins that down for every
-// workload; EngineRef forces this loop for such comparisons.
+// to this loop: identical return values, Count/BaseCount, checkpoint-byte
+// counters, and profile counts. The equivalence guard tests
+// (equiv_test.go) pin that down for every workload, faulted and trapped
+// runs included; EngineRef forces this loop for such comparisons.
 //
 // until is the dynamic count before which the loop keeps the run: the
 // default engine delegates a stop segment with until at its stop, so the
 // stop event happens here; math.MaxInt64 pins the run to this loop.
-func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) (int64, error) {
+func (m *Machine) loopRefFrom(baseDepth int, pc int32, until int64) (int64, error) {
+	p := m.program()
+	b, idx := p.refPos(pc)
 	fr := &m.frames[len(m.frames)-1]
 	var retVal int64
-	if m.Prof != nil {
-		m.Prof.Block[b]++
-	}
 
 	for {
 		if m.Count >= m.Cfg.MaxInstrs {
@@ -39,15 +40,12 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 		// quiescent: injected with detection still in the future (the
 		// mirror image of the InjectAt-1 pause), or fully settled. A
 		// detection that is already due must fire here first. A capture
-		// rung reached here is frozen at this exact boundary, after the
-		// conversion to the default engine's form snapshots use, and a
-		// reconvergence stop is compared here in the same form; a match
-		// ends the run with the golden run's result.
+		// rung reached here is frozen at this exact boundary, and a
+		// reconvergence stop is compared here; a match ends the run with
+		// the golden run's result.
 		if m.Count >= until && (m.fault == nil ||
 			m.fault.injected && (m.fault.detected || m.Count < m.fault.detectAt)) {
-			p := m.program()
 			pc := p.blockPC[b] + int32(idx)
-			m.framesToFast(p, baseDepth, pc)
 			if m.capt != nil && m.Count >= m.capt.next {
 				m.captureSnapshot(pc)
 			}
@@ -200,16 +198,13 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 				for i, r := range in.Args {
 					args[i] = fr.regs[r]
 				}
-				fr.retTo.b, fr.retTo.idx, fr.retTo.dst = b, idx+1, in.Dst
+				fr.retPC, fr.retDst = p.blockPC[b]+int32(idx+1), int32(in.Dst)
 				if err := m.pushFrame(in.Callee, args); err != nil {
 					return 0, err
 				}
 				fr = &m.frames[len(m.frames)-1]
 				b = fr.fn.Entry()
 				idx = 0
-				if m.Prof != nil {
-					m.Prof.Block[b]++
-				}
 				continue
 			case ir.OpExtern:
 				ef := builtinExterns[in.Extern]
@@ -297,6 +292,9 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 		// Terminator.
 		m.Count++
 		m.BaseCount++
+		if m.Prof != nil {
+			m.Prof.Block[b]++
+		}
 		t := &b.Term
 		var next *ir.Block
 		switch t.Op {
@@ -332,14 +330,11 @@ func (m *Machine) loopRefFrom(baseDepth int, b *ir.Block, idx int, until int64) 
 				return retVal, nil
 			}
 			fr = &m.frames[len(m.frames)-1]
-			if fr.retTo.dst != ir.NoReg {
-				fr.regs[fr.retTo.dst] = retVal
+			if fr.retDst >= 0 {
+				fr.regs[fr.retDst] = retVal
 			}
-			b, idx = fr.retTo.b, fr.retTo.idx
+			b, idx = p.refPos(fr.retPC)
 			continue
-		}
-		if m.Prof != nil {
-			m.Prof.Block[next]++
 		}
 		b = next
 		idx = 0

@@ -28,26 +28,31 @@ func (m *Machine) Call(fn *ir.Func, args ...int64) (int64, error) {
 	if err := m.pushFrame(fn, args); err != nil {
 		return 0, err
 	}
-	if until, ok := m.refStart(); ok {
-		return m.loopRefFrom(len(m.frames)-1, fn.Entry(), 0, until)
+	pc, ok := m.program().entry[fn]
+	if !ok {
+		m.popFrame()
+		return 0, m.trap(ErrNoMain, "function %s has no body", fn.Name)
 	}
-	// An armed-but-uninjected fault plan still starts on the default
-	// engine: it pauses just before the injection window opens and hands
-	// the active phase of the fault (injection through detection) to the
-	// reference loop, which hands control back once the fault settles.
-	return m.loopClosure()
+	return m.enter(len(m.frames)-1, pc)
 }
 
-// refStart reports whether a run must start on the reference loop and,
-// if so, the dynamic count from which that loop may hand the run back to
-// the default engine: never under a Hook (hooks observe every
-// instruction) or EngineRef, and as soon as the fault settles when the
-// run starts mid-fault.
-func (m *Machine) refStart() (until int64, ok bool) {
-	if m.Cfg.Hook != nil || m.Cfg.Engine == EngineRef {
-		return math.MaxInt64, true
+// enter is the one way into the engines, for Call, Resume and the
+// capture passes: it runs from pc until the frame stack drains back past
+// baseDepth. Under a Hook (hooks observe every instruction) or EngineRef
+// the whole run stays on the reference loop, except a capture pass,
+// which needs the default engine's hand-backs to freeze its rungs; a run
+// that resumes mid-fault starts there until the fault settles. Anything
+// else starts on the default engine, which pauses just before an armed
+// fault's injection window opens and hands the active phase of the
+// fault (injection through detection) to the reference loop.
+func (m *Machine) enter(baseDepth int, pc int32) (int64, error) {
+	switch {
+	case m.Cfg.Hook != nil || m.Cfg.Engine == EngineRef && m.capt == nil:
+		return m.loopRefFrom(baseDepth, pc, math.MaxInt64)
+	case m.fault != nil && m.fault.injected && !m.fault.detected:
+		return m.loopRefFrom(baseDepth, pc, 0)
 	}
-	return 0, m.fault != nil && m.fault.injected && !m.fault.detected
+	return m.loopClosureFrom(baseDepth, pc)
 }
 
 // newFrame pushes an activation record for fn, reusing the register slice
@@ -78,7 +83,6 @@ func (m *Machine) newFrame(fn *ir.Func) (*frame, error) {
 	fr.fn = fn
 	fr.fp = m.sp
 	fr.region = nil
-	fr.retTo.b, fr.retTo.idx, fr.retTo.dst = nil, 0, ir.NoReg
 	fr.retPC, fr.retDst = 0, -1
 	m.sp += fn.FrameSize
 	return fr, nil
@@ -118,45 +122,6 @@ func (m *Machine) allocRegion() *regionState {
 func (m *Machine) freeRegion(rs *regionState) {
 	rs.meta = nil
 	m.regionFree = append(m.regionFree, rs)
-}
-
-// framesToRef converts the frames a default-engine segment parked above
-// baseDepth into reference form ahead of a handoff to the reference loop.
-// Return points move from pc form to (block, index) form. The profile
-// changes convention too: the default engine counts a block when its
-// terminator retires, the reference loop when it enters the block, so
-// each parked frame's in-flight block is credited here (loopRefFrom
-// credits the top frame's block itself).
-func (m *Machine) framesToRef(p *Program, baseDepth int) {
-	for d := baseDepth; d < len(m.frames)-1; d++ {
-		f := &m.frames[d]
-		f.retTo.b, f.retTo.idx = p.refPos(f.retPC)
-		f.retTo.dst = ir.Reg(f.retDst)
-		if m.Prof != nil {
-			m.Prof.Block[f.retTo.b]++
-		}
-	}
-}
-
-// framesToFast is the inverse of framesToRef plus loopRefFrom's entry
-// credit, for the reference loop handing the run back at pc: return
-// points of the frames above baseDepth move to pc form, and every live
-// frame's in-flight block is debited, because the default engine counts
-// it again when its terminator retires. A block the reference loop
-// entered without counting (a recovery block reached by rollback) nets
-// to zero the same way.
-func (m *Machine) framesToFast(p *Program, baseDepth int, pc int32) {
-	for d := baseDepth; d < len(m.frames)-1; d++ {
-		f := &m.frames[d]
-		f.retPC = p.blockPC[f.retTo.b] + int32(f.retTo.idx)
-		f.retDst = int32(f.retTo.dst)
-		if m.Prof != nil {
-			m.Prof.Block[f.retTo.b]--
-		}
-	}
-	if m.Prof != nil {
-		m.Prof.Block[p.blocks[p.blockOf[pc]]]--
-	}
 }
 
 // fastStop computes where the default engine must stop dispatching and

@@ -15,11 +15,12 @@ import (
 // the whole prefix (Restore + Resume). SFI campaigns use it to eliminate
 // golden-prefix replay from every trial (internal/sfi).
 //
-// Snapshots capture engine-invariant machine state only — memory as
-// dirty-range deltas against the pristine zero image, the frame stack in
-// the default engine's pc form, counters, region buffers — so a snapshot
-// restores onto a machine running either engine. Profiled machines can
-// neither capture nor restore: a snapshot carries no profile.
+// Snapshots capture machine state, which both engines keep in one form —
+// memory as dirty-range deltas against the pristine zero image, the frame
+// stack with its pc-form return points, counters, region buffers — so a
+// snapshot restores onto a machine running either engine. Profiled
+// machines can neither capture nor restore: a snapshot carries no
+// profile.
 
 // savedRegion is the frozen form of one frame's live checkpoint buffer.
 // Region metadata is recorded by ID (not pointer) so a snapshot restores
@@ -33,9 +34,7 @@ type savedRegion struct {
 	entryCount int64
 }
 
-// savedFrame is the frozen form of one activation record. Return points
-// are kept in pc form (retPC/retDst); Restore rebuilds reference-form
-// return points lazily via framesToRef only if a handoff needs them.
+// savedFrame is the frozen form of one activation record.
 type savedFrame struct {
 	fn     *ir.Func
 	regs   []int64
@@ -328,25 +327,11 @@ func (m *Machine) runCapture(c *capturePass) (int64, *Ladder, error) {
 	if m.Cfg.Profile {
 		return 0, nil, fmt.Errorf("interp: capture passes do not support profiled machines")
 	}
-	main := m.Mod.FuncByName("main")
-	if main == nil {
-		return 0, nil, ErrNoMain
-	}
 	m.Reset()
 	c.lad = &Ladder{}
 	m.capt = c
 	defer func() { m.capt = nil }()
-
-	if err := m.pushFrame(main, nil); err != nil {
-		return 0, nil, err
-	}
-	p := m.program()
-	pc, ok := p.entry[main]
-	if !ok {
-		m.popFrame()
-		return 0, nil, m.trap(ErrNoMain, "function %s has no body", main.Name)
-	}
-	ret, err := m.loopClosureFrom(0, pc)
+	ret, err := m.Run()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -356,9 +341,8 @@ func (m *Machine) runCapture(c *capturePass) (int64, *Ladder, error) {
 
 // captureSnapshot freezes the machine at pc into the active ladder and
 // advances the schedule past the count the run has reached. Called by
-// the reference loop as it hands back, once framesToFast has put the
-// frames into the default engine's convention; the machine fields
-// (counters, dirty watermarks) are authoritative there.
+// the reference loop as it hands back, where the machine fields
+// (counters, dirty watermarks) are authoritative.
 func (m *Machine) captureSnapshot(pc int32) {
 	c := m.capt
 	var reuse *Snapshot
@@ -498,33 +482,14 @@ func (m *Machine) Restore(s *Snapshot) error {
 		}
 	}
 
-	// Restore is a metrics boundary, exactly like Reset: fold the finished
-	// run's counters into the attached registry before overwriting them.
-	m.flushObs()
-
-	if m.Mem == nil || int64(len(m.Mem)) != m.Cfg.MemWords {
-		m.Mem = grabMem(m.Cfg.MemWords)
-		m.lastRestoreWords = 0
-	} else {
-		m.lastRestoreWords = m.clearDirty(m.dirtyLo, m.dirtyHi) +
-			m.clearDirty(m.dirtyStkLo, m.dirtyStkHi)
-	}
-	m.stackBase = m.Cfg.MemWords - m.Cfg.StackWords
+	m.lastRestoreWords = m.rewind(s)
 	s.data.restore(m.Mem)
 	s.stk.restore(m.Mem)
 	m.dirtyLo, m.dirtyHi = s.data.lo, s.data.hi
 	m.dirtyStkLo, m.dirtyStkHi = s.stk.lo, s.stk.hi
 
-	// Drop the machine's current frames, recycling checkpoint buffers, and
-	// rebuild the snapshot's stack reusing the backing array and register
+	// Rebuild the snapshot's stack, reusing the backing array and register
 	// slices just like newFrame does.
-	for i := range m.frames {
-		if m.frames[i].region != nil {
-			m.freeRegion(m.frames[i].region)
-			m.frames[i].region = nil
-		}
-	}
-	m.frames = m.frames[:0]
 	for i := range s.frames {
 		sf := &s.frames[i]
 		var fr *frame
@@ -543,7 +508,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 		copy(fr.regs, sf.regs)
 		fr.fn = sf.fn
 		fr.fp = sf.fp
-		fr.retTo.b, fr.retTo.idx, fr.retTo.dst = nil, 0, ir.NoReg
 		fr.retPC, fr.retDst = sf.retPC, sf.retDst
 		fr.region = nil
 		if sr := sf.region; sr != nil {
@@ -561,23 +525,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 		}
 	}
 	m.sp = s.sp
-	m.stackTop = m.Cfg.MemWords
-
-	m.Count, m.BaseCount = s.count, s.baseCount
-	m.CkptRegBytes, m.CkptMemBytes = s.ckptRegBytes, s.ckptMemBytes
-	m.RegionEntries = s.regionEntries
-	m.MaxBufferBytes = s.maxBufferBytes
-	m.instanceSeq = s.instanceSeq
-	m.HandoffsToRef, m.HandoffsToFast = 0, 0
-	m.reconv = reconvState{}
-	// The restored prefix was never executed by this machine: bias the
-	// obs-flush so the attached registry only accrues instructions the
-	// machine actually dispatches.
-	m.obsBias.count, m.obsBias.base = s.count, s.baseCount
-	m.obsBias.ckptReg, m.obsBias.ckptMem = s.ckptRegBytes, s.ckptMemBytes
-	m.obsBias.regionEntries = s.regionEntries
-	m.fault = nil
-	m.output = append(m.output[:0], s.output...)
 	if m.obsSink != nil {
 		m.obsSink.restoreWords.Observe(m.lastRestoreWords)
 	}
@@ -603,16 +550,7 @@ func (m *Machine) Resume() (int64, error) {
 		return 0, fmt.Errorf("interp: Resume without a preceding Restore")
 	}
 	m.resumeReady = false
-	pc := m.resumePC
-	p := m.program()
-	if until, ok := m.refStart(); ok {
-		// The snapshot's frames use the default engine's convention;
-		// framesToRef converts them exactly as for a mid-run handoff.
-		m.framesToRef(p, 0)
-		b, idx := p.refPos(pc)
-		return m.loopRefFrom(0, b, idx, until)
-	}
-	return m.loopClosureFrom(0, pc)
+	return m.enter(0, m.resumePC)
 }
 
 // rollbackCost is the dynamic cost between a rollback and the point at

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 	"time"
 )
@@ -148,29 +147,9 @@ func WriteChromeTrace(w io.Writer, r *Registry) error {
 	return enc.Encode(out)
 }
 
-// WriteChromeTraceFile implements the commands' shared -chrometrace flag:
-// it writes the captured span events as Chrome trace JSON to the named
-// file, or to stdout when path is "-". An empty path is a no-op.
-func WriteChromeTraceFile(path string, r *Registry) error {
-	return WriteChromeTraceFileTo(path, r, os.Stdout)
-}
-
-// WriteChromeTraceFileTo is WriteChromeTraceFile with an injectable
-// stdout, so command tests can capture the "-" case.
+// WriteChromeTraceFileTo implements the commands' shared -chrometrace
+// flag: it writes the captured span events as Chrome trace JSON through
+// WriteOutput.
 func WriteChromeTraceFileTo(path string, r *Registry, stdout io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	if path == "-" {
-		return WriteChromeTrace(stdout, r)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return WriteOutput(path, stdout, func(w io.Writer) error { return WriteChromeTrace(w, r) })
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
@@ -109,30 +108,9 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// WritePrometheusFile implements the commands' shared -prom flag: it
-// snapshots r and writes the Prometheus text exposition to the named
-// file, or to stdout when path is "-". An empty path is a no-op.
-func WritePrometheusFile(path string, r *Registry) error {
-	return WritePrometheusFileTo(path, r, os.Stdout)
-}
-
-// WritePrometheusFileTo is WritePrometheusFile with an injectable
-// stdout, so command tests can capture the "-" case.
+// WritePrometheusFileTo implements the commands' shared -prom flag: it
+// snapshots r and writes the Prometheus text exposition through
+// WriteOutput.
 func WritePrometheusFileTo(path string, r *Registry, stdout io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	snap := r.Snapshot()
-	if path == "-" {
-		return snap.WritePrometheus(stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return WriteOutput(path, stdout, func(w io.Writer) error { return r.Snapshot().WritePrometheus(w) })
 }

@@ -162,30 +162,31 @@ func (s *Snapshot) WriteTable(w io.Writer) {
 	tw.Flush()
 }
 
-// WriteMetrics implements the commands' shared -metrics flag: it
-// snapshots r and writes JSON to the named file, or to stdout when path
-// is "-". An empty path is a no-op.
-func WriteMetrics(path string, r *Registry) error {
-	return WriteMetricsTo(path, r, os.Stdout)
-}
-
-// WriteMetricsTo is WriteMetrics with an injectable stdout, so command
-// tests can capture the "-" case without touching os.Stdout.
-func WriteMetricsTo(path string, r *Registry, stdout io.Writer) error {
+// WriteOutput implements the commands' output-file flags (-metrics,
+// -prom, -chrometrace, -stats): write renders to stdout when path is "-"
+// and otherwise to a file created at path, which it closes. An empty path
+// is a no-op. stdout is injectable so command tests can capture the "-"
+// case without touching os.Stdout.
+func WriteOutput(path string, stdout io.Writer, write func(io.Writer) error) error {
 	if path == "" {
 		return nil
 	}
-	snap := r.Snapshot()
 	if path == "-" {
-		return snap.WriteJSON(stdout)
+		return write(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := snap.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// WriteMetricsTo implements the commands' shared -metrics flag: it
+// snapshots r and writes JSON through WriteOutput.
+func WriteMetricsTo(path string, r *Registry, stdout io.Writer) error {
+	return WriteOutput(path, stdout, func(w io.Writer) error { return r.Snapshot().WriteJSON(w) })
 }

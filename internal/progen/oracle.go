@@ -333,8 +333,10 @@ const faultPoints = 24
 // before each injection window, delegate to the reference loop so the
 // fault lands at the same point, and resume where it should — so the
 // complete fault report, instruction counters, recovered return value,
-// final checksum, and execution profile all match, trial by trial.
-// Handoff tallies are the one difference by design: a run pinned to the
+// final checksum, and execution profile all match, trial by trial. A
+// trial that traps still matches on its report, counters and profile:
+// both engines count a block when its terminator retires. Handoff
+// tallies are the one difference by design: a run pinned to the
 // reference loop has none.
 func diffFaultedEngines(p Params, res *core.Result) error {
 	run := func(e interp.Engine) *interp.Machine {
@@ -384,17 +386,17 @@ func diffFaultedEngines(p Params, res *core.Result) error {
 			return fail(fmt.Sprintf("counters: default=(%d,%d) ref=(%d,%d)",
 				def.Count, def.BaseCount, ref.Count, ref.BaseCount))
 		}
+		if detail, ok := diffProfiles(def.Prof, ref.Prof); !ok {
+			return fail(fmt.Sprintf("profile vs ref: %s", detail))
+		}
 		if derr != nil {
-			continue // matching trap class; state after a trap carries no promise
+			continue // the rest of the state after a trap carries no promise
 		}
 		if dret != rret {
 			return fail(fmt.Sprintf("return: default=%d ref=%d", dret, rret))
 		}
 		if ds, rs := def.Checksum(res.Mod.Globals...), ref.Checksum(res.Mod.Globals...); ds != rs {
 			return fail(fmt.Sprintf("checksum: default=%#x ref=%#x", ds, rs))
-		}
-		if detail, ok := diffProfiles(def.Prof, ref.Prof); !ok {
-			return fail(fmt.Sprintf("profile vs ref: %s", detail))
 		}
 	}
 	return nil

@@ -575,19 +575,23 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	}
 	doTrial := func(w *interp.Machine, t int) {
 		o, rep, final, err := e.trial(w, plans[t])
-		mu.Lock()
-		res.Executed++
-		res.Counts[o]++
-		if o == Recovered && rep.SameInstance {
-			res.SameInstance++
-		}
-		if ledger {
-			res.Records[t] = makeRecord(t, plans[t], rep, o, err, e.total, final, classOf)
-		}
-		if done != nil {
-			done[t] = true
-		}
-		mu.Unlock()
+		func() {
+			// Deferred, so a panic here cannot leave the other workers
+			// blocked on mu while Dispatch waits for them.
+			mu.Lock()
+			defer mu.Unlock()
+			res.Executed++
+			res.Counts[o]++
+			if o == Recovered && rep.SameInstance {
+				res.SameInstance++
+			}
+			if ledger {
+				res.Records[t] = makeRecord(t, plans[t], rep, o, err, e.total, final, classOf)
+			}
+			if done != nil {
+				done[t] = true
+			}
+		}()
 		if done != nil {
 			emitDone()
 		}

@@ -26,11 +26,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 
 	"encore/internal/ci"
+	"encore/internal/obs"
 	"encore/internal/sfi"
 )
 
@@ -422,22 +422,7 @@ func ReadSnapshots(r io.Reader) ([]*Snapshot, error) {
 }
 
 // WriteSnapshotsFile implements encore-sfi's -stats flag: it writes the
-// snapshots to the named file, or to stdout when path is "-". An empty
-// path is a no-op.
+// snapshots through obs.WriteOutput.
 func WriteSnapshotsFile(path string, snaps []*Snapshot, stdout io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	if path == "-" {
-		return WriteSnapshots(stdout, snaps)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSnapshots(f, snaps); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteOutput(path, stdout, func(w io.Writer) error { return WriteSnapshots(w, snaps) })
 }

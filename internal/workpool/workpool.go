@@ -19,8 +19,10 @@
 package workpool
 
 import (
+	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -75,6 +77,12 @@ type Shard struct {
 // body inline on the caller's goroutine with no goroutine or channel
 // overhead. Dispatch returns when every worker has returned.
 //
+// A panic in a worker goroutine's body does not kill the process: pull
+// stops handing out shards, the other workers finish the shards they
+// hold, and Dispatch re-panics on the caller's goroutine with a
+// *WorkerPanic carrying the first panic's value and the worker's stack,
+// so a recover in the caller contains it.
+//
 // done, which may be nil, cancels cooperatively at shard granularity: a
 // closed done channel stops pull from handing out further shards, while
 // shards already pulled run to completion. Results collected positionally
@@ -88,8 +96,14 @@ func Dispatch(n, size, workers int, done <-chan struct{}, body func(worker int, 
 		size = 1
 	}
 	nShards := (n + size - 1) / size
-	var next atomic.Int64
+	var (
+		next     atomic.Int64
+		panicked atomic.Pointer[WorkerPanic] // the first worker panic
+	)
 	pull := func() (Shard, bool) {
+		if panicked.Load() != nil {
+			return Shard{}, false
+		}
 		if done != nil {
 			select {
 			case <-done:
@@ -117,8 +131,32 @@ func Dispatch(n, size, workers int, done <-chan struct{}, body func(worker int, 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panicked.CompareAndSwap(nil, &WorkerPanic{Value: v, Stack: debug.Stack()})
+				}
+			}()
 			body(w, pull)
 		}(w)
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
+}
+
+// WorkerPanic is the value Dispatch re-panics with on its caller's
+// goroutine when a worker goroutine's body panicked.
+type WorkerPanic struct {
+	// Value is the value the worker panicked with.
+	Value any
+	// Stack is the worker goroutine's stack at the panic.
+	Stack []byte
+}
+
+// Error reports the worker's panic value and stack, so a caller that
+// logs a recovered value, or the runtime's crash report, shows where the
+// worker panicked rather than where Dispatch re-panicked.
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
 }

@@ -1,6 +1,7 @@
 package workpool
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -99,5 +100,47 @@ func TestDispatchEmpty(t *testing.T) {
 	Dispatch(-5, 4, 4, nil, func(_ int, pull func() (Shard, bool)) { called = true })
 	if called {
 		t.Fatal("body invoked for an empty job space")
+	}
+}
+
+// TestDispatchWorkerPanic checks that a panic in one of four workers'
+// bodies reaches Dispatch's caller instead of killing the process: the
+// other workers return before Dispatch re-panics, pull stops handing out
+// shards, and the re-raised value carries the original value and the
+// panicking worker's stack.
+func TestDispatchWorkerPanic(t *testing.T) {
+	const n = 1 << 16
+	var pulled, returned atomic.Int32
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		Dispatch(n, 1, 4, nil, func(_ int, pull func() (Shard, bool)) {
+			for sh, ok := pull(); ok; sh, ok = pull() {
+				pulled.Add(1)
+				if sh.Lo == 10 {
+					panic("shard 10")
+				}
+			}
+			returned.Add(1)
+		})
+		return nil
+	}()
+	wp, ok := got.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("Dispatch recovered %T %v, want *WorkerPanic", got, got)
+	}
+	if wp.Value != "shard 10" {
+		t.Errorf("panic value %v, want %q", wp.Value, "shard 10")
+	}
+	if !strings.Contains(string(wp.Stack), "TestDispatchWorkerPanic") {
+		t.Errorf("stack does not name the panicking body:\n%s", wp.Stack)
+	}
+	if !strings.Contains(wp.Error(), "shard 10") {
+		t.Errorf("Error() = %q, want the panic value", wp.Error())
+	}
+	if r := returned.Load(); r != 3 {
+		t.Errorf("%d workers returned before the re-panic, want 3", r)
+	}
+	if p := pulled.Load(); p >= n {
+		t.Errorf("all %d shards handed out after the panic", p)
 	}
 }

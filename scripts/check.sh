@@ -10,7 +10,9 @@
 # observability flags end to end — including a check that metrics
 # counters are identical under ENCORE_WORKERS=1 and the default pool,
 # that the default engine reproduces the reference engine's output bit
-# for bit across the full workload suite and the SFI trial ledger, and
+# for bit across the full workload suite, the metrics counters of one
+# compile (instruction, checkpoint and profile totals) and the SFI trial
+# ledger, and
 # that the encore-serve daemon's streamed campaign ledger is
 # byte-identical to the batch encore-sfi -trace ledger for the same
 # (workload, config, seed), after the same daemon has answered a
@@ -121,7 +123,7 @@ grep -q '|err|' "$tmp/report.txt" || { echo "encore-sfi -report: no abs-error co
 "$tmp/encore-sfi" -trace "$tmp/trace2.jsonl" -app rawcaudio -trials 5 > /dev/null
 cmp -s "$tmp/trace.jsonl" "$tmp/trace2.jsonl" || { echo "encore-sfi -trace: not byte-identical across runs" >&2; exit 1; }
 
-echo "==> smoke: default engine identical to -engine ref across the full workload suite"
+echo "==> smoke: default engine identical to -engine ref across the full workload suite and in compile counters"
 # The per-app report covers measured overhead, checkpoint traffic, and
 # region selection for all 23 workloads: any divergence between engines
 # in counting, checkpointing, or profiling shows up as a report diff.
@@ -130,6 +132,19 @@ echo "==> smoke: default engine identical to -engine ref across the full workloa
 cmp -s "$tmp/report-fast.txt" "$tmp/report-ref.txt" || {
 	echo "encore: default engine report differs from -engine ref:" >&2
 	diff "$tmp/report-fast.txt" "$tmp/report-ref.txt" >&2 || true
+	exit 1
+}
+# The counters section holds the instruction and checkpoint totals and
+# the profile's block and edge executions, which both engines count when
+# a block's terminator retires; a fault-free compile makes no handoff on
+# either engine.
+for e in fast ref; do
+	"$tmp/encore" -app 175.vpr -engine "$e" -metrics "$tmp/vpr-$e.json" > /dev/null
+	sed -n '/"counters"/,/\]/p' "$tmp/vpr-$e.json" > "$tmp/vpr-counters-$e.txt"
+done
+cmp -s "$tmp/vpr-counters-fast.txt" "$tmp/vpr-counters-ref.txt" || {
+	echo "encore -app 175.vpr -metrics: counters differ between default engine and -engine ref:" >&2
+	diff "$tmp/vpr-counters-fast.txt" "$tmp/vpr-counters-ref.txt" >&2 || true
 	exit 1
 }
 
