@@ -144,6 +144,9 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
+	if *trials < 1 {
+		return fmt.Errorf("-trials %d: a campaign needs at least one trial", *trials)
+	}
 	if *dmax < 0 {
 		return fmt.Errorf("-dmax %d is negative: detection latency is sampled uniformly from [0, dmax]", *dmax)
 	}

@@ -12,11 +12,27 @@ import (
 	"encore/internal/stats"
 )
 
+// TestNegativeDmaxRejected covers the campaign-shape flags the command
+// rejects before running anything: a negative -dmax and a -trials below
+// one (which the library would otherwise turn into its 200-trial
+// default).
 func TestNegativeDmaxRejected(t *testing.T) {
-	var out, errOut bytes.Buffer
-	err := runSFI([]string{"-app", "rawcaudio", "-trials", "3", "-dmax", "-5"}, &out, &errOut)
-	if err == nil || !strings.Contains(err.Error(), "negative") {
-		t.Fatalf("want a negative-dmax error, got %v", err)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trials", "3", "-dmax", "-5"}, "negative"},
+		{[]string{"-trials", "0"}, "-trials 0"},
+		{[]string{"-trials", "-3"}, "-trials -3"},
+	} {
+		var out, errOut bytes.Buffer
+		err := runSFI(append([]string{"-app", "rawcaudio"}, c.args...), &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: got %v, want an error mentioning %q", c.args, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before rejecting", c.args, out.String())
+		}
 	}
 }
 

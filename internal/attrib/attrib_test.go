@@ -113,9 +113,15 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 }
 
+// recordSink is a StatsSink that keeps every trial record it receives.
+type recordSink []sfi.TrialRecord
+
+func (r *recordSink) ObserveCampaign(sfi.CampaignMeta) {}
+func (r *recordSink) ObserveTrial(rec sfi.TrialRecord) { *r = append(*r, rec) }
+
 // TestRoundTripRealCampaign pushes a real campaign through the JSONL sink
-// and back through ReadTrace, requiring lossless records and a sane
-// attribution table.
+// and back through ReadTrace, requiring the records the campaign
+// delivered to come back losslessly and a sane attribution table.
 func TestRoundTripRealCampaign(t *testing.T) {
 	sp, err := workload.ByName("g721encode")
 	if err != nil {
@@ -135,9 +141,10 @@ func TestRoundTripRealCampaign(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
+	var in recordSink
 	camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
 		Trials: 80, Seed: 3, Dmax: 100, App: "g721encode",
-		Regions: regions, Trace: obs.NewJSONLSink(&buf),
+		Regions: regions, Trace: obs.NewJSONLSink(&buf), Stats: &in,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +157,8 @@ func TestRoundTripRealCampaign(t *testing.T) {
 		t.Fatalf("round trip shape: %d campaigns", len(cs))
 	}
 	for i, r := range cs[0].Records {
-		if r != camp.Records[i] {
-			t.Fatalf("trial %d differs after round trip:\n in: %+v\nout: %+v", i, camp.Records[i], r)
+		if r != in[i] {
+			t.Fatalf("trial %d differs after round trip:\n in: %+v\nout: %+v", i, in[i], r)
 		}
 	}
 	rep := Attribute(cs[0])

@@ -1,6 +1,7 @@
 package attrib
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -41,15 +42,19 @@ func TestFromStatsMatchesAttribute(t *testing.T) {
 				})
 			}
 			est := stats.New()
-			camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
+			var ledger bytes.Buffer
+			if _, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
 				Trials: 40, Seed: 11, Dmax: dmax, Workers: workers,
 				Obs: obs.NewRegistry(), App: app, Regions: regions,
-				Ledger: true, Stats: est,
-			})
-			if err != nil {
+				Trace: obs.NewJSONLSink(&ledger), Stats: est,
+			}); err != nil {
 				t.Fatal(err)
 			}
-			want := Attribute(&Campaign{Meta: *camp.Meta, Records: camp.Records})
+			cs, err := ReadTrace(&ledger)
+			if err != nil || len(cs) != 1 {
+				t.Fatalf("reading the ledger back: %d campaigns, %v", len(cs), err)
+			}
+			want := Attribute(cs[0])
 			got := FromStats(est.Snapshot())
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s workers=%d: FromStats diverges from Attribute:\nattribute: %+v\nfromstats: %+v", app, workers, want, got)

@@ -82,7 +82,7 @@ type Config struct {
 	// Workers bounds the per-function analysis fan-out of the regions
 	// stage. Zero (the default) consults the ENCORE_WORKERS environment
 	// override and falls back to GOMAXPROCS; the value is normalized via
-	// workpool.Clamp (the sfi.ClampWorkers convention). Results are
+	// workpool.Clamp, as every worker count in the tree is. Results are
 	// bit-identical for every worker count
 	// (per-function outputs are collected positionally), so Workers is a
 	// pure throughput knob and is excluded from result cache keys.

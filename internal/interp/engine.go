@@ -38,7 +38,7 @@ func (e Engine) String() string {
 
 // ParseEngine maps a -engine flag value to an Engine. It is the shared
 // validation helper behind the encore, encore-sfi, encore-bench, and
-// encore-serve flags (the sfi.ClampWorkers convention: one exported
+// encore-serve flags (the workpool.Clamp convention: one exported
 // normalizer, every consumer degrades through it). The empty string
 // selects the default fast engine; "reference" is accepted as an alias
 // for "ref".

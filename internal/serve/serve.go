@@ -61,8 +61,8 @@ type Config struct {
 	// Zero selects one second.
 	RetryAfter time.Duration
 	// Workers is the default trial parallelism for campaigns that do not
-	// request their own; zero defers to sfi's ClampWorkers normalization
-	// (GOMAXPROCS, capped by the trial count).
+	// request their own; zero defers to workpool.Clamp (GOMAXPROCS,
+	// capped by the trial count).
 	Workers int
 	// Engine is the default interpreter engine for campaigns that do not
 	// name one. Ledgers are engine-invariant; this only moves throughput.
@@ -523,9 +523,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		for o := sfi.Outcome(0); o < sfi.Outcome(len(res.Counts)); o++ {
 			out.Counts[o.String()] = res.Counts[o]
 		}
-		if res.Meta != nil {
-			out.PredCoverage = res.Meta.PredCoverage
-		}
+		// A returned result means the estimator received the header.
+		out.PredCoverage = c.est.Snapshot().PredCoverage
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)

@@ -23,8 +23,8 @@ import (
 )
 
 // batchStats runs the reference batch campaign with an estimator and a
-// retained ledger, returning the final snapshot and the attrib campaign
-// for the post-hoc pass.
+// trace, returning the final snapshot and the trace read back for the
+// post-hoc pass.
 func batchStats(t *testing.T, app string, trials int, seed uint64, dmax int64) (*stats.Snapshot, *attrib.Campaign) {
 	t.Helper()
 	sp, err := workload.ByName(app)
@@ -39,14 +39,18 @@ func batchStats(t *testing.T, app string, trials int, seed uint64, dmax int64) (
 		t.Fatal(err)
 	}
 	est := stats.New()
-	camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
+	var ledger bytes.Buffer
+	if _, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
 		Trials: trials, Seed: seed, Dmax: dmax, Obs: obs.NewRegistry(),
-		App: app, Regions: RegionTable(res, dmax), Ledger: true, Stats: est,
-	})
-	if err != nil {
+		App: app, Regions: RegionTable(res, dmax), Trace: obs.NewJSONLSink(&ledger), Stats: est,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return est.Snapshot(), &attrib.Campaign{Meta: *camp.Meta, Records: camp.Records}
+	cs, err := attrib.ReadTrace(&ledger)
+	if err != nil || len(cs) != 1 {
+		t.Fatalf("reading the batch ledger back: %d campaigns, %v", len(cs), err)
+	}
+	return est.Snapshot(), cs[0]
 }
 
 // TestStatsAgreeEverywhere locks the PR's acceptance criterion in one

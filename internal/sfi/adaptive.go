@@ -89,16 +89,16 @@ type keyTally struct {
 }
 
 // stopRun is the per-campaign state behind a Stopper: the predicted key
-// for every planned trial, per-key tallies, and the halted set. All
-// mutation happens at round barriers on the coordinating goroutine
-// except exec, whose elements are written once each by the worker that
-// owns the trial and read only after the round's dispatch joins.
+// for every planned trial, per-key tallies, and the halted set. decide
+// and rescore run at round barriers on the coordinating goroutine.
+// observe runs in the campaign's trial-order drain, which is serialized
+// and has passed every executed record of a round before the round's
+// dispatch joins, so the barrier sees the whole round folded.
 type stopRun struct {
 	target float64
 	round  int
 	pred   []int // predicted region key per planned trial
 	skip   []bool
-	exec   []bool
 	tally  map[int]*keyTally
 	halted map[int]bool
 
@@ -116,7 +116,6 @@ func newStopRun(stop *Stopper, plans []interp.FaultPlan, rm *trace.RegionMap,
 		round:  stop.roundSize(trials),
 		pred:   make([]int, len(plans)),
 		skip:   make([]bool, len(plans)),
-		exec:   make([]bool, len(plans)),
 		tally:  map[int]*keyTally{},
 		halted: map[int]bool{},
 	}
@@ -158,38 +157,32 @@ func (s *stopRun) decide(lo, hi int) {
 	}
 }
 
-// fold absorbs the completed round [lo, hi) into the tallies — keyed by
-// the *actual* strike region from each executed record, counting
-// prediction disagreements — then re-scores the halted set.
-func (s *stopRun) fold(lo, hi int, records []TrialRecord) {
-	for t := lo; t < hi; t++ {
-		if s.skip[t] || !s.exec[t] {
-			continue
-		}
-		rec := &records[t]
-		key := NotInjectedKey
-		if rec.Injected {
-			key = rec.RegionID
-		}
-		if key != s.pred[t] {
-			s.mispred++
-		}
-		tl := s.tally[key]
-		if tl == nil {
-			tl = &keyTally{}
-			s.tally[key] = tl
-		}
-		tl.n++
-		if rec.Outcome == Recovered {
-			tl.k++
-		}
+// observe folds one executed trial's record into the tallies, keyed by
+// the *actual* strike region, and counts a disagreement with the
+// predicted key. The halted set only changes at the next rescore.
+func (s *stopRun) observe(rec *TrialRecord) {
+	key := NotInjectedKey
+	if rec.Injected {
+		key = rec.RegionID
 	}
-	s.rescore()
+	if key != s.pred[rec.Trial] {
+		s.mispred++
+	}
+	tl := s.tally[key]
+	if tl == nil {
+		tl = &keyTally{}
+		s.tally[key] = tl
+	}
+	tl.n++
+	if rec.Outcome == Recovered {
+		tl.k++
+	}
 }
 
-// rescore moves every converged key into the halted set. Halting is
-// monotone: once a key converges it stays halted, so skip decisions can
-// only grow between rounds.
+// rescore moves every converged key into the halted set; the campaign
+// calls it at each round barrier. Halting is monotone: once a key
+// converges it stays halted, so skip decisions can only grow between
+// rounds.
 func (s *stopRun) rescore() {
 	for key, tl := range s.tally {
 		if s.halted[key] {

@@ -46,24 +46,18 @@ func compileApp(t *testing.T, name string) (*core.Result, *workload.Artifact) {
 // only ever elide trials, never change one).
 func TestAdaptiveOffUnchanged(t *testing.T) {
 	res, art := compileApp(t, "g721encode")
-	base := CampaignConfig{Trials: 120, Seed: 7, Dmax: 100, Ledger: true}
-	off, err := RunCampaign(res.Mod, res.Metas, art.Outputs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := CampaignConfig{Trials: 120, Seed: 7, Dmax: 100}
+	off, offRecs := collect(t, res, art.Outputs, base)
 	if off.Skipped != 0 || off.Mispredicted != 0 {
 		t.Errorf("non-adaptive campaign reports adaptive counters: %+v", off)
 	}
 	cfg := base
 	cfg.Stop = &Stopper{TargetCI: 1e-9} // unreachable at 120 trials
-	tight, err := RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tight, tightRecs := collect(t, res, art.Outputs, cfg)
 	if tight.Executed != base.Trials || tight.Skipped != 0 {
 		t.Fatalf("unreachable target still skipped trials: executed %d skipped %d", tight.Executed, tight.Skipped)
 	}
-	if !reflect.DeepEqual(off.Records, tight.Records) {
+	if !reflect.DeepEqual(offRecs, tightRecs) {
 		t.Error("adaptive run with unreachable target diverged from the non-adaptive records")
 	}
 	if off.Counts != tight.Counts || off.SameInstance != tight.SameInstance {
@@ -76,18 +70,14 @@ func TestAdaptiveOffUnchanged(t *testing.T) {
 // counts and engines.
 func TestAdaptiveDeterministic(t *testing.T) {
 	res, art := compileApp(t, "g721encode")
-	run := func(workers int, eng interp.Engine) *CampaignResult {
-		camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
-			Trials: 300, Seed: 7, Dmax: 100, Ledger: true,
+	run := func(workers int, eng interp.Engine) (*CampaignResult, []TrialRecord) {
+		return collect(t, res, art.Outputs, CampaignConfig{
+			Trials: 300, Seed: 7, Dmax: 100,
 			Workers: workers, Engine: eng,
 			Stop: &Stopper{TargetCI: 0.12},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return camp
 	}
-	ref := run(1, interp.EngineFast)
+	ref, refRecs := run(1, interp.EngineFast)
 	if ref.Skipped == 0 {
 		t.Fatalf("target ±0.12 never converged in 300 trials; test needs a converging region")
 	}
@@ -95,13 +85,13 @@ func TestAdaptiveDeterministic(t *testing.T) {
 		workers int
 		eng     interp.Engine
 	}{{7, interp.EngineFast}, {3, interp.EngineRef}, {0, interp.EngineRef}} {
-		got := run(v.workers, v.eng)
+		got, gotRecs := run(v.workers, v.eng)
 		if got.Executed != ref.Executed || got.Skipped != ref.Skipped || got.Mispredicted != ref.Mispredicted {
 			t.Errorf("workers=%d engine=%v: executed/skipped/mispred %d/%d/%d vs ref %d/%d/%d",
 				v.workers, v.eng, got.Executed, got.Skipped, got.Mispredicted,
 				ref.Executed, ref.Skipped, ref.Mispredicted)
 		}
-		if !reflect.DeepEqual(got.Records, ref.Records) {
+		if !reflect.DeepEqual(gotRecs, refRecs) {
 			t.Errorf("workers=%d engine=%v: records diverged", v.workers, v.eng)
 		}
 	}
@@ -116,16 +106,12 @@ func TestAdaptiveInvariant(t *testing.T) {
 	res, art := compileApp(t, "g721encode")
 	const trials = 300
 	stopper := &Stopper{TargetCI: 0.12}
-	cfg := CampaignConfig{Trials: trials, Seed: 9, Dmax: 100, Ledger: true, Stop: stopper}
-	camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp, recs := collect(t, res, art.Outputs, CampaignConfig{Trials: trials, Seed: 9, Dmax: 100, Stop: stopper})
 	if camp.Executed+camp.Skipped != trials {
 		t.Fatalf("trial accounting: executed %d + skipped %d != %d", camp.Executed, camp.Skipped, trials)
 	}
-	if len(camp.Records) != camp.Executed {
-		t.Fatalf("%d records for %d executed trials", len(camp.Records), camp.Executed)
+	if len(recs) != camp.Executed {
+		t.Fatalf("%d records for %d executed trials", len(recs), camp.Executed)
 	}
 	sum := 0
 	for _, c := range camp.Counts {
@@ -141,7 +127,7 @@ func TestAdaptiveInvariant(t *testing.T) {
 	type tally struct{ n, k int }
 	final := map[int]*tally{}
 	executedOf := map[int]int{}
-	for _, rec := range camp.Records {
+	for _, rec := range recs {
 		key := NotInjectedKey
 		if rec.Injected {
 			key = rec.RegionID
@@ -175,14 +161,9 @@ func TestAdaptiveInvariant(t *testing.T) {
 			// Cross-check against a fresh exhaustive run: every trial that
 			// strikes this key in the exhaustive records must appear in the
 			// adaptive records too.
-			full, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
-				Trials: trials, Seed: 9, Dmax: 100, Ledger: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, full := collect(t, res, art.Outputs, CampaignConfig{Trials: trials, Seed: 9, Dmax: 100})
 			fullCount := 0
-			for _, rec := range full.Records {
+			for _, rec := range full {
 				k := NotInjectedKey
 				if rec.Injected {
 					k = rec.RegionID
@@ -211,13 +192,10 @@ func TestAdaptivePriorReuse(t *testing.T) {
 	regions := regionTable(res, 100)
 	const trials = 200
 	base := CampaignConfig{
-		Trials: trials, Seed: 7, Dmax: 100, Ledger: true,
+		Trials: trials, Seed: 7, Dmax: 100,
 		Regions: regions, Stop: &Stopper{},
 	}
-	fresh, err := RunCampaign(res.Mod, res.Metas, art.Outputs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh, freshRecs := collect(t, res, art.Outputs, base)
 
 	// Distill the executed records into priors exactly as attrib does.
 	hashOf := map[int]string{}
@@ -225,7 +203,7 @@ func TestAdaptivePriorReuse(t *testing.T) {
 		hashOf[ri.ID] = ri.Hash
 	}
 	tallies := map[int]*PriorRegion{}
-	for _, rec := range fresh.Records {
+	for _, rec := range freshRecs {
 		if !rec.Injected || hashOf[rec.RegionID] == "" {
 			continue
 		}
@@ -263,15 +241,12 @@ func TestAdaptivePriorReuse(t *testing.T) {
 		stale[i] = p
 	}
 	cfg.Prior = stale
-	changed, err := RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	changed, changedRecs := collect(t, res, art.Outputs, cfg)
 	if changed.Executed != fresh.Executed || changed.Skipped != fresh.Skipped {
 		t.Errorf("stale-hash prior perturbed the run: executed %d/%d skipped %d/%d",
 			changed.Executed, fresh.Executed, changed.Skipped, fresh.Skipped)
 	}
-	if !reflect.DeepEqual(changed.Records, fresh.Records) {
+	if !reflect.DeepEqual(changedRecs, freshRecs) {
 		t.Error("stale-hash prior changed the records")
 	}
 }

@@ -1,7 +1,7 @@
 // Checkpoint-ladder invariance tests live in an external test package:
-// they drive campaigns through the stats estimator, and internal/stats
-// imports internal/sfi, so an in-package test would create an import
-// cycle.
+// they drive campaigns through the stats estimator and read ledgers back
+// with internal/attrib, and both import internal/sfi, so an in-package
+// test would create an import cycle.
 package sfi_test
 
 import (
@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"encore/internal/attrib"
 	"encore/internal/core"
 	"encore/internal/interp"
 	"encore/internal/ir"
@@ -38,6 +39,29 @@ func wantLadder(k int, total int64) (rungs, captures int64) {
 		}
 	}
 	return rungs, captures
+}
+
+// traced runs a campaign with a JSONL trace attached and returns the
+// result, the trace bytes, and the trace read back.
+func traced(t *testing.T, mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg sfi.CampaignConfig) (*sfi.CampaignResult, []byte, *attrib.Campaign) {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.Trace = obs.NewJSONLSink(&buf)
+	camp, err := sfi.RunCampaign(mod, metas, outs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Trace.Err(); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := attrib.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs) != 1 {
+		t.Fatalf("trace holds %d campaigns, want 1", len(cs))
+	}
+	return camp, buf.Bytes(), cs[0]
 }
 
 // ladderCounters reads a campaign registry's golden-pass counters.
@@ -69,13 +93,13 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 
 			base := sfi.CampaignConfig{Trials: 60, Seed: 9, Dmax: 100, App: name}
 
-			// run executes a ledger+stats campaign and returns the result
-			// plus the serialized records and final stats snapshot; the
-			// campaign's metrics land in *reg when reg is non-nil.
-			run := func(mut func(*sfi.CampaignConfig), reg **obs.Registry) (*sfi.CampaignResult, []byte, []byte) {
+			// run executes a traced campaign with an estimator and returns
+			// the result, the trace read back, the trace bytes, and the
+			// final stats snapshot; the campaign's metrics land in *reg
+			// when reg is non-nil.
+			run := func(mut func(*sfi.CampaignConfig), reg **obs.Registry) (*sfi.CampaignResult, *attrib.Campaign, []byte, []byte) {
 				t.Helper()
 				cfg := base
-				cfg.Ledger = true
 				est := stats.New()
 				cfg.Stats = est
 				if reg != nil {
@@ -85,23 +109,16 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 				if mut != nil {
 					mut(&cfg)
 				}
-				camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw, err := json.Marshal(camp.Records)
-				if err != nil {
-					t.Fatal(err)
-				}
+				camp, raw, ledger := traced(t, res.Mod, res.Metas, art.Outputs, cfg)
 				snap, err := json.Marshal(est.Snapshot())
 				if err != nil {
 					t.Fatal(err)
 				}
-				return camp, raw, snap
+				return camp, ledger, raw, snap
 			}
 
-			ref, refRaw, refSnap := run(nil, nil)
-			total := ref.Meta.GoldenInstrs
+			ref, refLedger, refRaw, refSnap := run(nil, nil)
+			total := refLedger.Meta.GoldenInstrs
 			// kOne puts the run between 2·kOne and 4·kOne floors long, so
 			// the golden pass doubles its stride exactly once.
 			kOne := int(total/(3*interp.LadderFloor)) + 1
@@ -123,7 +140,7 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 			}
 			for _, v := range variants {
 				var reg *obs.Registry
-				camp, raw, snap := run(func(c *sfi.CampaignConfig) {
+				camp, _, raw, snap := run(func(c *sfi.CampaignConfig) {
 					c.Checkpoints = v.ck
 					if v.mut != nil {
 						v.mut(c)
@@ -137,7 +154,7 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 						v.label, camp.Counts, camp.SameInstance, ref.Counts, ref.SameInstance)
 				}
 				if !bytes.Equal(raw, refRaw) {
-					t.Errorf("%s: ledger records diverged from checkpoints=0 baseline", v.label)
+					t.Errorf("%s: ledger diverged from checkpoints=0 baseline", v.label)
 				}
 				if !bytes.Equal(snap, refSnap) {
 					t.Errorf("%s: stats snapshot diverged from checkpoints=0 baseline", v.label)
@@ -160,20 +177,20 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 			var merged []sfi.TrialRecord
 			for i := range shards {
 				cfg := base
-				cfg.Ledger = true
 				cfg.Checkpoints = 16
 				cfg.Shard = &shards[i]
-				camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				merged = append(merged, camp.Records...)
+				_, _, ledger := traced(t, res.Mod, res.Metas, art.Outputs, cfg)
+				merged = append(merged, ledger.Records...)
 			}
 			mergedRaw, err := json.Marshal(merged)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(mergedRaw, refRaw) {
+			wantRaw, err := json.Marshal(refLedger.Records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mergedRaw, wantRaw) {
 				t.Error("sharded ckpt16 records, concatenated, diverged from the unsharded checkpoints=0 ledger")
 			}
 
@@ -181,17 +198,9 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 			// and without the ladder.
 			adaptive := func(ck int) (*sfi.CampaignResult, []byte) {
 				cfg := base
-				cfg.Ledger = true
 				cfg.Checkpoints = ck
 				cfg.Stop = &sfi.Stopper{TargetCI: 0.12}
-				camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw, err := json.Marshal(camp.Records)
-				if err != nil {
-					t.Fatal(err)
-				}
+				camp, raw, _ := traced(t, res.Mod, res.Metas, art.Outputs, cfg)
 				return camp, raw
 			}
 			a0, a0raw := adaptive(0)
@@ -261,17 +270,10 @@ func TestCheckpointsBeyondShortRun(t *testing.T) {
 		ledger := func(ck int) ([]byte, int64, [2]int64) {
 			t.Helper()
 			reg := obs.NewRegistry()
-			camp, err := sfi.RunCampaign(res.Mod, res.Metas, []*ir.Global{c.out}, sfi.CampaignConfig{
-				Trials: 40, Seed: 5, Dmax: 4, Ledger: true, Checkpoints: ck, Obs: reg,
+			_, raw, ledger := traced(t, res.Mod, res.Metas, []*ir.Global{c.out}, sfi.CampaignConfig{
+				Trials: 40, Seed: 5, Dmax: 4, Checkpoints: ck, Obs: reg,
 			})
-			if err != nil {
-				t.Fatalf("%s, checkpoints %d: %v", c.mod.Name, ck, err)
-			}
-			raw, err := json.Marshal(camp.Records)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return raw, camp.Meta.GoldenInstrs, ladderCounters(reg)
+			return raw, ledger.Meta.GoldenInstrs, ladderCounters(reg)
 		}
 		raw0, total, _ := ledger(0)
 		for i, ck := range c.targets {
@@ -386,14 +388,11 @@ func TestLadderCounters(t *testing.T) {
 		{Workers: 4, Engine: interp.EngineRef},
 	} {
 		reg := obs.NewRegistry()
-		cfg.Trials, cfg.Seed, cfg.Dmax, cfg.Checkpoints, cfg.Obs, cfg.Ledger = 20, 2, 100, sfi.DefaultCheckpoints, reg, true
-		camp, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg.Trials, cfg.Seed, cfg.Dmax, cfg.Checkpoints, cfg.Obs = 20, 2, 100, sfi.DefaultCheckpoints, reg
+		_, _, ledger := traced(t, res.Mod, res.Metas, art.Outputs, cfg)
 		got := ladderCounters(reg)
 		if i == 0 {
-			r, c := wantLadder(sfi.DefaultCheckpoints, camp.Meta.GoldenInstrs)
+			r, c := wantLadder(sfi.DefaultCheckpoints, ledger.Meta.GoldenInstrs)
 			if want = [2]int64{r, c}; got != want || r < sfi.DefaultCheckpoints || c == r {
 				t.Fatalf("rungs/captures %v, schedule %v: want at least %d rungs after a doubling",
 					got, want, sfi.DefaultCheckpoints)

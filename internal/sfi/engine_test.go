@@ -28,20 +28,18 @@ func TestCampaignLedgerEngineInvariant(t *testing.T) {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
 		var first *CampaignResult
+		var firstRecs []TrialRecord
 		var firstBytes []byte
 		for _, e := range engines {
-			camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
-				Trials: 80, Seed: 11, Dmax: 100, Engine: e, Ledger: true, App: name,
+			camp, recs := collect(t, res, art.Outputs, CampaignConfig{
+				Trials: 80, Seed: 11, Dmax: 100, Engine: e, App: name,
 			})
-			if err != nil {
-				t.Fatalf("%s/%s: campaign: %v", name, e, err)
-			}
-			raw, err := json.Marshal(camp.Records)
+			raw, err := json.Marshal(recs)
 			if err != nil {
 				t.Fatalf("%s/%s: marshal: %v", name, e, err)
 			}
 			if first == nil {
-				first, firstBytes = camp, raw
+				first, firstRecs, firstBytes = camp, recs, raw
 				continue
 			}
 			if camp.Counts != first.Counts {
@@ -53,10 +51,10 @@ func TestCampaignLedgerEngineInvariant(t *testing.T) {
 					name, e, camp.SameInstance, first.SameInstance)
 			}
 			if !bytes.Equal(raw, firstBytes) {
-				for i := range camp.Records {
-					if camp.Records[i] != first.Records[i] {
+				for i := range recs {
+					if recs[i] != firstRecs[i] {
 						t.Errorf("%s/%s: trial %d record diverges:\n  %+v\nvs\n  %+v",
-							name, e, i, camp.Records[i], first.Records[i])
+							name, e, i, recs[i], firstRecs[i])
 						break
 					}
 				}

@@ -40,19 +40,33 @@ func TestOutcomeTextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsNegativeDmax covers the rejection of negative
+// campaign and masking parameters; a zero trial count keeps the default,
+// but a negative one is an error rather than a silent default.
 func TestCampaignRejectsNegativeDmax(t *testing.T) {
-	sp, err := workload.ByName("rawcaudio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	art := sp.Build()
-	res, err := core.Compile(art.Mod, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{Trials: 5, Dmax: -1})
-	if err == nil || !strings.Contains(err.Error(), "negative Dmax") {
-		t.Fatalf("want a negative-Dmax error, got %v", err)
+	res, art := compileApp(t, "rawcaudio")
+	build, _ := buildOf(t, "rawcaudio")
+	for _, c := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"campaign dmax", func() error {
+			_, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{Trials: 5, Dmax: -1})
+			return err
+		}, "negative Dmax"},
+		{"campaign trials", func() error {
+			_, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{Trials: -3})
+			return err
+		}, "negative trial count"},
+		{"masking trials", func() error {
+			_, err := MeasureMasking(build, MaskingConfig{Trials: -3})
+			return err
+		}, "negative trial count"},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -136,11 +150,8 @@ func runTraced(t *testing.T, workers int) []byte {
 	if sink.Err() != nil {
 		t.Fatalf("sink error: %v", sink.Err())
 	}
-	if len(camp.Records) != camp.Trials {
-		t.Fatalf("ledger kept %d records for %d trials", len(camp.Records), camp.Trials)
-	}
-	if camp.Meta == nil || camp.Meta.App != "rawcaudio" || camp.Meta.GoldenInstrs <= 0 {
-		t.Fatalf("campaign meta not populated: %+v", camp.Meta)
+	if camp.Executed != camp.Trials {
+		t.Fatalf("executed %d of %d trials", camp.Executed, camp.Trials)
 	}
 	return buf.Bytes()
 }
@@ -164,7 +175,7 @@ func TestTraceGoldenSchema(t *testing.T) {
 	if err := json.Unmarshal(lines[0], &head); err != nil {
 		t.Fatal(err)
 	}
-	if head.Type != TraceCampaign || head.App != "rawcaudio" || head.Trials != 40 {
+	if head.Type != TraceCampaign || head.App != "rawcaudio" || head.Trials != 40 || head.GoldenInstrs <= 0 {
 		t.Fatalf("bad header: %+v", head)
 	}
 	if head.PredCoverage <= 0 || head.PredCoverage > 1 {

@@ -66,7 +66,7 @@ const maskingBits = 32
 type MaskingConfig struct {
 	Trials  int
 	Seed    uint64
-	Workers int // trial parallelism; normalized via ClampWorkers
+	Workers int // trial parallelism; workpool.Clamp normalizes it against the trial count
 
 	// Engine selects the interpreter engine the golden run and every
 	// trial machine use. All engines produce bit-identical trial
@@ -108,10 +108,12 @@ func MeasureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig) 
 // measureMasking is MeasureMasking on a ladder of the given target; at 0
 // every trial replays from Reset and runs to the end.
 func measureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig, checkpoints int) (*MaskingResult, error) {
-	if cfg.Trials <= 0 {
+	if cfg.Trials < 0 {
+		return nil, fmt.Errorf("sfi: negative trial count %d (0 selects the default)", cfg.Trials)
+	}
+	if cfg.Trials == 0 {
 		cfg.Trials = 200
 	}
-	cfg.Workers = ClampWorkers(cfg.Workers, cfg.Trials)
 	reg := obs.Or(cfg.Obs)
 	sp := reg.Span("sfi/masking")
 	defer sp.End()
@@ -261,7 +263,7 @@ type CampaignConfig struct {
 	Seed    uint64
 	Bits    int   // datapath width (default 32)
 	Dmax    int64 // maximum detection latency, uniform [0, Dmax]
-	Workers int   // trial parallelism; normalized via ClampWorkers
+	Workers int   // trial parallelism; workpool.Clamp normalizes it against the trials run
 
 	// Engine selects the interpreter engine the golden run and every
 	// trial machine use for quiescent execution (the active phase of each
@@ -304,27 +306,26 @@ type CampaignConfig struct {
 	// header record). Optional; without it site regions carry no class.
 	Regions []RegionInfo
 	// Trace, when non-nil, receives one CampaignEnvelope (after the
-	// golden run, before any trial) followed by exactly Trials
-	// TrialEnvelope records emitted incrementally in trial order as the
+	// golden run, before any trial) followed by one TrialEnvelope per
+	// executed trial, emitted incrementally in trial order as the
 	// completed prefix of the campaign grows — the stream is
 	// deterministic given Seed regardless of Workers or ShardSize, and
 	// its final bytes are identical to an end-of-campaign dump. The trial
 	// loop itself only fills a preallocated slice; emission happens on a
 	// separate lock so record IO never serializes the trial hot path.
 	Trace *obs.EventSink
-	// Ledger retains the per-trial records in CampaignResult.Records even
-	// when no Trace sink is attached (for in-process attribution).
-	Ledger bool
 	// Stats, when non-nil, receives the campaign header and then every
-	// trial record in trial order (see StatsSink). Attaching a sink does
-	// not change trial outcomes, the Records slice, or the Trace stream's
-	// bytes — it only adds the ordered delivery.
+	// executed trial's record in trial order (see StatsSink). Attaching a
+	// sink does not change trial outcomes or the Trace stream's bytes —
+	// it only adds the ordered delivery.
 	Stats StatsSink
 
 	// Ctx, when non-nil, cancels the campaign cooperatively: once done,
-	// no further trial shards are scheduled (in-flight shards finish),
-	// no further ledger records are emitted, and RunCampaign returns the
-	// partial result together with ctx's error. A nil Ctx never cancels.
+	// no further trial shards are scheduled, shards already handed out
+	// finish, and RunCampaign returns the partial result together with
+	// ctx's error. Shards go out in trial order, so the executed trials
+	// are a prefix of the run, and the result and both sinks cover
+	// exactly that prefix. A nil Ctx never cancels.
 	Ctx context.Context
 	// ShardSize is the number of consecutive trials handed to a worker
 	// per scheduling step (the workpool.Dispatch shard). Zero selects a
@@ -336,8 +337,8 @@ type CampaignConfig struct {
 	// of the trial space: plans for all Trials are still derived from
 	// the seed (so trial indices, sites, and latencies are global), but
 	// only [Shard.Lo, Shard.Hi) executes, and only those records reach
-	// Records, the Trace stream, and the StatsSink — as the exact bytes
-	// the corresponding lines of a single-process run would carry. The
+	// the Trace stream and the StatsSink — as the exact bytes the
+	// corresponding lines of a single-process run would carry. The
 	// range is validated against (Trials, Seed, Shard.Count); a stale or
 	// foreign range is an error, not a silent misexecution. Incompatible
 	// with Stop (adaptive decisions need the global record stream).
@@ -348,9 +349,8 @@ type CampaignConfig struct {
 	// trials whose predicted region's recovery-rate Wilson interval has
 	// already converged below Stop's target. Skipped trials execute
 	// nothing and emit nothing; CampaignResult.Skipped counts them and
-	// Records/Trace/Stats carry exactly the executed subset, in trial
-	// order, identically across Workers/ShardSize/Engine. Implies record
-	// retention (as if Ledger were set).
+	// the Trace stream and the StatsSink carry exactly the executed
+	// subset, in trial order, identically across Workers/ShardSize/Engine.
 	Stop *Stopper
 	// Prior seeds adaptive stopping with a previous campaign's per-region
 	// tallies, keyed by region content hash (see PriorRegion). Regions
@@ -386,12 +386,6 @@ type CampaignResult struct {
 	// very region instance the fault struck (the case the paper's α model
 	// credits).
 	SameInstance int
-
-	// Meta echoes the campaign's ledger header when the trial ledger was
-	// enabled (Trace sink or Ledger flag), and Records holds the
-	// per-trial entries in trial order.
-	Meta    *CampaignMeta
-	Records []TrialRecord
 }
 
 // Rate returns the fraction of injected trials with the given outcome.
@@ -418,9 +412,12 @@ func (c *CampaignResult) RecoveredRate() float64 {
 // scheduled as contiguous shards on a bounded worker pool
 // (workpool.Dispatch); a canceled cfg.Ctx stops scheduling at shard
 // granularity and RunCampaign returns the partial result with the
-// context's error.
+// context's error. Zero Trials selects 200; negative is an error.
 func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg CampaignConfig) (*CampaignResult, error) {
-	if cfg.Trials <= 0 {
+	if cfg.Trials < 0 {
+		return nil, fmt.Errorf("sfi: negative trial count %d (0 selects the default)", cfg.Trials)
+	}
+	if cfg.Trials == 0 {
 		cfg.Trials = 200
 	}
 	if cfg.Bits <= 0 {
@@ -448,7 +445,6 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 			return nil, fmt.Errorf("sfi: negative adaptive target CI %g", cfg.Stop.TargetCI)
 		}
 	}
-	cfg.Workers = ClampWorkers(cfg.Workers, cfg.Trials)
 	reg := obs.Or(cfg.Obs)
 	sp := reg.Span("sfi/campaign")
 	defer sp.End()
@@ -477,50 +473,27 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	if cfg.Shard != nil {
 		lo, hi = cfg.Shard.Lo, cfg.Shard.Hi
 	}
-	// Trial ledger: records are filled by trial index (not completion
-	// order) into a preallocated slice, so the emitted stream is
-	// deterministic given the seed regardless of worker interleaving.
-	// Adaptive stopping implies retention: its round decisions fold the
-	// executed records.
-	ledger := cfg.Trace != nil || cfg.Ledger || cfg.Stats != nil || cfg.Stop != nil
-	var classOf map[int]string
-	if ledger {
-		res.Records = make([]TrialRecord, cfg.Trials)
-		classOf = make(map[int]string, len(cfg.Regions))
-		for _, ri := range cfg.Regions {
-			classOf[ri.ID] = ri.Class
-		}
-		meta := &CampaignMeta{
-			App: cfg.App, Trials: cfg.Trials, Seed: cfg.Seed,
-			Dmax: cfg.Dmax, Bits: cfg.Bits, GoldenInstrs: e.total,
-			Regions: cfg.Regions,
-		}
-		for _, ri := range cfg.Regions {
-			if ri.Selected {
-				meta.PredCoverage += ri.DynFrac * ri.Alpha
-			}
-		}
-		res.Meta = meta
-		// The header depends only on the compile and the golden run, so
-		// it leads the stream; trial records then flow incrementally as
-		// the completed prefix grows (see emitDone below). Stats see it
-		// first so a snapshot taken between header and first trial
-		// already carries the prediction table.
-		if cfg.Stats != nil {
-			cfg.Stats.ObserveCampaign(*meta)
-		}
-		if cfg.Trace != nil {
-			cfg.Trace.Emit(CampaignEnvelope{Type: TraceCampaign, CampaignMeta: *meta})
+	classOf := make(map[int]string, len(cfg.Regions))
+	meta := CampaignMeta{
+		App: cfg.App, Trials: cfg.Trials, Seed: cfg.Seed,
+		Dmax: cfg.Dmax, Bits: cfg.Bits, GoldenInstrs: e.total,
+		Regions: cfg.Regions,
+	}
+	for _, ri := range cfg.Regions {
+		classOf[ri.ID] = ri.Class
+		if ri.Selected {
+			meta.PredCoverage += ri.DynFrac * ri.Alpha
 		}
 	}
-	// Incremental trial-order emission: done[t] marks finished trials
-	// (guarded by mu with the counters); a worker that completes a trial
-	// then drains the contiguous done prefix into the sinks under emitMu,
-	// so exactly one emitter runs at a time, records leave in trial
-	// order, and sink IO never blocks other workers' trial loops. The
-	// same drain feeds the StatsSink (before the trace line, per the
-	// StatsSink contract), which is what makes online estimators
-	// bit-identical across worker/shard/engine shapes.
+	// The header depends only on the compile and the golden run, so it
+	// leads the stream. Stats see it first so a snapshot taken between
+	// header and first trial already carries the prediction table.
+	if cfg.Stats != nil {
+		cfg.Stats.ObserveCampaign(meta)
+	}
+	if cfg.Trace != nil {
+		cfg.Trace.Emit(CampaignEnvelope{Type: TraceCampaign, CampaignMeta: meta})
+	}
 	// Adaptive stopping: predict every planned trial's strike region from
 	// one hooked golden run, so round decisions can skip trials aimed at
 	// already-converged regions without executing them.
@@ -532,39 +505,56 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 		}
 		stop = newStopRun(cfg.Stop, plans, rm, cfg.Regions, cfg.Prior, cfg.Trials)
 	}
+	// The trial-order drain is the one consumer of trial results. After
+	// a trial, its worker stores the record at the trial's index, marks
+	// the trial done under mu, and drains the contiguous done prefix
+	// under drainMu: one drain runs at a time, records leave in trial
+	// order, and sink IO never blocks other workers' trials. Per executed
+	// record the drain folds the result counters, then the adaptive
+	// tallies, then the StatsSink (before the trace line, per the
+	// StatsSink contract). Trial order is what makes all four identical
+	// across worker, shard and engine shapes. Skipped trials are marked
+	// done too, so the drain passes over them. Shards go out in trial
+	// order and each shard handed out finishes, so the executed trials
+	// form a prefix that the drain reaches in full, after a cancel too.
 	var (
-		mu     sync.Mutex
-		emitMu sync.Mutex
-		done   []bool
-		cursor = lo
+		records = make([]TrialRecord, cfg.Trials)
+		done    = make([]bool, cfg.Trials)
+		cursor  = lo
+		mu      sync.Mutex // guards done
+		drainMu sync.Mutex // serializes the drain and guards cursor and res
 	)
-	if cfg.Trace != nil || cfg.Stats != nil {
-		done = make([]bool, cfg.Trials)
-	}
-	emitDone := func() {
-		emitMu.Lock()
-		defer emitMu.Unlock()
+	drain := func() {
+		drainMu.Lock()
+		defer drainMu.Unlock()
 		for {
 			mu.Lock()
-			elo := cursor
-			ehi := elo
-			for ehi < len(done) && done[ehi] {
-				ehi++
+			dlo := cursor
+			for cursor < hi && done[cursor] {
+				cursor++
 			}
-			cursor = ehi
 			mu.Unlock()
-			if ehi == elo {
+			if cursor == dlo {
 				return
 			}
-			for t := elo; t < ehi; t++ {
+			for t := dlo; t < cursor; t++ {
 				if stop != nil && stop.skip[t] {
 					continue // skipped trials leave no record anywhere
 				}
+				rec := &records[t]
+				res.Executed++
+				res.Counts[rec.Outcome]++
+				if rec.Outcome == Recovered && rec.SameInstance {
+					res.SameInstance++
+				}
+				if stop != nil {
+					stop.observe(rec)
+				}
 				if cfg.Stats != nil {
-					cfg.Stats.ObserveTrial(res.Records[t])
+					cfg.Stats.ObserveTrial(*rec)
 				}
 				if cfg.Trace != nil {
-					cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: res.Records[t]})
+					cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: *rec})
 				}
 			}
 		}
@@ -574,79 +564,36 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 		cancel = cfg.Ctx.Done()
 	}
 	doTrial := func(w *interp.Machine, t int) {
-		o, rep, final, err := e.trial(w, plans[t])
-		func() {
-			// Deferred, so a panic here cannot leave the other workers
-			// blocked on mu while Dispatch waits for them.
-			mu.Lock()
-			defer mu.Unlock()
-			res.Executed++
-			res.Counts[o]++
-			if o == Recovered && rep.SameInstance {
-				res.SameInstance++
-			}
-			if ledger {
-				res.Records[t] = makeRecord(t, plans[t], rep, o, err, e.total, final, classOf)
-			}
-			if done != nil {
-				done[t] = true
-			}
-		}()
-		if done != nil {
-			emitDone()
+		if stop == nil || !stop.skip[t] {
+			o, rep, final, err := e.trial(w, plans[t])
+			records[t] = makeRecord(t, plans[t], rep, o, err, e.total, final, classOf)
 		}
+		mu.Lock()
+		done[t] = true
+		mu.Unlock()
+		drain()
 	}
 	if stop == nil {
 		runTrials(pool, lo, hi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, doTrial)
 	} else {
 		// Round loop: pin the skip set from completed-round tallies, run
-		// the round (skips cost a scheduling step, not an execution), then
-		// fold its records and re-score convergence at the barrier. Every
-		// decision input is a deterministic function of (seed, prior,
-		// policy), so the executed subset — and therefore the ledger — is
-		// identical across worker counts and engines.
+		// the round (skips cost a scheduling step, not an execution; the
+		// drain folds each executed record into the tallies), then
+		// re-score convergence at the barrier. Every decision input is a
+		// deterministic function of (seed, prior, policy), so the executed
+		// subset — and therefore the ledger — is identical across worker
+		// counts and engines.
 		for rlo := lo; rlo < hi; rlo += stop.round {
 			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 				break
 			}
-			rhi := rlo + stop.round
-			if rhi > hi {
-				rhi = hi
-			}
+			rhi := min(rlo+stop.round, hi)
 			stop.decide(rlo, rhi)
-			runTrials(pool, rlo, rhi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, func(w *interp.Machine, t int) {
-				if stop.skip[t] {
-					if done != nil {
-						mu.Lock()
-						done[t] = true
-						mu.Unlock()
-						emitDone()
-					}
-					return
-				}
-				doTrial(w, t)
-				stop.exec[t] = true
-			})
-			stop.fold(rlo, rhi, res.Records)
+			runTrials(pool, rlo, rhi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, doTrial)
+			stop.rescore()
 		}
 		res.Skipped = stop.skipped
 		res.Mispredicted = stop.mispred
-	}
-	// A shard's Records cover only its range; an adaptive campaign's only
-	// the executed subset. Both stay in trial order.
-	if res.Records != nil {
-		switch {
-		case cfg.Shard != nil:
-			res.Records = res.Records[lo:hi:hi]
-		case stop != nil:
-			kept := res.Records[:0]
-			for t := range res.Records {
-				if stop.exec[t] {
-					kept = append(kept, res.Records[t])
-				}
-			}
-			res.Records = kept
-		}
 	}
 	for o := Outcome(0); o < numOutcomes; o++ {
 		reg.Add("sfi.outcome."+o.String(), int64(res.Counts[o]))
@@ -846,22 +793,6 @@ func (p *machinePool) release() {
 	p.all, p.free = nil, nil
 }
 
-// EnvWorkers returns the ENCORE_WORKERS environment override as a worker
-// count, or 0 when the variable is unset, malformed, or non-positive (the
-// "no opinion" value every consumer feeds through ClampWorkers). It is the
-// shared knob behind the compile fan-out (internal/core), the experiment
-// harness's per-spec pool, and encore-bench.
-func EnvWorkers() int { return workpool.FromEnv() }
-
-// ClampWorkers normalizes a requested trial-parallelism value: zero or
-// negative selects runtime.GOMAXPROCS(0), a request above the trial count
-// is capped at it (extra workers would only idle), and the floor is one.
-// encore-sfi's -workers flag, the Workers config fields, and runTrials all
-// degrade through this one helper (now shared tree-wide via
-// internal/workpool), so a pathological request behaves exactly like the
-// serial path instead of erroring or deadlocking.
-func ClampWorkers(workers, trials int) int { return workpool.Clamp(workers, trials) }
-
 // shardSize normalizes a requested trials-per-shard value: zero or
 // negative selects a heuristic that gives each worker several shards
 // (smoothing uneven trial costs and keeping cancellation/streaming
@@ -885,16 +816,17 @@ func shardSize(size, trials, workers int) int {
 // worker leasing a private machine (machines are not goroutine-safe).
 // Trial plans are pre-derived and results are collected positionally, so
 // every (workers, shard) shape is identical to the serial order. The
-// worker count is normalized via ClampWorkers; a single worker runs
-// inline with no goroutine or channel overhead. A closed cancel channel
-// (may be nil) stops scheduling at shard granularity. Each worker's
+// worker count is normalized by workpool.Clamp against hi−lo; a single
+// worker runs inline with no goroutine or channel overhead. A closed
+// cancel channel (may be nil) stops scheduling at shard granularity.
+// Each worker's
 // machine reports into reg (folded at the Reset boundary between
 // trials), its end-of-run throughput lands in the
 // "sfi.worker.trials_per_sec" histogram, and prog (may be nil) is
 // stepped once per completed trial.
 func runTrials(pool *machinePool, lo, hi, workers, shard int, cancel <-chan struct{}, reg *obs.Registry, prog *obs.Progress, fn func(w *interp.Machine, t int)) {
 	trials := hi - lo
-	workers = ClampWorkers(workers, trials)
+	workers = workpool.Clamp(workers, trials)
 	shard = shardSize(shard, trials, workers)
 	rate := reg.Histogram("sfi.worker.trials_per_sec")
 	workpool.Dispatch(trials, shard, workers, cancel, func(_ int, pull func() (workpool.Shard, bool)) {

@@ -1,7 +1,10 @@
 package sfi
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -13,6 +16,28 @@ import (
 	"encore/internal/obs"
 	"encore/internal/workload"
 )
+
+// collector is a StatsSink that keeps every trial record it receives, in
+// the order it receives them.
+type collector struct {
+	records []TrialRecord
+}
+
+func (c *collector) ObserveCampaign(CampaignMeta) {}
+func (c *collector) ObserveTrial(rec TrialRecord) { c.records = append(c.records, rec) }
+
+// collect runs a campaign with a collector as its StatsSink and returns
+// the result and the records the collector received.
+func collect(t *testing.T, res *core.Result, outs []*ir.Global, cfg CampaignConfig) (*CampaignResult, []TrialRecord) {
+	t.Helper()
+	c := &collector{}
+	cfg.Stats = c
+	camp, err := RunCampaign(res.Mod, res.Metas, outs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return camp, c.records
+}
 
 func buildOf(t *testing.T, name string) (func() (*ir.Module, []*ir.Global), workload.Spec) {
 	t.Helper()
@@ -137,27 +162,6 @@ func TestModelTracksMeasurement(t *testing.T) {
 				name, measured, predicted)
 		}
 		t.Logf("%s: predicted %.3f, measured %.3f", name, predicted, measured)
-	}
-}
-
-// TestClampWorkers pins the normalization contract shared by the -workers
-// flag and the Workers config fields.
-func TestClampWorkers(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		workers, trials, want int
-	}{
-		{0, 100, min(gmp, 100)},
-		{-7, 100, min(gmp, 100)},
-		{4, 100, 4},
-		{50, 10, 10}, // more workers than trials: capped
-		{-1, 0, 1},   // degenerate campaign: one worker floor
-		{1000, 1, 1},
-	}
-	for _, c := range cases {
-		if got := ClampWorkers(c.workers, c.trials); got != c.want {
-			t.Errorf("ClampWorkers(%d, %d) = %d, want %d", c.workers, c.trials, got, c.want)
-		}
 	}
 }
 
@@ -436,6 +440,107 @@ func TestTrialBudget(t *testing.T) {
 	for _, c := range cases {
 		if got := trialBudget(c.total, c.dmax, limit); got != c.want {
 			t.Errorf("trialBudget(%d, %d) = %d, want %d", c.total, c.dmax, got, c.want)
+		}
+	}
+}
+
+// cancelAfter is a collector that cancels its campaign once it has
+// received n records.
+type cancelAfter struct {
+	collector
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) ObserveTrial(rec TrialRecord) {
+	c.collector.ObserveTrial(rec)
+	if len(c.records) == c.n {
+		c.cancel()
+	}
+}
+
+// TestCampaignCancel cancels a four-worker campaign from its StatsSink
+// mid-run, with and without adaptive stopping. Shards already handed out
+// still finish, and shards go out in trial order, so the executed trials
+// form a prefix: the sink must have received exactly the executed
+// records, in trial order, and the counts must cover exactly them. The
+// cancel need not cut the run short: while one worker runs a slow trial
+// the others may finish every remaining shard before the drain reaches
+// the n-th record.
+func TestCampaignCancel(t *testing.T) {
+	res, art := compileApp(t, "175.vpr")
+	// At this target the stopper starts skipping before the n-th record.
+	const trials, n = 400, 60
+	for _, stop := range []*Stopper{nil, {TargetCI: 0.2, Round: 16}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &cancelAfter{n: n, cancel: cancel}
+		camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
+			Trials: trials, Seed: 5, Dmax: 100, Workers: 4, ShardSize: 2,
+			Obs: obs.NewRegistry(), Stats: sink, Ctx: ctx, Stop: stop,
+		})
+		cancel()
+		label := fmt.Sprintf("stop=%v", stop != nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err %v, want context.Canceled", label, err)
+		}
+		if camp.Executed < n || camp.Executed+camp.Skipped > trials {
+			t.Fatalf("%s: executed %d, skipped %d of %d after a cancel at %d records",
+				label, camp.Executed, camp.Skipped, trials, n)
+		}
+		t.Logf("%s: executed %d, skipped %d of %d", label, camp.Executed, camp.Skipped, trials)
+		if len(sink.records) != camp.Executed {
+			t.Errorf("%s: sink received %d records for %d executed trials", label, len(sink.records), camp.Executed)
+		}
+		for i, rec := range sink.records {
+			if i > 0 && rec.Trial <= sink.records[i-1].Trial {
+				t.Fatalf("%s: record %d is trial %d after trial %d", label, i, rec.Trial, sink.records[i-1].Trial)
+			}
+			if stop == nil && rec.Trial != i {
+				t.Fatalf("%s: record %d is trial %d, want the prefix 0..%d", label, i, rec.Trial, camp.Executed-1)
+			}
+		}
+		sum := 0
+		for _, c := range camp.Counts {
+			sum += c
+		}
+		if sum != camp.Executed {
+			t.Errorf("%s: counts sum to %d, executed %d", label, sum, camp.Executed)
+		}
+	}
+}
+
+// TestCampaignResultSinkInvariant: attaching a StatsSink or a Trace
+// changes nothing in the campaign result, at one worker or four, with
+// and without adaptive stopping.
+func TestCampaignResultSinkInvariant(t *testing.T) {
+	res, art := compileApp(t, "175.vpr")
+	sinks := []struct {
+		label string
+		set   func(*CampaignConfig)
+	}{
+		{"none", func(*CampaignConfig) {}},
+		{"stats", func(c *CampaignConfig) { c.Stats = &collector{} }},
+		{"trace", func(c *CampaignConfig) { c.Trace = obs.NewJSONLSink(&bytes.Buffer{}) }},
+	}
+	for _, stop := range []*Stopper{nil, {TargetCI: 0.2, Round: 16}} {
+		var want *CampaignResult
+		for _, workers := range []int{1, 4} {
+			for _, s := range sinks {
+				cfg := CampaignConfig{Trials: 120, Seed: 5, Dmax: 100, Workers: workers, Obs: obs.NewRegistry(), Stop: stop}
+				s.set(&cfg)
+				camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = camp
+				} else if *camp != *want {
+					t.Errorf("stop=%v workers=%d sink=%s: %+v, want %+v", stop != nil, workers, s.label, camp, want)
+				}
+			}
+		}
+		if stop != nil && want.Skipped == 0 {
+			t.Error("adaptive variant skipped nothing; the case does not exercise skips")
 		}
 	}
 }

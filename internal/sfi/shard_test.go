@@ -114,7 +114,7 @@ func TestShardConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardRecordsMatchSingle: a shard's retained records must be the
+// TestShardRecordsMatchSingle: the records a shard delivers must be the
 // corresponding slice of the single-process campaign's records — the
 // library-level half of the byte-identical-merge guarantee.
 func TestShardRecordsMatchSingle(t *testing.T) {
@@ -128,11 +128,8 @@ func TestShardRecordsMatchSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	const trials = 45
-	base := CampaignConfig{Trials: trials, Seed: 5, Dmax: 50, Ledger: true}
-	single, err := RunCampaign(res.Mod, res.Metas, art.Outputs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := CampaignConfig{Trials: trials, Seed: 5, Dmax: 50}
+	_, single := collect(t, res, art.Outputs, base)
 	shards, err := Partition(base.Seed, trials, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -141,20 +138,17 @@ func TestShardRecordsMatchSingle(t *testing.T) {
 	for i := range shards {
 		cfg := base
 		cfg.Shard = &shards[i]
-		camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i+1, err)
-		}
+		camp, recs := collect(t, res, art.Outputs, cfg)
 		if camp.Executed != shards[i].Hi-shards[i].Lo {
 			t.Errorf("shard %d executed %d of [%d,%d)", i+1, camp.Executed, shards[i].Lo, shards[i].Hi)
 		}
-		if len(camp.Records) != camp.Executed {
-			t.Fatalf("shard %d retained %d records for %d trials", i+1, len(camp.Records), camp.Executed)
+		if len(recs) != camp.Executed {
+			t.Fatalf("shard %d delivered %d records for %d trials", i+1, len(recs), camp.Executed)
 		}
-		for j, rec := range camp.Records {
-			if rec != single.Records[shards[i].Lo+j] {
+		for j, rec := range recs {
+			if rec != single[shards[i].Lo+j] {
 				t.Fatalf("shard %d trial %d differs from single-process record:\n shard: %+v\nsingle: %+v",
-					i+1, shards[i].Lo+j, rec, single.Records[shards[i].Lo+j])
+					i+1, shards[i].Lo+j, rec, single[shards[i].Lo+j])
 			}
 		}
 		seen += camp.Executed

@@ -120,30 +120,30 @@ func (r *Recorder) WindowIdempotent(start, length int) bool {
 // windows that are inherently idempotent. Windows are sampled at a fixed
 // deterministic stride covering the whole recorded run.
 func (r *Recorder) Fractions(lengths []int, samples int) map[int]float64 {
+	return fractions(len(r.Marks), lengths, samples, r.WindowIdempotent)
+}
+
+// fractions computes, for each window length L, the fraction of windows
+// [s, s+L) within a run of n instructions that satisfy ok, sampling
+// starts s at a stride of (n−L)/samples (at least 1; samples <= 0
+// selects 100). A length outside [1, n] scores 0.
+func fractions(n int, lengths []int, samples int, ok func(start, length int) bool) map[int]float64 {
+	if samples <= 0 {
+		samples = 100
+	}
 	out := make(map[int]float64, len(lengths))
-	n := len(r.Marks)
 	for _, L := range lengths {
 		if L <= 0 || L > n {
 			out[L] = 0
 			continue
 		}
-		if samples <= 0 {
-			samples = 100
-		}
-		stride := (n - L) / samples
-		if stride < 1 {
-			stride = 1
-		}
+		stride := max((n-L)/samples, 1)
 		tested, good := 0, 0
 		for s := 0; s+L <= n; s += stride {
 			tested++
-			if r.WindowIdempotent(s, L) {
+			if ok(s, L) {
 				good++
 			}
-		}
-		if tested == 0 {
-			out[L] = 0
-			continue
 		}
 		out[L] = float64(good) / float64(tested)
 	}
@@ -210,34 +210,8 @@ func (r *TargetRecorder) WindowRecoverable(start, length int) bool {
 	return true
 }
 
-// TargetFractions computes the recoverable fraction per window length.
+// TargetFractions computes the recoverable fraction per window length,
+// sampled as Fractions samples.
 func (r *TargetRecorder) TargetFractions(lengths []int, samples int) map[int]float64 {
-	out := make(map[int]float64, len(lengths))
-	n := len(r.Marks)
-	for _, L := range lengths {
-		if L <= 0 || L > n {
-			out[L] = 0
-			continue
-		}
-		if samples <= 0 {
-			samples = 100
-		}
-		stride := (n - L) / samples
-		if stride < 1 {
-			stride = 1
-		}
-		tested, good := 0, 0
-		for s := 0; s+L <= n; s += stride {
-			tested++
-			if r.WindowRecoverable(s, L) {
-				good++
-			}
-		}
-		if tested == 0 {
-			out[L] = 0
-			continue
-		}
-		out[L] = float64(good) / float64(tested)
-	}
-	return out
+	return fractions(len(r.Marks), lengths, samples, r.WindowRecoverable)
 }

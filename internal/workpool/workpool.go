@@ -98,10 +98,11 @@ func Dispatch(n, size, workers int, done <-chan struct{}, body func(worker int, 
 	nShards := (n + size - 1) / size
 	var (
 		next     atomic.Int64
+		stop     atomic.Bool                 // set by a worker panic, before its stack is taken
 		panicked atomic.Pointer[WorkerPanic] // the first worker panic
 	)
 	pull := func() (Shard, bool) {
-		if panicked.Load() != nil {
+		if stop.Load() {
 			return Shard{}, false
 		}
 		if done != nil {
@@ -133,6 +134,7 @@ func Dispatch(n, size, workers int, done <-chan struct{}, body func(worker int, 
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
+					stop.Store(true)
 					panicked.CompareAndSwap(nil, &WorkerPanic{Value: v, Stack: debug.Stack()})
 				}
 			}()

@@ -1,6 +1,7 @@
 package workpool
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -8,12 +9,16 @@ import (
 )
 
 func TestClamp(t *testing.T) {
+	gmp := runtime.GOMAXPROCS(0)
 	cases := []struct{ workers, items, want int }{
-		{0, 10, Clamp(0, 10)}, // GOMAXPROCS-dependent; asserted ≥1 below
+		{0, 10, min(gmp, 10)},
+		{-7, 100, min(gmp, 100)},
 		{4, 10, 4},
-		{20, 10, 10},
-		{-3, 5, Clamp(0, 5)},
-		{3, 0, 1},
+		{20, 10, 10}, // more workers than items: capped
+		{-3, 5, min(gmp, 5)},
+		{3, 0, 1}, // no items: one worker floor
+		{-1, 0, 1},
+		{1000, 1, 1},
 	}
 	for _, c := range cases {
 		got := Clamp(c.workers, c.items)

@@ -16,7 +16,9 @@
 # that the encore-serve daemon's streamed campaign ledger is
 # byte-identical to the batch encore-sfi -trace ledger for the same
 # (workload, config, seed), after the same daemon has answered a
-# malformed tenant module with 400 bad-request. The telemetry smokes additionally check that
+# malformed tenant module with 400 bad-request, and that the daemon's
+# /result counts every trial executed and reports the ledger header's
+# predicted coverage. The telemetry smokes additionally check that
 # encore-sfi -stats output is byte-identical across worker counts and
 # engines, and that the Prometheus expositions (CLI -prom and the
 # daemon's /metrics?format=prom) pass scripts/promlint.go. The campaign
@@ -236,8 +238,9 @@ cmp -s "$tmp/whole-stats.json" "$tmp/merged-stats.json" || {
 }
 
 echo "==> smoke: adaptive stopping deterministic across workers and engines"
-# The stop decision folds at round barriers from the global record
-# stream, so the elided ledger must not depend on parallelism or engine.
+# The stopper folds each record as the trial-order drain passes it and
+# decides only at round barriers, so the elided ledger must not depend
+# on parallelism or engine.
 "$tmp/encore-sfi" -app g721encode -trials 300 -seed 7 -adaptive -adaptive-ci 0.12 -trace "$tmp/adapt-a.jsonl" > "$tmp/adapt-a.txt"
 "$tmp/encore-sfi" -app g721encode -trials 300 -seed 7 -adaptive -adaptive-ci 0.12 -workers 1 -engine ref -trace "$tmp/adapt-b.jsonl" > /dev/null
 cmp -s "$tmp/adapt-a.jsonl" "$tmp/adapt-b.jsonl" || {
@@ -283,6 +286,16 @@ curl -sS "http://$addr/v1/campaigns/$cid/ledger" > "$tmp/served.jsonl"
 cmp -s "$tmp/trace.jsonl" "$tmp/served.jsonl" || {
 	echo "encore-serve: served ledger differs from batch encore-sfi -trace:" >&2
 	diff "$tmp/trace.jsonl" "$tmp/served.jsonl" >&2 || true
+	exit 1
+}
+# The settled result: all five trials executed, and pred_coverage (read
+# from the campaign's estimator) equal to the ledger header's.
+curl -sS "http://$addr/v1/campaigns/$cid/result" > "$tmp/serve-result.json"
+grep -q '"executed":5' "$tmp/serve-result.json" || { echo "encore-serve: /result executed != 5" >&2; cat "$tmp/serve-result.json" >&2; exit 1; }
+want_cov=$(sed -n '1s/.*"pred_coverage":\([^,}]*\).*/\1/p' "$tmp/served.jsonl")
+got_cov=$(sed -n 's/.*"pred_coverage":\([^,}]*\).*/\1/p' "$tmp/serve-result.json")
+[ -n "$want_cov" ] && [ "$got_cov" = "$want_cov" ] || {
+	echo "encore-serve: /result pred_coverage '$got_cov', ledger header '$want_cov'" >&2
 	exit 1
 }
 curl -sS "http://$addr/v1/campaigns/$cid" > "$tmp/serve-status.json"
