@@ -52,10 +52,11 @@
 // the stream stays machine-clean.
 //
 // -shard i/K executes only shard i of a K-way deterministic partition of
-// the trial space (sfi.Partition): plans are still derived for the whole
-// campaign, so the shard's ledger lines are byte-identical to the
-// corresponding lines of a single-process run, and K shard ledgers merge
-// back (-merge) into exactly the single-process ledger.
+// the trial space (sfi.ShardRange.Bounds): each trial's plan is a pure
+// function of (seed, trial), so the shard's ledger lines are
+// byte-identical to the corresponding lines of a single-process run, and
+// K shard ledgers merge back (-merge) into exactly the single-process
+// ledger.
 //
 // -adaptive enables variance-aware early stopping (sfi.Stopper): trials
 // aimed at regions whose recovery-rate Wilson interval has converged
@@ -258,15 +259,9 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// The shard geometry depends only on (seed, trials, K), which are
-	// campaign-global, so one Partition call covers every app.
 	var shard *sfi.ShardRange
 	if shardCnt > 0 {
-		shards, err := sfi.Partition(*seed, *trials, shardCnt)
-		if err != nil {
-			return err
-		}
-		shard = &shards[shardIdx-1]
+		shard = &sfi.ShardRange{Index: shardIdx, Count: shardCnt}
 	}
 
 	tw := tabwriter.NewWriter(tableOut, 2, 4, 2, ' ', 0)
@@ -290,7 +285,8 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		}
 		progTotal := *trials
 		if shard != nil {
-			progTotal = shard.Hi - shard.Lo
+			lo, hi := shard.Bounds(*trials)
+			progTotal = hi - lo
 		}
 		prog := newProgress(sp.Name+" campaign", progTotal)
 		// The online estimator powers both the -stats snapshot and the

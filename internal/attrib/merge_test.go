@@ -67,16 +67,12 @@ func TestMergeByteIdentical(t *testing.T) {
 			for _, shards := range []int{2, 3, 5} {
 				for _, eng := range []interp.Engine{interp.EngineFast, interp.EngineRef} {
 					t.Run(fmt.Sprintf("%s/w%d/k%d/%v", app, workers, shards, eng), func(t *testing.T) {
-						parts, err := sfi.Partition(base.Seed, trials, shards)
-						if err != nil {
-							t.Fatal(err)
-						}
 						pieces := make([][]byte, shards)
-						for i := range parts {
+						for i := range pieces {
 							cfg := base
 							cfg.Workers = workers
 							cfg.Engine = eng
-							cfg.Shard = &parts[i]
+							cfg.Shard = &sfi.ShardRange{Index: i + 1, Count: shards}
 							pieces[i] = fx.ledger(t, cfg)
 						}
 						// Merge under a few argument orders: identity,

@@ -49,11 +49,9 @@ var (
 )
 
 // compileKey identifies one memoizable (workload, config) compile. It
-// mirrors core.Config's scalar knobs; configs with a non-zero Interp
-// sub-config are not cached (interp.Config holds a Hook interface, and a
-// custom interpreter setup usually means the caller wants a private
-// result anyway) — except for Interp.Engine, which the harness itself
-// sets on every compile and which therefore joins the key.
+// mirrors core.Config's scalar knobs plus Interp.Engine, which the
+// harness sets on every compile; no harness compile sets another
+// interpreter knob.
 type compileKey struct {
 	app       string
 	pmin      float64
@@ -73,12 +71,7 @@ type compileEntry struct {
 	err  error
 }
 
-func cacheKey(sp workload.Spec, cfg core.Config) (compileKey, bool) {
-	ic := cfg.Interp
-	if ic.MemWords != 0 || ic.StackWords != 0 || ic.MaxInstrs != 0 || ic.MaxDepth != 0 ||
-		ic.Profile || ic.Hook != nil {
-		return compileKey{}, false
-	}
+func cacheKey(sp workload.Spec, cfg core.Config) compileKey {
 	return compileKey{
 		app:       sp.Name,
 		pmin:      cfg.Pmin,
@@ -88,8 +81,8 @@ func cacheKey(sp workload.Spec, cfg core.Config) (compileKey, bool) {
 		budget:    cfg.Budget,
 		aliasMode: cfg.AliasMode,
 		optimize:  cfg.Optimize,
-		engine:    ic.Engine,
-	}, true
+		engine:    cfg.Interp.Engine,
+	}
 }
 
 func (h *Harness) specs() []workload.Spec {
@@ -121,27 +114,14 @@ func (h *Harness) trials(full int) int {
 	return full
 }
 
-// compileFresh runs the Encore pipeline on a fresh build of sp.
-func compileFresh(sp workload.Spec, cfg core.Config) (*core.Result, *workload.Artifact, error) {
-	art := sp.Build()
-	res, err := core.Compile(art.Mod, cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", sp.Name, err)
-	}
-	return res, art, nil
-}
-
 // compile returns the memoized Encore pipeline result for (sp, cfg),
 // compiling on first use. The returned result and artifact are shared:
 // callers must treat the module as immutable (running machines on it is
-// fine; re-instrumenting or re-randomizing it is not — use compileFresh
-// or core.Compile directly for that, as the input-shift ablation does).
+// fine; re-instrumenting or re-randomizing it is not — use core.Compile
+// directly for that, as the input-shift ablation does).
 func (h *Harness) compile(sp workload.Spec, cfg core.Config) (*core.Result, *workload.Artifact, error) {
 	cfg.Interp.Engine = h.Engine
-	key, ok := cacheKey(sp, cfg)
-	if !ok {
-		return compileFresh(sp, cfg)
-	}
+	key := cacheKey(sp, cfg)
 	compileMu.Lock()
 	e := compileCache[key]
 	if e == nil {
@@ -155,10 +135,10 @@ func (h *Harness) compile(sp workload.Spec, cfg core.Config) (*core.Result, *wor
 	return e.res, e.art, e.err
 }
 
-// compileStaged is the staged-pipeline twin of compileFresh: it fetches
-// the memoized analysis snapshot for cfg's analysis-stage knobs and
-// replays it onto a fresh build for this γ/budget point, so config sweeps
-// that only vary post-analysis decisions never re-run the dataflow.
+// compileStaged is the staged pipeline behind compile: it fetches the
+// memoized analysis snapshot for cfg's analysis-stage knobs and replays
+// it onto a fresh build for this γ/budget point, so config sweeps that
+// only vary post-analysis decisions never re-run the dataflow.
 // Replay hands each config point its own region copies — Finalize mutates
 // them (Selected bits, instrumentation) — while the snapshot stays
 // immutable and shared.

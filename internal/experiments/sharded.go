@@ -114,15 +114,11 @@ func (h *Harness) Sharded(app string) (*ShardedResult, error) {
 		singleWall := time.Since(start)
 
 		// 2. K shards, merged, asserted byte-identical.
-		parts, err := sfi.Partition(base.Seed, trials, shards)
-		if err != nil {
-			return nil, err
-		}
 		shardBufs := make([]bytes.Buffer, shards)
 		var shardWall time.Duration
-		for i := range parts {
+		for i := range shardBufs {
 			scfg := base
-			scfg.Shard = &parts[i]
+			scfg.Shard = &sfi.ShardRange{Index: i + 1, Count: shards}
 			scfg.Trace = obs.NewJSONLSink(&shardBufs[i])
 			start = time.Now()
 			if _, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, scfg); err != nil {

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"math"
 
 	"encore/internal/ir"
 )
@@ -132,7 +133,9 @@ func (m *Machine) landed(b *ir.Block, idx int) {
 	} else {
 		s.RegionID = -1
 	}
-	f.detectAt = m.Count + f.plan.DetectLatency
+	// Saturated: a latency near 2⁶³ must not wrap detectAt negative,
+	// which would fire the detector at once.
+	f.detectAt = m.Count + min(f.plan.DetectLatency, math.MaxInt64-m.Count)
 	if f.plan.DetectLatency > m.Cfg.MaxInstrs-m.Count {
 		m.settleReconverge(0)
 	}

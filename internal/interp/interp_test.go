@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"encore/internal/ir"
@@ -440,6 +441,31 @@ func TestRegFileStrike(t *testing.T) {
 	}
 	if !mach.FaultReport().Injected {
 		t.Error("strike must be recorded")
+	}
+}
+
+// TestDetectLatencySaturates: a detection latency within the run's
+// length of 2⁶³ saturates the detection point instead of wrapping it
+// negative, which would fire the detector at once.
+func TestDetectLatencySaturates(t *testing.T) {
+	m := ir.NewModule("t")
+	f := m.NewFunc("main", 0)
+	b := f.NewBlock("entry")
+	w := f.NewReg()
+	b.Const(w, 0)
+	for i := 0; i < 10; i++ {
+		b.AddI(w, w, 1)
+	}
+	b.Ret(w)
+	f.Recompute()
+	for _, eng := range []Engine{EngineFast, EngineRef} {
+		mach := New(m, Config{Engine: eng})
+		mach.InjectFault(FaultPlan{Mode: CorruptOutput, InjectAt: 4, Bit: 5, DetectLatency: math.MaxInt64 - 1})
+		_, err := mach.Run()
+		if rep := mach.FaultReport(); err != nil || !rep.Injected || rep.Detected {
+			t.Errorf("%v: err %v, injected %v, detected %v; want a strike the detector never sees",
+				eng, err, rep.Injected, rep.Detected)
+		}
 	}
 }
 

@@ -44,7 +44,8 @@ type SubmitRequest struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Dmax is the maximum detection latency in instructions (default 100).
 	Dmax *int64 `json:"dmax,omitempty"`
-	// Bits is the datapath width faults flip within (default 32).
+	// Bits is the datapath width faults flip within, at most 64
+	// (default 32).
 	Bits int `json:"bits,omitempty"`
 
 	// Gamma is the Coverage/Cost instrumentation floor γ (§3.4.2).
@@ -204,6 +205,9 @@ func (r *SubmitRequest) normalize(cfg Config) (campaignSpec, error) {
 	}
 	if sp.dmax < 0 {
 		return sp, fmt.Errorf("dmax %d is negative: detection latency is sampled uniformly from [0, dmax]", sp.dmax)
+	}
+	if sp.bits < 0 || sp.bits > 64 {
+		return sp, fmt.Errorf("bits %d outside [0, 64] (0 selects 32)", sp.bits)
 	}
 	if sp.workers == 0 {
 		sp.workers = cfg.Workers

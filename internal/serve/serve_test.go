@@ -225,6 +225,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown workload", `{"workload":"nope"}`},
 		{"unknown engine", `{"workload":"rawcaudio","engine":"warp"}`},
 		{"negative dmax", `{"workload":"rawcaudio","dmax":-1}`},
+		{"negative bits", `{"workload":"rawcaudio","bits":-1}`},
+		{"bits above 64", `{"workload":"rawcaudio","bits":65}`},
 		{"negative checkpoints", `{"workload":"rawcaudio","checkpoints":-1}`},
 		{"bad module", `{"module":"not ir"}`},
 		{"unknown output", `{"module":"module m\nglobal g[1]\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const 0\n  ret r0\n","outputs":["zz"]}`},

@@ -88,17 +88,17 @@ type keyTally struct {
 	n, k int
 }
 
-// stopRun is the per-campaign state behind a Stopper: the predicted key
-// for every planned trial, per-key tallies, and the halted set. decide
-// and rescore run at round barriers on the coordinating goroutine.
-// observe runs in the campaign's trial-order drain, which is serialized
-// and has passed every executed record of a round before the round's
-// dispatch joins, so the barrier sees the whole round folded.
+// stopRun is the per-campaign state behind a Stopper: the golden run's
+// region map, which predicts a planned trial's region key on demand,
+// per-key tallies, and the halted set. decide and rescore run at round
+// barriers on the coordinating goroutine. observe runs in the campaign's
+// trial-order drain, which is serialized and has passed every executed
+// record of a round before the round's dispatch joins, so the barrier
+// sees the whole round folded.
 type stopRun struct {
 	target float64
 	round  int
-	pred   []int // predicted region key per planned trial
-	skip   []bool
+	rm     *trace.RegionMap
 	tally  map[int]*keyTally
 	halted map[int]bool
 
@@ -106,25 +106,15 @@ type stopRun struct {
 	skipped int
 }
 
-// newStopRun predicts every planned trial's region key from one hooked
-// golden run, seeds prior tallies by content hash, and computes the
-// initial halted set.
-func newStopRun(stop *Stopper, plans []interp.FaultPlan, rm *trace.RegionMap,
-	regions []RegionInfo, prior []PriorRegion, trials int) *stopRun {
+// newStopRun seeds prior tallies by content hash and computes the initial
+// halted set.
+func newStopRun(stop *Stopper, rm *trace.RegionMap, regions []RegionInfo, prior []PriorRegion, trials int) *stopRun {
 	s := &stopRun{
 		target: stop.target(),
 		round:  stop.roundSize(trials),
-		pred:   make([]int, len(plans)),
-		skip:   make([]bool, len(plans)),
+		rm:     rm,
 		tally:  map[int]*keyTally{},
 		halted: map[int]bool{},
-	}
-	for t, p := range plans {
-		if r, ok := rm.RegionAt(p.InjectAt); ok {
-			s.pred[t] = r
-		} else {
-			s.pred[t] = NotInjectedKey
-		}
 	}
 	if len(prior) > 0 {
 		byHash := make(map[string]PriorRegion, len(prior))
@@ -143,18 +133,29 @@ func newStopRun(stop *Stopper, plans []interp.FaultPlan, rm *trace.RegionMap,
 	return s
 }
 
-// decide pins the skip set for the upcoming round [lo, hi): a trial is
-// skipped exactly when its predicted key is already halted. The
-// decision is made before any of the round's trials run, from tallies
-// that cover only completed rounds, which is what makes the executed
-// subset worker-shape-invariant.
-func (s *stopRun) decide(lo, hi int) {
+// predict returns the region key the golden run places a strike at
+// dynamic instruction injectAt in.
+func (s *stopRun) predict(injectAt int64) int {
+	if r, ok := s.rm.RegionAt(injectAt); ok {
+		return r
+	}
+	return NotInjectedKey
+}
+
+// decide returns the skip set for the upcoming round [lo, hi), indexed
+// from lo: a trial is skipped exactly when its planned strike's predicted
+// key is already halted. The decision is made before any of the round's
+// trials run, from tallies that cover only completed rounds, which is
+// what makes the executed subset worker-shape-invariant.
+func (s *stopRun) decide(lo, hi int, plan func(t int) interp.FaultPlan) []bool {
+	skip := make([]bool, hi-lo)
 	for t := lo; t < hi; t++ {
-		s.skip[t] = s.halted[s.pred[t]]
-		if s.skip[t] {
+		if s.halted[s.predict(plan(t).InjectAt)] {
+			skip[t-lo] = true
 			s.skipped++
 		}
 	}
+	return skip
 }
 
 // observe folds one executed trial's record into the tallies, keyed by
@@ -165,7 +166,7 @@ func (s *stopRun) observe(rec *TrialRecord) {
 	if rec.Injected {
 		key = rec.RegionID
 	}
-	if key != s.pred[rec.Trial] {
+	if key != s.predict(rec.InjectAt) {
 		s.mispred++
 	}
 	tl := s.tally[key]

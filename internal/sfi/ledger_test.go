@@ -3,6 +3,7 @@ package sfi
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -41,8 +42,9 @@ func TestOutcomeTextRoundTrip(t *testing.T) {
 }
 
 // TestCampaignRejectsNegativeDmax covers the rejection of negative
-// campaign and masking parameters; a zero trial count keeps the default,
-// but a negative one is an error rather than a silent default.
+// campaign and masking parameters and of a campaign bit width outside
+// [0, 64]; a zero trial count or width keeps the default, but a negative
+// one is an error rather than a silent default.
 func TestCampaignRejectsNegativeDmax(t *testing.T) {
 	res, art := compileApp(t, "rawcaudio")
 	build, _ := buildOf(t, "rawcaudio")
@@ -59,6 +61,14 @@ func TestCampaignRejectsNegativeDmax(t *testing.T) {
 			_, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{Trials: -3})
 			return err
 		}, "negative trial count"},
+		{"campaign negative bits", func() error {
+			_, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{Trials: 5, Bits: -1})
+			return err
+		}, "Bits -1 outside"},
+		{"campaign bits above 64", func() error {
+			_, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{Trials: 5, Bits: 65})
+			return err
+		}, "Bits 65 outside"},
 		{"masking trials", func() error {
 			_, err := MeasureMasking(build, MaskingConfig{Trials: -3})
 			return err
@@ -66,6 +76,19 @@ func TestCampaignRejectsNegativeDmax(t *testing.T) {
 	} {
 		if err := c.run(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestCampaignMaxDmax: at Dmax = 2⁶³−1 a trial's detection latency is
+// still drawn uniformly over [0, Dmax], where the overflowing Dmax+1
+// used to give every trial latency 0.
+func TestCampaignMaxDmax(t *testing.T) {
+	res, art := compileApp(t, "rawcaudio")
+	_, recs := collect(t, res, art.Outputs, CampaignConfig{Trials: 8, Seed: 7, Dmax: math.MaxInt64, Obs: obs.NewRegistry()})
+	for _, rec := range recs {
+		if rec.Latency == 0 {
+			t.Errorf("trial %d: latency 0 at Dmax 2⁶³−1", rec.Trial)
 		}
 	}
 }

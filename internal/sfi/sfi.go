@@ -25,22 +25,67 @@ import (
 	"encore/internal/workpool"
 )
 
-// rng is the deterministic generator for fault plans.
+// rng is the deterministic generator for fault plans: splitmix64, whose
+// state advances by the constant gamma on every draw.
 type rng uint64
 
+const gamma = 0x9e3779b97f4a7c15
+
 func (r *rng) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
+	*r += gamma
 	z := uint64(*r)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
+// intn draws uniformly from [0, n), or returns 0 for n <= 0; it draws
+// once either way, so a plan's draw count never depends on its inputs.
 func (r *rng) intn(n int64) int64 {
+	v := r.next()
 	if n <= 0 {
 		return 0
 	}
-	return int64(r.next() % uint64(n))
+	return int64(v % uint64(n))
+}
+
+// Every fault plan draws exactly planDraws values from a stream seeded at
+// seed^salt, so trialRNG(seed^salt, t) starts where that stream stands
+// after t plans, t·planDraws steps of gamma in: a plan is a pure function
+// of (seed, trial), and no campaign or study keeps a plan table.
+const (
+	planDraws    = 3
+	campaignSalt = 0xFA0C7
+	maskingSalt  = 0xDEADBEEF
+)
+
+// trialRNG returns trial t's plan generator in the stream seeded at base.
+func trialRNG(base uint64, t int) *rng {
+	r := rng(base + uint64(t)*planDraws*gamma)
+	return &r
+}
+
+// campaignPlan draws a campaign trial's output corruption: the dynamic
+// instruction it strikes, the bit it flips below bits, and a detection
+// latency uniform over [0, dmax] for every dmax >= 0.
+func campaignPlan(r *rng, total int64, bits int, dmax int64) interp.FaultPlan {
+	return interp.FaultPlan{
+		Mode:          interp.CorruptOutput,
+		InjectAt:      r.intn(total),
+		Bit:           uint8(r.intn(int64(bits))),
+		DetectLatency: int64(r.next() % (uint64(dmax) + 1)),
+	}
+}
+
+// maskingPlan draws a masking trial's raw register-file strike.
+func maskingPlan(r *rng, total int64) interp.FaultPlan {
+	return interp.FaultPlan{
+		Mode:          interp.CorruptRegFile,
+		InjectAt:      r.intn(total),
+		TargetReg:     int(r.intn(1 << 16)),
+		Bit:           uint8(r.intn(maskingBits)),
+		DetectLatency: 1 << 60, // never "detected": raw strike study
+	}
 }
 
 // DefaultCheckpoints is the golden-run ladder target the encore-sfi and
@@ -125,24 +170,13 @@ func measureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig, 
 		return nil, err
 	}
 
-	// Pre-derive every trial's plan from the seed, then execute trials on
-	// a bounded worker pool (each worker owns one machine); results are
+	// Execute trials on a bounded worker pool (each worker owns one
+	// machine), each deriving its plan from (seed, t); results are
 	// order-independent counters.
 	res := &MaskingResult{Trials: cfg.Trials}
-	r := rng(cfg.Seed ^ 0xDEADBEEF)
-	plans := make([]interp.FaultPlan, cfg.Trials)
-	for t := range plans {
-		plans[t] = interp.FaultPlan{
-			Mode:          interp.CorruptRegFile,
-			InjectAt:      r.intn(e.total),
-			TargetReg:     int(r.intn(1 << 16)),
-			Bit:           uint8(r.intn(maskingBits)),
-			DetectLatency: 1 << 60, // never "detected": raw strike study
-		}
-	}
 	var mu sync.Mutex
-	runTrials(pool, 0, len(plans), cfg.Workers, 0, nil, reg, cfg.Progress, func(w *interp.Machine, t int) {
-		o, _, _, _ := e.trial(w, plans[t])
+	runTrials(pool, 0, cfg.Trials, cfg.Workers, 0, nil, reg, cfg.Progress, func(w *interp.Machine, t int) {
+		o, _, _, _ := e.trial(w, maskingPlan(trialRNG(cfg.Seed^maskingSalt, t), e.total))
 		mu.Lock()
 		defer mu.Unlock()
 		switch o {
@@ -310,9 +344,10 @@ type CampaignConfig struct {
 	// executed trial, emitted incrementally in trial order as the
 	// completed prefix of the campaign grows — the stream is
 	// deterministic given Seed regardless of Workers or ShardSize, and
-	// its final bytes are identical to an end-of-campaign dump. The trial
-	// loop itself only fills a preallocated slice; emission happens on a
-	// separate lock so record IO never serializes the trial hot path.
+	// its final bytes are identical to an end-of-campaign dump. Emission
+	// runs in the trial-order drain, under the lock that guards the
+	// bounded window of finished records, so a slow sink slows the
+	// workers but never reorders the stream.
 	Trace *obs.EventSink
 	// Stats, when non-nil, receives the campaign header and then every
 	// executed trial's record in trial order (see StatsSink). Attaching a
@@ -325,7 +360,10 @@ type CampaignConfig struct {
 	// finish, and RunCampaign returns the partial result together with
 	// ctx's error. Shards go out in trial order, so the executed trials
 	// are a prefix of the run, and the result and both sinks cover
-	// exactly that prefix. A nil Ctx never cancels.
+	// exactly that prefix. No trial starts W or more past the first
+	// trial the drain has not passed, where W is four shards per worker,
+	// so a cancel issued from a sink lets at most W plus the other
+	// workers' shards run on. A nil Ctx never cancels.
 	Ctx context.Context
 	// ShardSize is the number of consecutive trials handed to a worker
 	// per scheduling step (the workpool.Dispatch shard). Zero selects a
@@ -333,15 +371,14 @@ type CampaignConfig struct {
 	// latency. Outcomes and the ledger are shard-size-invariant.
 	ShardSize int
 
-	// Shard, when non-nil, restricts execution to one Partition element
-	// of the trial space: plans for all Trials are still derived from
-	// the seed (so trial indices, sites, and latencies are global), but
-	// only [Shard.Lo, Shard.Hi) executes, and only those records reach
-	// the Trace stream and the StatsSink — as the exact bytes the
-	// corresponding lines of a single-process run would carry. The
-	// range is validated against (Trials, Seed, Shard.Count); a stale or
-	// foreign range is an error, not a silent misexecution. Incompatible
-	// with Stop (adaptive decisions need the global record stream).
+	// Shard, when non-nil, restricts execution to shard Index of Count
+	// of the trial space: only Shard.Bounds(Trials) executes, and only
+	// those records reach the Trace stream and the StatsSink. A trial's
+	// plan depends on (Seed, trial) alone, so trial indices, sites and
+	// latencies are global and the records are the exact bytes the
+	// corresponding lines of a single-process run would carry. An index
+	// outside [1, Count] is an error. Incompatible with Stop (adaptive
+	// decisions need the global record stream).
 	Shard *ShardRange
 	// Stop, when non-nil, enables variance-aware adaptive stopping: the
 	// campaign predicts each planned trial's strike region from one
@@ -420,7 +457,10 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	if cfg.Trials == 0 {
 		cfg.Trials = 200
 	}
-	if cfg.Bits <= 0 {
+	if cfg.Bits < 0 || cfg.Bits > 64 {
+		return nil, fmt.Errorf("sfi: Bits %d outside [0, 64] (0 selects 32)", cfg.Bits)
+	}
+	if cfg.Bits == 0 {
 		cfg.Bits = 32
 	}
 	if cfg.Dmax < 0 {
@@ -432,10 +472,8 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	if cfg.Shard != nil && cfg.Stop != nil {
 		return nil, fmt.Errorf("sfi: Shard and Stop cannot be combined (adaptive stopping decides from the global record stream)")
 	}
-	if cfg.Shard != nil {
-		if err := cfg.Shard.validate(cfg.Trials, cfg.Seed); err != nil {
-			return nil, err
-		}
+	if sh := cfg.Shard; sh != nil && (sh.Count < 1 || sh.Index < 1 || sh.Index > sh.Count) {
+		return nil, fmt.Errorf("sfi: shard %d/%d: index out of range", sh.Index, sh.Count)
 	}
 	if cfg.Stop != nil {
 		if cfg.Stop.Round < 0 {
@@ -456,22 +494,14 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	}
 
 	res := &CampaignResult{Trials: cfg.Trials}
-	r := rng(cfg.Seed ^ 0xFA0C7)
-	plans := make([]interp.FaultPlan, cfg.Trials)
-	for t := range plans {
-		plans[t] = interp.FaultPlan{
-			Mode:          interp.CorruptOutput,
-			InjectAt:      r.intn(e.total),
-			Bit:           uint8(r.intn(int64(cfg.Bits))),
-			DetectLatency: r.intn(cfg.Dmax + 1),
-		}
+	plan := func(t int) interp.FaultPlan {
+		return campaignPlan(trialRNG(cfg.Seed^campaignSalt, t), e.total, cfg.Bits, cfg.Dmax)
 	}
-	// Execution range: the whole plan table, or one Partition element.
-	// Plans are always derived for the full trial space — that is what
-	// makes a shard's records byte-identical to the single-process run's.
+	// Execution range: the whole trial space, or one shard of it; plans
+	// are global, so a shard's records are the single-process run's.
 	lo, hi := 0, cfg.Trials
 	if cfg.Shard != nil {
-		lo, hi = cfg.Shard.Lo, cfg.Shard.Hi
+		lo, hi = cfg.Shard.Bounds(cfg.Trials)
 	}
 	classOf := make(map[int]string, len(cfg.Regions))
 	meta := CampaignMeta{
@@ -494,84 +524,98 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	if cfg.Trace != nil {
 		cfg.Trace.Emit(CampaignEnvelope{Type: TraceCampaign, CampaignMeta: meta})
 	}
-	// Adaptive stopping: predict every planned trial's strike region from
-	// one hooked golden run, so round decisions can skip trials aimed at
-	// already-converged regions without executing them.
+	// Adaptive stopping: predict planned trials' strike regions from one
+	// hooked golden run's region map, so round decisions can skip trials
+	// aimed at already-converged regions without executing them.
 	var stop *stopRun
 	if cfg.Stop != nil {
 		rm, err := trace.RecordRegionMap(mod, metas, pool.prog)
 		if err != nil {
 			return nil, fmt.Errorf("sfi: %w", err)
 		}
-		stop = newStopRun(cfg.Stop, plans, rm, cfg.Regions, cfg.Prior, cfg.Trials)
+		stop = newStopRun(cfg.Stop, rm, cfg.Regions, cfg.Prior, cfg.Trials)
 	}
-	// The trial-order drain is the one consumer of trial results. After
-	// a trial, its worker stores the record at the trial's index, marks
-	// the trial done under mu, and drains the contiguous done prefix
-	// under drainMu: one drain runs at a time, records leave in trial
-	// order, and sink IO never blocks other workers' trials. Per executed
-	// record the drain folds the result counters, then the adaptive
-	// tallies, then the StatsSink (before the trace line, per the
-	// StatsSink contract). Trial order is what makes all four identical
-	// across worker, shard and engine shapes. Skipped trials are marked
-	// done too, so the drain passes over them. Shards go out in trial
-	// order and each shard handed out finishes, so the executed trials
-	// form a prefix that the drain reaches in full, after a cancel too.
+	// The trial-order drain is the one consumer of trial results, under
+	// one lock. A worker stores its record in trial t's slot of a ring of
+	// window slots (four shards per worker over [lo, hi), more than any
+	// adaptive round's smaller shards), marks it done and drains the done
+	// prefix from the cursor, in trial order, folding per executed record
+	// the result counters, the adaptive tallies, then the StatsSink before
+	// the trace line. A trial window or more past the cursor waits for its
+	// slot; the cursor's trial never waits, so the ring cannot deadlock
+	// and the sinks lag by under window trials. Skipped trials are marked
+	// done too. Shards go out in trial order and each one handed out
+	// finishes, so the executed trials form a prefix that the drain
+	// reaches in full, after a cancel too. A trial or sink panic breaks
+	// the ring so that waiting workers return and Dispatch can re-panic.
+	workers := workpool.Clamp(cfg.Workers, hi-lo)
+	shard := min(shardSize(cfg.ShardSize, hi-lo, workers), hi-lo) // so 4·workers·shard cannot overflow
+	window := min(4*workers*shard, hi-lo)
 	var (
-		records = make([]TrialRecord, cfg.Trials)
-		done    = make([]bool, cfg.Trials)
+		records = make([]TrialRecord, window)
+		done    = make([]bool, window)
+		skip    []bool // the adaptive round's skip set, indexed from rlo
+		rlo     = lo
 		cursor  = lo
-		mu      sync.Mutex // guards done
-		drainMu sync.Mutex // serializes the drain and guards cursor and res
+		broken  bool
+		mu      sync.Mutex // guards done, cursor, broken and res
+		freed   = sync.NewCond(&mu)
 	)
-	drain := func() {
-		drainMu.Lock()
-		defer drainMu.Unlock()
-		for {
-			mu.Lock()
-			dlo := cursor
-			for cursor < hi && done[cursor] {
-				cursor++
-			}
-			mu.Unlock()
-			if cursor == dlo {
-				return
-			}
-			for t := dlo; t < cursor; t++ {
-				if stop != nil && stop.skip[t] {
-					continue // skipped trials leave no record anywhere
-				}
-				rec := &records[t]
-				res.Executed++
-				res.Counts[rec.Outcome]++
-				if rec.Outcome == Recovered && rec.SameInstance {
-					res.SameInstance++
-				}
-				if stop != nil {
-					stop.observe(rec)
-				}
-				if cfg.Stats != nil {
-					cfg.Stats.ObserveTrial(*rec)
-				}
-				if cfg.Trace != nil {
-					cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: *rec})
-				}
-			}
-		}
-	}
+	skipped := func(t int) bool { return skip != nil && skip[t-rlo] }
 	var cancel <-chan struct{}
 	if cfg.Ctx != nil {
 		cancel = cfg.Ctx.Done()
 	}
 	doTrial := func(w *interp.Machine, t int) {
-		if stop == nil || !stop.skip[t] {
-			o, rep, final, err := e.trial(w, plans[t])
-			records[t] = makeRecord(t, plans[t], rep, o, err, e.total, final, classOf)
+		settled := false
+		defer func() {
+			if !settled {
+				mu.Lock()
+				broken = true
+				freed.Broadcast()
+				mu.Unlock()
+			}
+		}()
+		mu.Lock()
+		for t-cursor >= window && !broken {
+			freed.Wait()
+		}
+		gaveUp := broken
+		mu.Unlock()
+		if gaveUp {
+			return
+		}
+		if !skipped(t) {
+			p := plan(t)
+			o, rep, final, err := e.trial(w, p)
+			records[t%window] = makeRecord(t, p, rep, o, err, e.total, final, classOf)
 		}
 		mu.Lock()
-		done[t] = true
-		mu.Unlock()
-		drain()
+		defer mu.Unlock()
+		done[t%window] = true
+		for ; cursor < hi && done[cursor%window]; cursor++ {
+			done[cursor%window] = false
+			if skipped(cursor) {
+				continue // skipped trials leave no record anywhere
+			}
+			rec := &records[cursor%window]
+			res.Executed++
+			res.Counts[rec.Outcome]++
+			if rec.Outcome == Recovered && rec.SameInstance {
+				res.SameInstance++
+			}
+			if stop != nil {
+				stop.observe(rec)
+			}
+			if cfg.Stats != nil {
+				cfg.Stats.ObserveTrial(*rec)
+			}
+			if cfg.Trace != nil {
+				cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: *rec})
+			}
+		}
+		freed.Broadcast()
+		settled = true
 	}
 	if stop == nil {
 		runTrials(pool, lo, hi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, doTrial)
@@ -583,12 +627,12 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 		// deterministic function of (seed, prior, policy), so the executed
 		// subset — and therefore the ledger — is identical across worker
 		// counts and engines.
-		for rlo := lo; rlo < hi; rlo += stop.round {
+		for ; rlo < hi; rlo += stop.round {
 			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 				break
 			}
 			rhi := min(rlo+stop.round, hi)
-			stop.decide(rlo, rhi)
+			skip = stop.decide(rlo, rhi, plan)
 			runTrials(pool, rlo, rhi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, doTrial)
 			stop.rescore()
 		}
@@ -814,14 +858,13 @@ func shardSize(size, trials, workers int) int {
 // runTrials executes fn over the trial indices [lo, hi), scheduled as
 // contiguous shards (workpool.Dispatch) on a bounded worker pool, each
 // worker leasing a private machine (machines are not goroutine-safe).
-// Trial plans are pre-derived and results are collected positionally, so
-// every (workers, shard) shape is identical to the serial order. The
-// worker count is normalized by workpool.Clamp against hi−lo; a single
-// worker runs inline with no goroutine or channel overhead. A closed
-// cancel channel (may be nil) stops scheduling at shard granularity.
-// Each worker's
-// machine reports into reg (folded at the Reset boundary between
-// trials), its end-of-run throughput lands in the
+// Trial plans derive from (seed, t) and results are consumed in trial
+// order, so every (workers, shard) shape is identical to the serial
+// order. The worker count is normalized by workpool.Clamp against hi−lo;
+// a single worker runs inline with no goroutine or channel overhead. A
+// closed cancel channel (may be nil) stops scheduling at shard
+// granularity. Each worker's machine reports into reg (folded at the
+// Reset boundary between trials), its end-of-run throughput lands in the
 // "sfi.worker.trials_per_sec" histogram, and prog (may be nil) is
 // stepped once per completed trial.
 func runTrials(pool *machinePool, lo, hi, workers, shard int, cancel <-chan struct{}, reg *obs.Registry, prog *obs.Progress, fn func(w *interp.Machine, t int)) {

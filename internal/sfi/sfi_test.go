@@ -15,6 +15,7 @@ import (
 	"encore/internal/ir"
 	"encore/internal/obs"
 	"encore/internal/workload"
+	"encore/internal/workpool"
 )
 
 // collector is a StatsSink that keeps every trial record it receives, in
@@ -180,23 +181,28 @@ func TestWorkersDegradeGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWith := func(workers int) *CampaignResult {
+	runWith := func(workers, shard int) *CampaignResult {
 		t.Helper()
 		camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
-			Trials: 60, Seed: 3, Dmax: 50, Workers: workers, Obs: obs.NewRegistry(),
+			Trials: 60, Seed: 3, Dmax: 50, Workers: workers, ShardSize: shard, Obs: obs.NewRegistry(),
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return camp
 	}
-	serial := runWith(1)
+	serial := runWith(1, 0)
 	for _, w := range []int{-4, 0, 7, 6000} {
-		got := runWith(w)
+		got := runWith(w, 0)
 		if got.Counts != serial.Counts || got.SameInstance != serial.SameInstance {
 			t.Errorf("workers=%d: counts %v sameInst %d, want %v / %d",
 				w, got.Counts, got.SameInstance, serial.Counts, serial.SameInstance)
 		}
+	}
+	// A shard far larger than the campaign is one shard; sizing the drain
+	// window from it must not overflow.
+	if got := runWith(4, 1<<62); got.Counts != serial.Counts {
+		t.Errorf("shard size 2⁶²: counts %v, want %v", got.Counts, serial.Counts)
 	}
 
 	build, _ := buildOf(t, "rawcaudio")
@@ -464,18 +470,19 @@ func (c *cancelAfter) ObserveTrial(rec TrialRecord) {
 // still finish, and shards go out in trial order, so the executed trials
 // form a prefix: the sink must have received exactly the executed
 // records, in trial order, and the counts must cover exactly them. The
-// cancel need not cut the run short: while one worker runs a slow trial
-// the others may finish every remaining shard before the drain reaches
-// the n-th record.
+// bounded window caps how far the run goes on: no trial starts W = 32
+// (four shards per worker) or more past the drain, and the other three
+// workers may each still hold a shard pulled before the cancel.
 func TestCampaignCancel(t *testing.T) {
 	res, art := compileApp(t, "175.vpr")
 	// At this target the stopper starts skipping before the n-th record.
-	const trials, n = 400, 60
+	const trials, n, workers, shard = 400, 60, 4, 2
+	const window = 4 * workers * shard
 	for _, stop := range []*Stopper{nil, {TargetCI: 0.2, Round: 16}} {
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &cancelAfter{n: n, cancel: cancel}
 		camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
-			Trials: trials, Seed: 5, Dmax: 100, Workers: 4, ShardSize: 2,
+			Trials: trials, Seed: 5, Dmax: 100, Workers: workers, ShardSize: shard,
 			Obs: obs.NewRegistry(), Stats: sink, Ctx: ctx, Stop: stop,
 		})
 		cancel()
@@ -486,6 +493,9 @@ func TestCampaignCancel(t *testing.T) {
 		if camp.Executed < n || camp.Executed+camp.Skipped > trials {
 			t.Fatalf("%s: executed %d, skipped %d of %d after a cancel at %d records",
 				label, camp.Executed, camp.Skipped, trials, n)
+		}
+		if over := camp.Executed - n; over > window+(workers-1)*shard {
+			t.Errorf("%s: %d trials executed after the cancel, want at most %d", label, over, window+(workers-1)*shard)
 		}
 		t.Logf("%s: executed %d, skipped %d of %d", label, camp.Executed, camp.Skipped, trials)
 		if len(sink.records) != camp.Executed {
@@ -506,6 +516,91 @@ func TestCampaignCancel(t *testing.T) {
 		if sum != camp.Executed {
 			t.Errorf("%s: counts sum to %d, executed %d", label, sum, camp.Executed)
 		}
+	}
+}
+
+// panicAfter is a StatsSink that panics on its n-th record.
+type panicAfter struct {
+	n, seen int
+}
+
+func (p *panicAfter) ObserveCampaign(CampaignMeta) {}
+func (p *panicAfter) ObserveTrial(TrialRecord) {
+	if p.seen++; p.seen == p.n {
+		panic("sink")
+	}
+}
+
+// TestCampaignSinkPanic: a StatsSink that panics mid-campaign must reach
+// RunCampaign's caller as a *workpool.WorkerPanic. The drain stalls at
+// the panic, so workers waiting for a window slot must be released
+// instead of waiting forever.
+func TestCampaignSinkPanic(t *testing.T) {
+	res, art := compileApp(t, "175.vpr")
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
+			Trials: 400, Seed: 5, Dmax: 100, Workers: 4, ShardSize: 2,
+			Obs: obs.NewRegistry(), Stats: &panicAfter{n: 30},
+		})
+		return nil
+	}()
+	wp, ok := got.(*workpool.WorkerPanic)
+	if !ok || wp.Value != "sink" {
+		t.Fatalf("RunCampaign panicked with %T %v, want a *workpool.WorkerPanic carrying the sink's panic", got, got)
+	}
+}
+
+// TestPlanFormula: trial t's plan, drawn from trialRNG's formula, is the
+// t-th plan of one sequential draw stream, for campaign and masking plans
+// alike. A plan that drew a fourth value would shift every later plan of
+// the stream and fail here.
+func TestPlanFormula(t *testing.T) {
+	const seed, total = 7, 1 << 20
+	for _, s := range []struct {
+		name string
+		salt uint64
+		draw func(r *rng) interp.FaultPlan
+	}{
+		{"campaign", campaignSalt, func(r *rng) interp.FaultPlan { return campaignPlan(r, total, 32, 100) }},
+		{"masking", maskingSalt, func(r *rng) interp.FaultPlan { return maskingPlan(r, total) }},
+	} {
+		seq := rng(seed ^ s.salt)
+		for i := 0; i < 1000; i++ {
+			want := s.draw(&seq)
+			if got := s.draw(trialRNG(seed^s.salt, i)); got != want {
+				t.Fatalf("%s trial %d: formula plan %+v, sequential %+v", s.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestShardMemoryIndependentOfTrials: a campaign allocates for the trials
+// it runs, not for the trial space it belongs to. Shard 1/1000 of a
+// million trials runs the same 1 000 trials as a 1 000-trial campaign
+// and must allocate about as much.
+func TestShardMemoryIndependentOfTrials(t *testing.T) {
+	res, art := compileApp(t, "rawcaudio")
+	alloc := func(cfg CampaignConfig) uint64 {
+		// Two collections empty the interpreter's pool of memory images,
+		// so both runs allocate their machines afresh.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunCampaign(res.Mod, res.Metas, art.Outputs, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := CampaignConfig{Trials: 1000, Seed: 3, Dmax: 100, Workers: 2, Checkpoints: DefaultCheckpoints, Obs: obs.NewRegistry()}
+	small := alloc(base)
+	base.Trials, base.Shard = 1000000, &ShardRange{Index: 1, Count: 1000}
+	shard := alloc(base)
+	t.Logf("TotalAlloc: 1000-trial campaign %.1f MB, shard 1/1000 of 10⁶ trials %.1f MB", float64(small)/1e6, float64(shard)/1e6)
+	if shard > small+4<<20 {
+		t.Errorf("shard 1/1000 of 10⁶ trials allocated %d B, a 1000-trial campaign %d B", shard, small)
 	}
 }
 

@@ -6,49 +6,24 @@ import (
 	"strings"
 )
 
-// ShardRange is one element of a campaign partition: the contiguous,
-// half-open trial range [Lo, Hi) that shard Index of Count owns, bound
-// to the campaign seed the partition was derived for. Because fault
-// plans are derived from the seed alone (every process regenerates the
-// full plan table and executes only its range), a shard's ledger records
-// are byte-identical to the corresponding lines of a single-process run.
+// ShardRange names shard Index of a Count-way partition of a campaign's
+// trial space. The range it owns follows from the campaign's own trial
+// count (Bounds), and every fault plan is a pure function of (seed,
+// trial), so a shard's ledger records are byte-identical to the
+// corresponding lines of a single-process run.
 type ShardRange struct {
-	// Seed is the campaign seed the partition belongs to. RunCampaign
-	// rejects a shard whose seed disagrees with the campaign's, so
-	// ledgers from different campaigns cannot be silently interleaved.
-	Seed uint64
 	// Index is the 1-based shard number, in [1, Count].
 	Index int
 	// Count is the total number of shards in the partition.
 	Count int
-	// Lo and Hi bound the shard's trial range, 0-based and half-open.
-	Lo, Hi int
 }
 
-// Partition splits a campaign's trial space [0, trials) into k
-// contiguous, disjoint, jointly exhaustive shard ranges. The split is
-// deterministic — shard i always receives [i·trials/k, (i+1)·trials/k)
-// — so any process can recompute any shard's range from (seed, trials,
-// k) alone. trials may be zero (every shard is empty); k must be
-// positive.
-func Partition(seed uint64, trials, k int) ([]ShardRange, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("sfi: partition into %d shards (want >= 1)", k)
-	}
-	if trials < 0 {
-		return nil, fmt.Errorf("sfi: partition of %d trials (want >= 0)", trials)
-	}
-	out := make([]ShardRange, k)
-	for i := 0; i < k; i++ {
-		out[i] = ShardRange{
-			Seed:  seed,
-			Index: i + 1,
-			Count: k,
-			Lo:    i * trials / k,
-			Hi:    (i + 1) * trials / k,
-		}
-	}
-	return out, nil
+// Bounds returns the contiguous, half-open trial range [lo, hi) the shard
+// owns in a campaign of the given trial count: [(Index−1)·trials/Count,
+// Index·trials/Count). The Count shards of a partition tile [0, trials)
+// exactly, in index order; with more shards than trials some are empty.
+func (sh ShardRange) Bounds(trials int) (lo, hi int) {
+	return (sh.Index - 1) * trials / sh.Count, sh.Index * trials / sh.Count
 }
 
 // ParseShard parses a -shard flag value of the form "i/K" (1-based
@@ -78,26 +53,4 @@ func ParseShard(s string) (index, count int, err error) {
 		return 0, 0, fmt.Errorf("sfi: shard %q: index %d out of range [1, %d]", s, index, count)
 	}
 	return index, count, nil
-}
-
-// validate checks a shard range against the campaign it is attached to:
-// the geometry must be exactly what Partition(seed, trials, Count)
-// produces for Index, so a stale range (built for different trial
-// counts or another campaign) is rejected instead of silently executing
-// the wrong trials.
-func (sh *ShardRange) validate(trials int, seed uint64) error {
-	if sh.Count < 1 || sh.Index < 1 || sh.Index > sh.Count {
-		return fmt.Errorf("sfi: shard %d/%d: index out of range", sh.Index, sh.Count)
-	}
-	if sh.Seed != seed {
-		return fmt.Errorf("sfi: shard %d/%d derived for seed %d, campaign has seed %d",
-			sh.Index, sh.Count, sh.Seed, seed)
-	}
-	lo := (sh.Index - 1) * trials / sh.Count
-	hi := sh.Index * trials / sh.Count
-	if sh.Lo != lo || sh.Hi != hi {
-		return fmt.Errorf("sfi: shard %d/%d range [%d,%d) does not match %d trials (want [%d,%d))",
-			sh.Index, sh.Count, sh.Lo, sh.Hi, trials, lo, hi)
-	}
-	return nil
 }

@@ -8,39 +8,24 @@ import (
 	"encore/internal/workload"
 )
 
-// TestPartitionGeometry: every partition must tile the trial space
+// TestPartitionGeometry: the K shards' Bounds must tile the trial space
 // exactly — contiguous, ordered, no gaps, no overlap — for any K,
 // including K larger than the trial count.
 func TestPartitionGeometry(t *testing.T) {
 	for _, tc := range []struct{ trials, k int }{
-		{0, 1}, {1, 1}, {10, 1}, {10, 3}, {10, 10}, {7, 13}, {1000, 7},
+		{0, 1}, {1, 1}, {10, 1}, {10, 3}, {10, 10}, {7, 13}, {1000, 7}, {1000000, 1000},
 	} {
-		shards, err := Partition(42, tc.trials, tc.k)
-		if err != nil {
-			t.Fatalf("Partition(%d,%d): %v", tc.trials, tc.k, err)
-		}
-		if len(shards) != tc.k {
-			t.Fatalf("Partition(%d,%d): %d shards", tc.trials, tc.k, len(shards))
-		}
 		next := 0
-		for i, sh := range shards {
-			if sh.Index != i+1 || sh.Count != tc.k || sh.Seed != 42 {
-				t.Errorf("shard %d identity: %+v", i, sh)
+		for i := 1; i <= tc.k; i++ {
+			lo, hi := ShardRange{Index: i, Count: tc.k}.Bounds(tc.trials)
+			if lo != next || hi < lo {
+				t.Errorf("%d trials, shard %d/%d: [%d,%d), want it to start at %d", tc.trials, i, tc.k, lo, hi, next)
 			}
-			if sh.Lo != next || sh.Hi < sh.Lo {
-				t.Errorf("shard %d not contiguous: %+v (want Lo=%d)", i, sh, next)
-			}
-			next = sh.Hi
+			next = hi
 		}
 		if next != tc.trials {
-			t.Errorf("Partition(%d,%d) covers [0,%d)", tc.trials, tc.k, next)
+			t.Errorf("%d trials in %d shards cover [0,%d)", tc.trials, tc.k, next)
 		}
-	}
-	if _, err := Partition(1, 10, 0); err == nil {
-		t.Error("K=0 must error")
-	}
-	if _, err := Partition(1, -1, 2); err == nil {
-		t.Error("negative trials must error")
 	}
 }
 
@@ -63,9 +48,8 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// TestShardConfigValidation: RunCampaign must reject shard ranges that
-// do not belong to this campaign's partition, and the shard+adaptive
-// combination.
+// TestShardConfigValidation: RunCampaign must reject a shard index
+// outside [1, Count] and the shard+adaptive combination.
 func TestShardConfigValidation(t *testing.T) {
 	sp, err := workload.ByName("g721encode")
 	if err != nil {
@@ -83,11 +67,7 @@ func TestShardConfigValidation(t *testing.T) {
 		_, err := RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
 		return err
 	}
-	shards, err := Partition(base.Seed, base.Trials, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run(func(c *CampaignConfig) { c.Shard = &shards[1] }); err != nil {
+	if err := run(func(c *CampaignConfig) { c.Shard = &ShardRange{Index: 2, Count: 3} }); err != nil {
 		t.Errorf("valid shard rejected: %v", err)
 	}
 	cases := []struct {
@@ -95,10 +75,10 @@ func TestShardConfigValidation(t *testing.T) {
 		mut  func(*CampaignConfig)
 		want string
 	}{
-		{"seed mismatch", func(c *CampaignConfig) { sh := shards[0]; sh.Seed = 99; c.Shard = &sh }, "seed"},
-		{"geometry mismatch", func(c *CampaignConfig) { sh := shards[0]; sh.Hi++; c.Shard = &sh }, ""},
-		{"index out of range", func(c *CampaignConfig) { sh := shards[0]; sh.Index = 4; c.Shard = &sh }, ""},
-		{"shard with adaptive", func(c *CampaignConfig) { c.Shard = &shards[0]; c.Stop = &Stopper{} }, "adaptive"},
+		{"index above count", func(c *CampaignConfig) { c.Shard = &ShardRange{Index: 4, Count: 3} }, "out of range"},
+		{"index zero", func(c *CampaignConfig) { c.Shard = &ShardRange{Index: 0, Count: 3} }, "out of range"},
+		{"count zero", func(c *CampaignConfig) { c.Shard = &ShardRange{Index: 1} }, "out of range"},
+		{"shard with adaptive", func(c *CampaignConfig) { c.Shard = &ShardRange{Index: 1, Count: 3}; c.Stop = &Stopper{} }, "adaptive"},
 		{"negative round", func(c *CampaignConfig) { c.Stop = &Stopper{Round: -1} }, ""},
 		{"negative target", func(c *CampaignConfig) { c.Stop = &Stopper{TargetCI: -0.1} }, ""},
 	}
@@ -130,25 +110,22 @@ func TestShardRecordsMatchSingle(t *testing.T) {
 	const trials = 45
 	base := CampaignConfig{Trials: trials, Seed: 5, Dmax: 50}
 	_, single := collect(t, res, art.Outputs, base)
-	shards, err := Partition(base.Seed, trials, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := 0
-	for i := range shards {
+	for i := 1; i <= 4; i++ {
 		cfg := base
-		cfg.Shard = &shards[i]
+		cfg.Shard = &ShardRange{Index: i, Count: 4}
+		lo, hi := cfg.Shard.Bounds(trials)
 		camp, recs := collect(t, res, art.Outputs, cfg)
-		if camp.Executed != shards[i].Hi-shards[i].Lo {
-			t.Errorf("shard %d executed %d of [%d,%d)", i+1, camp.Executed, shards[i].Lo, shards[i].Hi)
+		if camp.Executed != hi-lo {
+			t.Errorf("shard %d executed %d of [%d,%d)", i, camp.Executed, lo, hi)
 		}
 		if len(recs) != camp.Executed {
-			t.Fatalf("shard %d delivered %d records for %d trials", i+1, len(recs), camp.Executed)
+			t.Fatalf("shard %d delivered %d records for %d trials", i, len(recs), camp.Executed)
 		}
 		for j, rec := range recs {
-			if rec != single[shards[i].Lo+j] {
+			if rec != single[lo+j] {
 				t.Fatalf("shard %d trial %d differs from single-process record:\n shard: %+v\nsingle: %+v",
-					i+1, shards[i].Lo+j, rec, single[shards[i].Lo+j])
+					i, lo+j, rec, single[lo+j])
 			}
 		}
 		seen += camp.Executed

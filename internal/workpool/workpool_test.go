@@ -112,17 +112,26 @@ func TestDispatchEmpty(t *testing.T) {
 // bodies reaches Dispatch's caller instead of killing the process: the
 // other workers return before Dispatch re-panics, pull stops handing out
 // shards, and the re-raised value carries the original value and the
-// panicking worker's stack.
+// panicking worker's stack. A worker that pulls past shard 10 holds its
+// shard until shard 10's body is panicking, so the others cannot drain
+// the space while that worker waits for a processor; after the panic
+// they race pull's stop flag alone, and n is far more shards than they
+// could pull in any pause of the panicking worker.
 func TestDispatchWorkerPanic(t *testing.T) {
-	const n = 1 << 16
-	var pulled, returned atomic.Int32
+	const n = 1 << 40
+	var pulled, returned atomic.Int64
+	panicking := make(chan struct{})
 	got := func() (v any) {
 		defer func() { v = recover() }()
 		Dispatch(n, 1, 4, nil, func(_ int, pull func() (Shard, bool)) {
 			for sh, ok := pull(); ok; sh, ok = pull() {
 				pulled.Add(1)
-				if sh.Lo == 10 {
+				switch {
+				case sh.Lo == 10:
+					close(panicking)
 					panic("shard 10")
+				case sh.Lo > 10:
+					<-panicking
 				}
 			}
 			returned.Add(1)

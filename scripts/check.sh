@@ -24,7 +24,9 @@
 # daemon's /metrics?format=prom) pass scripts/promlint.go. The campaign
 # smokes additionally check that a 3-shard -shard/-merge split
 # reproduces the single-process ledger and stats byte for byte, that
-# -adaptive stopping elides the same trials regardless of worker count
+# shard 7/1000 of a million-trial campaign writes the same ledger and
+# stats at -workers 1 and 4 (plans by formula, the bounded drain window
+# under several workers), that -adaptive stopping elides the same trials regardless of worker count
 # and engine, that fork-from-checkpoint trials (-checkpoints 1, 16 and
 # 64, on rawcaudio and 164.gzip) leave the trial ledger byte-identical
 # to full golden-prefix replay, and that
@@ -236,6 +238,20 @@ cmp -s "$tmp/whole-stats.json" "$tmp/merged-stats.json" || {
 	diff "$tmp/whole-stats.json" "$tmp/merged-stats.json" >&2 || true
 	exit 1
 }
+
+echo "==> smoke: shard 7/1000 of a million-trial campaign identical at 1 and 4 workers"
+# Trial plans are pure functions of (seed, trial) and finished records
+# wait in a window of a few shards per worker, so this shard runs its
+# 1000 trials from index 6000 with no per-trial table, and four workers
+# through the window must emit exactly the one-worker ledger and stats.
+for w in 1 4; do
+	"$tmp/encore-sfi" -app rawcaudio -trials 1000000 -shard 7/1000 -workers "$w" \
+		-trace "$tmp/big-w$w.jsonl" -stats "$tmp/big-stats-w$w.json" > /dev/null
+done
+lines=$(wc -l < "$tmp/big-w1.jsonl")
+[ "$lines" -eq 1001 ] || { echo "encore-sfi -shard 7/1000: want 1001 JSONL lines (1 header + 1000 trials), got $lines" >&2; exit 1; }
+cmp -s "$tmp/big-w1.jsonl" "$tmp/big-w4.jsonl" || { echo "encore-sfi -shard 7/1000: ledger differs between -workers 1 and 4" >&2; exit 1; }
+cmp -s "$tmp/big-stats-w1.json" "$tmp/big-stats-w4.json" || { echo "encore-sfi -shard 7/1000: stats differ between -workers 1 and 4" >&2; exit 1; }
 
 echo "==> smoke: adaptive stopping deterministic across workers and engines"
 # The stopper folds each record as the trial-order drain passes it and
