@@ -60,8 +60,9 @@
 //
 // -adaptive enables variance-aware early stopping (sfi.Stopper): trials
 // aimed at regions whose recovery-rate Wilson interval has converged
-// below the target half-width (-adaptive-ci, default 0.05) are skipped
-// at deterministic round boundaries (-adaptive-round, 0 = heuristic).
+// below the target half-width (-adaptive-ci, default 0.05) are skipped,
+// convergence being rescored at deterministic round boundaries
+// (-adaptive-round, 0 = heuristic).
 // -reuse seeds the stopper with a prior campaign's per-region tallies
 // keyed by region content hash, so a re-run over an edited module
 // re-injects only regions whose code changed.

@@ -201,25 +201,6 @@ func NewSet(ls ...Loc) Set {
 // Add inserts l.
 func (s Set) Add(l Loc) { s[l] = struct{}{} }
 
-// AddAll inserts every element of o.
-func (s Set) AddAll(o Set) {
-	for l := range o {
-		s[l] = struct{}{}
-	}
-}
-
-// Clone copies the set.
-func (s Set) Clone() Set {
-	c := make(Set, len(s))
-	for l := range s {
-		c[l] = struct{}{}
-	}
-	return c
-}
-
-// Len returns the element count.
-func (s Set) Len() int { return len(s) }
-
 // Equal reports set equality.
 func (s Set) Equal(o Set) bool {
 	if len(s) != len(o) {
@@ -233,19 +214,6 @@ func (s Set) Equal(o Set) bool {
 	return true
 }
 
-// MayIntersects reports whether some element of s may-alias some element
-// of o under mode.
-func (s Set) MayIntersects(o Set, mode Mode) bool {
-	for a := range s {
-		for b := range o {
-			if MayAlias(a, b, mode) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // MustCovers reports whether l is certainly overwritten given that every
 // location in s is overwritten: true iff some element must-aliases l.
 func (s Set) MustCovers(l Loc) bool {
@@ -255,16 +223,4 @@ func (s Set) MustCovers(l Loc) bool {
 		}
 	}
 	return false
-}
-
-// Intersect returns the locations present in both sets (Loc equality),
-// used for loop-wide guarded-address intersection across exits.
-func (s Set) Intersect(o Set) Set {
-	out := Set{}
-	for l := range s {
-		if _, ok := o[l]; ok {
-			out.Add(l)
-		}
-	}
-	return out
 }

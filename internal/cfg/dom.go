@@ -60,8 +60,7 @@ type DomTree struct {
 	fn   *ir.Func
 	idom map[*ir.Block]*ir.Block // entry maps to nil
 	// rpoNum orders blocks for the intersect walk and Dominates queries.
-	rpoNum   map[*ir.Block]int
-	children map[*ir.Block][]*ir.Block
+	rpoNum map[*ir.Block]int
 }
 
 // Dominators computes the dominator tree of f using the iterative
@@ -70,10 +69,9 @@ type DomTree struct {
 func Dominators(f *ir.Func) *DomTree {
 	rpo := ReversePostOrder(f)
 	t := &DomTree{
-		fn:       f,
-		idom:     make(map[*ir.Block]*ir.Block, len(rpo)),
-		rpoNum:   make(map[*ir.Block]int, len(rpo)),
-		children: make(map[*ir.Block][]*ir.Block),
+		fn:     f,
+		idom:   make(map[*ir.Block]*ir.Block, len(rpo)),
+		rpoNum: make(map[*ir.Block]int, len(rpo)),
 	}
 	for i, b := range rpo {
 		t.rpoNum[b] = i
@@ -104,11 +102,6 @@ func Dominators(f *ir.Func) *DomTree {
 		}
 	}
 	t.idom[entry] = nil
-	for b, d := range t.idom {
-		if d != nil {
-			t.children[d] = append(t.children[d], b)
-		}
-	}
 	return t
 }
 
@@ -127,9 +120,6 @@ func (t *DomTree) intersect(a, b *ir.Block) *ir.Block {
 // IDom returns the immediate dominator of b (nil for the entry block or
 // unreachable blocks).
 func (t *DomTree) IDom(b *ir.Block) *ir.Block { return t.idom[b] }
-
-// Children returns the dominator-tree children of b.
-func (t *DomTree) Children(b *ir.Block) []*ir.Block { return t.children[b] }
 
 // Reachable reports whether b was reachable when the tree was built.
 func (t *DomTree) Reachable(b *ir.Block) bool {

@@ -63,16 +63,6 @@ func (l *Loop) ExitBlocks() []*ir.Block {
 	return out
 }
 
-// SortedBlocks returns the loop body in block-ID order.
-func (l *Loop) SortedBlocks() []*ir.Block {
-	out := make([]*ir.Block, 0, len(l.Blocks))
-	for b := range l.Blocks {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // LoopForest holds all natural loops of a function.
 type LoopForest struct {
 	Top []*Loop // outermost loops, by header block ID

@@ -18,6 +18,7 @@ import (
 	"encore/internal/ir"
 	"encore/internal/obs"
 	"encore/internal/profile"
+	"encore/internal/trace"
 	"encore/internal/workload"
 	"encore/internal/workpool"
 )
@@ -365,7 +366,7 @@ func (h *Harness) Fig1() (*Fig1Result, error) {
 	rows := make([]Fig1Row, len(h.specs()))
 	err := h.forEachSpec(func(i int, sp workload.Spec) error {
 		art := sp.Build()
-		rec, err := traceRecord(art.Mod, cap)
+		rec, err := trace.Record(art.Mod, cap)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.Name, err)
 		}

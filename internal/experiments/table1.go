@@ -14,11 +14,6 @@ import (
 	"encore/internal/workload"
 )
 
-// traceRecord adapts internal/trace for Fig1.
-func traceRecord(mod *ir.Module, cap int) (*trace.Recorder, error) {
-	return trace.Record(mod, cap)
-}
-
 // traceTarget compiles sp with the default configuration (via the
 // harness's compile cache) and measures Figure 1's "Idempotence Target"
 // curve on the instrumented run.

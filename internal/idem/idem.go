@@ -99,9 +99,6 @@ type Result struct {
 	PrunedBlocks int
 }
 
-// NonIdem reports whether the region needs (or defies) instrumentation.
-func (r *Result) NonIdem() bool { return r.Class == NonIdempotent }
-
 // Env carries the shared analysis context for a function.
 type Env struct {
 	Mode  alias.Mode

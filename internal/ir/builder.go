@@ -107,9 +107,6 @@ func (b *Block) CallExtern(dst Reg, name string, args ...Reg) *Block {
 	return b.add(Instr{Op: OpExtern, Dst: dst, A: NoReg, B: NoReg, Extern: name, Args: args})
 }
 
-// Append adds a pre-built instruction (used by instrumentation passes).
-func (b *Block) Append(in Instr) *Block { return b.add(in) }
-
 // SetRecovery appends the recovery-address update for the given region.
 func (b *Block) SetRecovery(regionID int) *Block {
 	return b.add(Instr{Op: OpSetRecovery, Dst: NoReg, A: NoReg, B: NoReg, Imm: int64(regionID)})

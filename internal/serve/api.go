@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -59,12 +60,9 @@ type SubmitRequest struct {
 	// Engine selects the interpreter engine: fast or ref.
 	// Ledgers are engine-invariant.
 	Engine string `json:"engine,omitempty"`
-	// Workers bounds trial parallelism (0 = server default). Ledgers are
-	// worker-count-invariant.
+	// Workers bounds trial parallelism (0 = server default), capped at
+	// runtime.GOMAXPROCS(0). Ledgers are worker-count-invariant.
 	Workers int `json:"workers,omitempty"`
-	// ShardSize is the trials-per-scheduling-step batch (0 = heuristic).
-	// Ledgers are shard-size-invariant.
-	ShardSize int `json:"shard_size,omitempty"`
 	// Checkpoints is the golden-run ladder target for
 	// fork-from-checkpoint trials (sfi.CampaignConfig.Checkpoints: k to
 	// 2k−1 rungs on a long run). Omitted = the server default;
@@ -179,7 +177,6 @@ type campaignSpec struct {
 	dmax        int64
 	bits        int
 	workers     int
-	shard       int
 	checkpoints int
 	stop        *sfi.Stopper
 	ccfg        core.Config
@@ -189,7 +186,8 @@ type campaignSpec struct {
 func (r *SubmitRequest) normalize(cfg Config) (campaignSpec, error) {
 	sp := campaignSpec{
 		trials: r.Trials, seed: 1, dmax: 100, bits: r.Bits,
-		workers: r.Workers, shard: r.ShardSize,
+		// More workers than processors only add leased machines.
+		workers: min(r.Workers, runtime.GOMAXPROCS(0)),
 	}
 	if sp.trials == 0 {
 		sp.trials = 300

@@ -7,11 +7,11 @@
 // JSONL ledger back incrementally over a chunked response.
 //
 // Determinism invariant: a served ledger is byte-identical to batch
-// `encore-sfi -trace` output for the same (workload, config, seed)
-// at any worker count or shard size — the daemon reuses
-// sfi.RunCampaign's incremental trial-order emission rather than
-// re-implementing campaign execution, so equality holds by construction
-// and is locked by the package tests and scripts/check.sh's cmp smoke.
+// `encore-sfi -trace` output for the same (workload, config, seed) at
+// any worker count — the daemon reuses sfi.RunCampaign's incremental
+// trial-order emission rather than re-implementing campaign execution,
+// so equality holds by construction and is locked by the package tests
+// and scripts/check.sh's cmp smoke.
 //
 // Multi-tenancy and backpressure: every request carries a tenant (the
 // X-Encore-Tenant header; empty means "default"), and admission charges
@@ -407,9 +407,9 @@ func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 		Trials: c.spec.trials, Seed: c.spec.seed, Dmax: c.spec.dmax, Bits: c.spec.bits,
 		Workers: c.spec.workers, Engine: c.spec.ccfg.Interp.Engine, Obs: s.reg,
 		App: c.spec.app, Regions: RegionTable(res, c.spec.dmax),
-		Trace: obs.NewJSONLSink(c),
-		Stats: c.est,
-		Ctx:   c.ctx, ShardSize: c.spec.shard,
+		Trace:       obs.NewJSONLSink(c),
+		Stats:       c.est,
+		Ctx:         c.ctx,
 		Stop:        c.spec.stop,
 		Checkpoints: c.spec.checkpoints,
 	})

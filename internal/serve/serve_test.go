@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -105,7 +106,7 @@ func waitState(t *testing.T, url, id string) CampaignStatus {
 // TestServedLedgerMatchesBatch locks the acceptance criterion: a served
 // campaign's streamed ledger is byte-identical to batch encore-sfi
 // -trace output for the same (workload, config, seed) at every worker
-// count and shard size.
+// count.
 func TestServedLedgerMatchesBatch(t *testing.T) {
 	const (
 		app    = "rawcaudio"
@@ -121,12 +122,12 @@ func TestServedLedgerMatchesBatch(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{Obs: obs.NewRegistry()}))
 	defer ts.Close()
 
-	for _, tc := range []struct{ workers, shard int }{{1, 0}, {3, 1}, {5, 4}} {
-		body := fmt.Sprintf(`{"workload":%q,"trials":%d,"seed":%d,"dmax":%d,"workers":%d,"shard_size":%d}`,
-			app, trials, seed, dmax, tc.workers, tc.shard)
+	for _, workers := range []int{1, 3, 5} {
+		body := fmt.Sprintf(`{"workload":%q,"trials":%d,"seed":%d,"dmax":%d,"workers":%d}`,
+			app, trials, seed, dmax, workers)
 		code, st, apiErr, _ := submit(t, ts.URL, "", body)
 		if code != http.StatusAccepted {
-			t.Fatalf("submit (workers=%d): status %d, error %+v", tc.workers, code, apiErr)
+			t.Fatalf("submit (workers=%d): status %d, error %+v", workers, code, apiErr)
 		}
 		resp, err := http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/ledger")
 		if err != nil {
@@ -138,8 +139,8 @@ func TestServedLedgerMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("served ledger (workers=%d shard=%d) diverges from batch ledger:\nserved %d bytes, batch %d bytes",
-				tc.workers, tc.shard, len(got), len(want))
+			t.Fatalf("served ledger (workers=%d) diverges from batch ledger:\nserved %d bytes, batch %d bytes",
+				workers, len(got), len(want))
 		}
 		final := waitState(t, ts.URL, st.ID)
 		if final.State != StateDone || final.Executed != trials {
@@ -258,6 +259,19 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestWorkersCapped: a request's workers are capped at GOMAXPROCS, so a
+// tenant cannot make a campaign lease a machine per requested worker.
+// It checks normalize alone and starts no campaign.
+func TestWorkersCapped(t *testing.T) {
+	sp, err := (&SubmitRequest{Workload: "rawcaudio", Trials: 4096, Workers: 1 << 20}).normalize(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.GOMAXPROCS(0); sp.workers != n {
+		t.Errorf("workers %d, want GOMAXPROCS %d", sp.workers, n)
+	}
+}
+
 // TestQuotaBackpressure checks the admission budget: concurrent
 // campaigns against a full budget answer 429 with a Retry-After hint,
 // per-tenant caps bind before the global one, oversized requests are
@@ -348,7 +362,7 @@ func TestCancelFreesBudget(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	body := fmt.Sprintf(`{"workload":"rawcaudio","trials":%d,"workers":1,"shard_size":1,"engine":"ref"}`, trials)
+	body := fmt.Sprintf(`{"workload":"rawcaudio","trials":%d,"workers":1,"engine":"ref"}`, trials)
 	code, st, apiErr, _ := submit(t, ts.URL, "", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d error %+v", code, apiErr)

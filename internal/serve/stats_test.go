@@ -81,7 +81,7 @@ func TestStatsAgreeEverywhere(t *testing.T) {
 		Gate: func(ctx context.Context, id string) { <-gate },
 	}))
 	defer ts.Close()
-	body := fmt.Sprintf(`{"workload":%q,"trials":%d,"seed":%d,"dmax":%d,"workers":3,"shard_size":2}`,
+	body := fmt.Sprintf(`{"workload":%q,"trials":%d,"seed":%d,"dmax":%d,"workers":3}`,
 		app, trials, seed, dmax)
 	code, st, apiErr, _ := submit(t, ts.URL, "", body)
 	if code != http.StatusAccepted {
@@ -334,8 +334,8 @@ func TestPprofMounting(t *testing.T) {
 // TestAdaptiveCancelDuringStream cancels an adaptive campaign while its
 // ledger is streaming: the stream must terminate with a partial prefix,
 // the campaign settles canceled with a partial executed count, and the
-// admission budget frees up — the gated-stream guarantees hold when the
-// round loop, not the flat trial loop, is driving.
+// admission budget frees up — the gated-stream guarantees hold when
+// adaptive rounds, not only the drain window, hold trials back.
 func TestAdaptiveCancelDuringStream(t *testing.T) {
 	const trials = 5000
 	srv := NewServer(Config{MaxInFlightTrials: trials, Obs: obs.NewRegistry()})
@@ -344,7 +344,7 @@ func TestAdaptiveCancelDuringStream(t *testing.T) {
 
 	// An unreachably tight target keeps every round busy, so the cancel
 	// lands mid-campaign rather than after adaptive stopping drained it.
-	body := fmt.Sprintf(`{"workload":"rawcaudio","trials":%d,"workers":1,"shard_size":1,"engine":"ref","adaptive":true,"adaptive_ci":0.0001}`, trials)
+	body := fmt.Sprintf(`{"workload":"rawcaudio","trials":%d,"workers":1,"engine":"ref","adaptive":true,"adaptive_ci":0.0001}`, trials)
 	code, st, apiErr, _ := submit(t, ts.URL, "", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d error %+v", code, apiErr)

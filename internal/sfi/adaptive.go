@@ -2,7 +2,6 @@ package sfi
 
 import (
 	"encore/internal/ci"
-	"encore/internal/interp"
 	"encore/internal/trace"
 )
 
@@ -17,17 +16,19 @@ const NotInjectedKey = -2
 // Wilson interval has converged below TargetCI, so the remaining trial
 // budget is spent only on regions whose estimate is still wide.
 //
-// Decisions are made at deterministic round boundaries from the
-// trial-ordered record prefix, and the round size depends only on the
-// trial count — never on Workers, ShardSize, or Engine — so an adaptive
-// campaign executes exactly the same trial subset (and emits exactly the
-// same ledger bytes) across all of those knobs for a fixed seed.
+// Each trial is decided once, from the tallies of the whole rounds
+// before its own in the trial-ordered record prefix, and the round size
+// depends only on the trial count — never on Workers or Engine — so an
+// adaptive campaign executes exactly the same trial subset (and emits
+// exactly the same ledger bytes) across both of those knobs for a fixed
+// seed.
 type Stopper struct {
 	// TargetCI is the Wilson half-width at which a region key counts as
 	// converged. Zero selects DefaultTargetCI.
 	TargetCI float64
-	// Round is the number of consecutive planned trials between stopping
-	// decisions. Zero selects a heuristic from the campaign's trial
+	// Round is the number of consecutive planned trials between
+	// convergence rescorings; every trial of a round is decided from the
+	// same halted set. Zero selects a heuristic from the campaign's trial
 	// count alone (clamped to [MinRound, MaxRound]); negative is
 	// rejected by RunCampaign.
 	Round int
@@ -90,11 +91,10 @@ type keyTally struct {
 
 // stopRun is the per-campaign state behind a Stopper: the golden run's
 // region map, which predicts a planned trial's region key on demand,
-// per-key tallies, and the halted set. decide and rescore run at round
-// barriers on the coordinating goroutine. observe runs in the campaign's
-// trial-order drain, which is serialized and has passed every executed
-// record of a round before the round's dispatch joins, so the barrier
-// sees the whole round folded.
+// per-key tallies, and the halted set. Every method runs under the
+// campaign's drain lock: skip once per trial, after the drain has
+// reached the trial's round, and observe and rescore in the trial-order
+// drain itself.
 type stopRun struct {
 	target float64
 	round  int
@@ -142,20 +142,18 @@ func (s *stopRun) predict(injectAt int64) int {
 	return NotInjectedKey
 }
 
-// decide returns the skip set for the upcoming round [lo, hi), indexed
-// from lo: a trial is skipped exactly when its planned strike's predicted
-// key is already halted. The decision is made before any of the round's
-// trials run, from tallies that cover only completed rounds, which is
-// what makes the executed subset worker-shape-invariant.
-func (s *stopRun) decide(lo, hi int, plan func(t int) interp.FaultPlan) []bool {
-	skip := make([]bool, hi-lo)
-	for t := lo; t < hi; t++ {
-		if s.halted[s.predict(plan(t).InjectAt)] {
-			skip[t-lo] = true
-			s.skipped++
-		}
+// skip reports, and counts, whether the trial striking at injectAt is
+// skipped: its predicted key is already halted. The halted set changes
+// only when the drain passes a round's last trial, and the campaign asks
+// after the drain has reached the trial's round and before it can pass
+// the trial, so the answer reads the tallies of exactly the earlier
+// rounds, whatever the worker shape.
+func (s *stopRun) skip(injectAt int64) bool {
+	if !s.halted[s.predict(injectAt)] {
+		return false
 	}
-	return skip
+	s.skipped++
+	return true
 }
 
 // observe folds one executed trial's record into the tallies, keyed by
@@ -180,10 +178,10 @@ func (s *stopRun) observe(rec *TrialRecord) {
 	}
 }
 
-// rescore moves every converged key into the halted set; the campaign
-// calls it at each round barrier. Halting is monotone: once a key
-// converges it stays halted, so skip decisions can only grow between
-// rounds.
+// rescore moves every converged key into the halted set; the drain
+// calls it as it passes each round's last trial. Halting is monotone:
+// once a key converges it stays halted, so skip decisions can only grow
+// between rounds.
 func (s *stopRun) rescore() {
 	for key, tl := range s.tally {
 		if s.halted[key] {

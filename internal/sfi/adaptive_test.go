@@ -7,6 +7,7 @@ import (
 	"encore/internal/ci"
 	"encore/internal/core"
 	"encore/internal/interp"
+	"encore/internal/obs"
 	"encore/internal/workload"
 )
 
@@ -93,6 +94,30 @@ func TestAdaptiveDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotRecs, refRecs) {
 			t.Errorf("workers=%d engine=%v: records diverged", v.workers, v.eng)
+		}
+	}
+}
+
+// TestAdaptiveOneDispatch: an adaptive campaign runs as one dispatch
+// over its trial range, so each worker leases its machine once and
+// observes its throughput once, however many rounds the campaign has.
+func TestAdaptiveOneDispatch(t *testing.T) {
+	res, art := compileApp(t, "175.vpr")
+	const workers = 4
+	reg := obs.NewRegistry()
+	camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
+		Trials: 160, Seed: 5, Dmax: 100, Workers: workers, Obs: reg,
+		Stop: &Stopper{TargetCI: 0.2, Round: 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if camp.Skipped == 0 {
+		t.Fatal("the stopper skipped nothing; the case does not exercise rounds")
+	}
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == "sfi.worker.trials_per_sec" && h.Count > workers {
+			t.Errorf("%d worker throughput samples for %d workers: more than one dispatch", h.Count, workers)
 		}
 	}
 }

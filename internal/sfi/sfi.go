@@ -175,7 +175,8 @@ func measureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig, 
 	// order-independent counters.
 	res := &MaskingResult{Trials: cfg.Trials}
 	var mu sync.Mutex
-	runTrials(pool, 0, cfg.Trials, cfg.Workers, 0, nil, reg, cfg.Progress, func(w *interp.Machine, t int) {
+	workers := workpool.Clamp(cfg.Workers, cfg.Trials)
+	runTrials(pool, 0, cfg.Trials, workers, shardSize(cfg.Trials, workers), nil, reg, cfg.Progress, func(w *interp.Machine, t int) {
 		o, _, _, _ := e.trial(w, maskingPlan(trialRNG(cfg.Seed^maskingSalt, t), e.total))
 		mu.Lock()
 		defer mu.Unlock()
@@ -277,12 +278,12 @@ func (o *Outcome) UnmarshalText(text []byte) error {
 // contract mirrors the Trace stream: ObserveCampaign is called once
 // after the golden run and before any trial, then ObserveTrial is
 // called exactly once per executed trial in strictly increasing trial
-// order, regardless of Workers, ShardSize, or Engine — so any
-// deterministic accumulator fed through a StatsSink is bit-identical
-// across those knobs. When both a Trace sink and a StatsSink are
-// attached, each record reaches the StatsSink before its trace line is
-// emitted (a reader of the trace never observes a record the stats have
-// not folded yet).
+// order, regardless of Workers or Engine — so any deterministic
+// accumulator fed through a StatsSink is bit-identical across those
+// knobs. When both a Trace sink and a StatsSink are attached, each
+// record reaches the StatsSink before its trace line is emitted (a
+// reader of the trace never observes a record the stats have not
+// folded yet).
 type StatsSink interface {
 	// ObserveCampaign delivers the campaign header.
 	ObserveCampaign(meta CampaignMeta)
@@ -343,7 +344,7 @@ type CampaignConfig struct {
 	// golden run, before any trial) followed by one TrialEnvelope per
 	// executed trial, emitted incrementally in trial order as the
 	// completed prefix of the campaign grows — the stream is
-	// deterministic given Seed regardless of Workers or ShardSize, and
+	// deterministic given Seed regardless of Workers or Engine, and
 	// its final bytes are identical to an end-of-campaign dump. Emission
 	// runs in the trial-order drain, under the lock that guards the
 	// bounded window of finished records, so a slow sink slows the
@@ -358,18 +359,14 @@ type CampaignConfig struct {
 	// Ctx, when non-nil, cancels the campaign cooperatively: once done,
 	// no further trial shards are scheduled, shards already handed out
 	// finish, and RunCampaign returns the partial result together with
-	// ctx's error. Shards go out in trial order, so the executed trials
+	// ctx's error. Shards go out in trial order, so the trials reached
 	// are a prefix of the run, and the result and both sinks cover
 	// exactly that prefix. No trial starts W or more past the first
-	// trial the drain has not passed, where W is four shards per worker,
-	// so a cancel issued from a sink lets at most W plus the other
-	// workers' shards run on. A nil Ctx never cancels.
+	// trial the drain has not passed, where W is four of the campaign's
+	// heuristic shards per worker, so a cancel issued from a sink lets at
+	// most W plus the other workers' held shards run on. A nil Ctx never
+	// cancels.
 	Ctx context.Context
-	// ShardSize is the number of consecutive trials handed to a worker
-	// per scheduling step (the workpool.Dispatch shard). Zero selects a
-	// heuristic balancing queue traffic against cancellation/streaming
-	// latency. Outcomes and the ledger are shard-size-invariant.
-	ShardSize int
 
 	// Shard, when non-nil, restricts execution to shard Index of Count
 	// of the trial space: only Shard.Bounds(Trials) executes, and only
@@ -382,12 +379,13 @@ type CampaignConfig struct {
 	Shard *ShardRange
 	// Stop, when non-nil, enables variance-aware adaptive stopping: the
 	// campaign predicts each planned trial's strike region from one
-	// hooked golden run, and at deterministic round boundaries skips
-	// trials whose predicted region's recovery-rate Wilson interval has
-	// already converged below Stop's target. Skipped trials execute
-	// nothing and emit nothing; CampaignResult.Skipped counts them and
-	// the Trace stream and the StatsSink carry exactly the executed
-	// subset, in trial order, identically across Workers/ShardSize/Engine.
+	// hooked golden run and, once the drain has passed every earlier
+	// round, skips the trial if that region's recovery-rate Wilson
+	// interval had converged below Stop's target by the end of those
+	// rounds. Skipped trials execute nothing and emit nothing;
+	// CampaignResult.Skipped counts them and the Trace stream and the
+	// StatsSink carry exactly the executed subset, in trial order,
+	// identically across Workers and Engine.
 	Stop *Stopper
 	// Prior seeds adaptive stopping with a previous campaign's per-region
 	// tallies, keyed by region content hash (see PriorRegion). Regions
@@ -406,9 +404,10 @@ type CampaignResult struct {
 	// stopping (Stop) skipped converged trials, or the campaign's Ctx
 	// canceled it mid-flight.
 	Executed int
-	// Skipped counts planned trials adaptive stopping elided because
-	// their predicted region had already converged below the target
-	// half-width. Trials - Executed - Skipped is the cancellation
+	// Skipped counts the trials adaptive stopping elided because their
+	// predicted region had already converged below the target
+	// half-width, among the trials the campaign reached (all of them
+	// unless canceled). Trials - Executed - Skipped is the cancellation
 	// remainder (zero for a completed run).
 	Skipped int
 	// Mispredicted counts executed trials whose golden-run region
@@ -445,9 +444,9 @@ func (c *CampaignResult) RecoveredRate() float64 {
 // random detection latency in [0, Dmax], and classifies every run against
 // the golden checksum. Every trial runs under an instruction budget
 // derived from the golden run (trialBudget), so a runaway trial ends as
-// Crashed long before the interpreter's default budget. Trials are
-// scheduled as contiguous shards on a bounded worker pool
-// (workpool.Dispatch); a canceled cfg.Ctx stops scheduling at shard
+// Crashed long before the interpreter's default budget. Trials, adaptive
+// or not, are scheduled as contiguous shards of one workpool.Dispatch on
+// a bounded worker pool; a canceled cfg.Ctx stops scheduling at shard
 // granularity and RunCampaign returns the partial result with the
 // context's error. Zero Trials selects 200; negative is an error.
 func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg CampaignConfig) (*CampaignResult, error) {
@@ -525,8 +524,8 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 		cfg.Trace.Emit(CampaignEnvelope{Type: TraceCampaign, CampaignMeta: meta})
 	}
 	// Adaptive stopping: predict planned trials' strike regions from one
-	// hooked golden run's region map, so round decisions can skip trials
-	// aimed at already-converged regions without executing them.
+	// hooked golden run's region map, so a trial aimed at an
+	// already-converged region is skipped without executing it.
 	var stop *stopRun
 	if cfg.Stop != nil {
 		rm, err := trace.RecordRegionMap(mod, metas, pool.prog)
@@ -537,36 +536,42 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	}
 	// The trial-order drain is the one consumer of trial results, under
 	// one lock. A worker stores its record in trial t's slot of a ring of
-	// window slots (four shards per worker over [lo, hi), more than any
-	// adaptive round's smaller shards), marks it done and drains the done
-	// prefix from the cursor, in trial order, folding per executed record
-	// the result counters, the adaptive tallies, then the StatsSink before
-	// the trace line. A trial window or more past the cursor waits for its
-	// slot; the cursor's trial never waits, so the ring cannot deadlock
-	// and the sinks lag by under window trials. Skipped trials are marked
-	// done too. Shards go out in trial order and each one handed out
-	// finishes, so the executed trials form a prefix that the drain
-	// reaches in full, after a cancel too. A trial or sink panic breaks
-	// the ring so that waiting workers return and Dispatch can re-panic.
+	// window slots (four shards per worker over [lo, hi)), marks it done
+	// and drains the done prefix from the cursor, in trial order, folding
+	// per executed record the result counters, the adaptive tallies, then
+	// the StatsSink before the trace line. A trial window or more past the
+	// cursor waits for its slot; under adaptive stopping it also waits
+	// until the cursor reaches its round, then asks the stopper once
+	// whether to skip, and the drain rescores as it passes a round's last
+	// trial, so every decision reads the tallies of exactly the earlier
+	// rounds. The cursor's trial never waits, so the ring cannot deadlock
+	// and the sinks lag by under window trials. A skipped trial marks its
+	// slot done with no record (Trial −1). Shards go out in trial order
+	// and each one handed out finishes, so the trials run form a prefix
+	// that the drain reaches in full, after a cancel too. A trial or sink
+	// panic breaks the ring so that waiting workers return and Dispatch
+	// can re-panic.
 	workers := workpool.Clamp(cfg.Workers, hi-lo)
-	shard := min(shardSize(cfg.ShardSize, hi-lo, workers), hi-lo) // so 4·workers·shard cannot overflow
+	shard := shardSize(hi-lo, workers)
 	window := min(4*workers*shard, hi-lo)
+	round := hi - lo // without a stopper, one round: the gate never holds
+	if stop != nil {
+		round = stop.round
+		shard = shardSize(min(round, hi-lo), workers)
+	}
 	var (
 		records = make([]TrialRecord, window)
 		done    = make([]bool, window)
-		skip    []bool // the adaptive round's skip set, indexed from rlo
-		rlo     = lo
 		cursor  = lo
 		broken  bool
-		mu      sync.Mutex // guards done, cursor, broken and res
+		mu      sync.Mutex // guards done, cursor, broken, res and stop
 		freed   = sync.NewCond(&mu)
 	)
-	skipped := func(t int) bool { return skip != nil && skip[t-rlo] }
 	var cancel <-chan struct{}
 	if cfg.Ctx != nil {
 		cancel = cfg.Ctx.Done()
 	}
-	doTrial := func(w *interp.Machine, t int) {
+	runTrials(pool, lo, hi, workers, shard, cancel, reg, cfg.Progress, func(w *interp.Machine, t int) {
 		settled := false
 		defer func() {
 			if !settled {
@@ -576,17 +581,20 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 				mu.Unlock()
 			}
 		}()
+		p := plan(t)
 		mu.Lock()
-		for t-cursor >= window && !broken {
+		for (t-cursor >= window || cursor < t-(t-lo)%round) && !broken {
 			freed.Wait()
 		}
 		gaveUp := broken
+		skip := !gaveUp && stop != nil && stop.skip(p.InjectAt)
 		mu.Unlock()
 		if gaveUp {
 			return
 		}
-		if !skipped(t) {
-			p := plan(t)
+		if skip {
+			records[t%window].Trial = -1
+		} else {
 			o, rep, final, err := e.trial(w, p)
 			records[t%window] = makeRecord(t, p, rep, o, err, e.total, final, classOf)
 		}
@@ -595,49 +603,31 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 		done[t%window] = true
 		for ; cursor < hi && done[cursor%window]; cursor++ {
 			done[cursor%window] = false
-			if skipped(cursor) {
-				continue // skipped trials leave no record anywhere
+			if rec := &records[cursor%window]; rec.Trial >= 0 {
+				res.Executed++
+				res.Counts[rec.Outcome]++
+				if rec.Outcome == Recovered && rec.SameInstance {
+					res.SameInstance++
+				}
+				if stop != nil {
+					stop.observe(rec)
+				}
+				if cfg.Stats != nil {
+					cfg.Stats.ObserveTrial(*rec)
+				}
+				if cfg.Trace != nil {
+					cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: *rec})
+				}
 			}
-			rec := &records[cursor%window]
-			res.Executed++
-			res.Counts[rec.Outcome]++
-			if rec.Outcome == Recovered && rec.SameInstance {
-				res.SameInstance++
-			}
-			if stop != nil {
-				stop.observe(rec)
-			}
-			if cfg.Stats != nil {
-				cfg.Stats.ObserveTrial(*rec)
-			}
-			if cfg.Trace != nil {
-				cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: *rec})
+			if stop != nil && (cursor+1-lo)%round == 0 {
+				stop.rescore()
 			}
 		}
 		freed.Broadcast()
 		settled = true
-	}
-	if stop == nil {
-		runTrials(pool, lo, hi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, doTrial)
-	} else {
-		// Round loop: pin the skip set from completed-round tallies, run
-		// the round (skips cost a scheduling step, not an execution; the
-		// drain folds each executed record into the tallies), then
-		// re-score convergence at the barrier. Every decision input is a
-		// deterministic function of (seed, prior, policy), so the executed
-		// subset — and therefore the ledger — is identical across worker
-		// counts and engines.
-		for ; rlo < hi; rlo += stop.round {
-			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-				break
-			}
-			rhi := min(rlo+stop.round, hi)
-			skip = stop.decide(rlo, rhi, plan)
-			runTrials(pool, rlo, rhi, cfg.Workers, cfg.ShardSize, cancel, reg, cfg.Progress, doTrial)
-			stop.rescore()
-		}
-		res.Skipped = stop.skipped
-		res.Mispredicted = stop.mispred
+	})
+	if stop != nil {
+		res.Skipped, res.Mispredicted = stop.skipped, stop.mispred
 	}
 	for o := Outcome(0); o < numOutcomes; o++ {
 		reg.Add("sfi.outcome."+o.String(), int64(res.Counts[o]))
@@ -837,42 +827,29 @@ func (p *machinePool) release() {
 	p.all, p.free = nil, nil
 }
 
-// shardSize normalizes a requested trials-per-shard value: zero or
-// negative selects a heuristic that gives each worker several shards
-// (smoothing uneven trial costs and keeping cancellation/streaming
-// latency low) while bounding queue traffic, clamped to [1, 64].
-func shardSize(size, trials, workers int) int {
-	if size > 0 {
-		return size
-	}
-	size = trials / (workers * 8)
-	if size > 64 {
-		size = 64
-	}
-	if size < 1 {
-		size = 1
-	}
-	return size
+// shardSize is the trials-per-shard heuristic for trials spread over
+// workers: several shards per worker (smoothing uneven trial costs and
+// keeping cancellation and streaming latency low) while bounding queue
+// traffic, clamped to [1, 64].
+func shardSize(trials, workers int) int {
+	return max(1, min(64, trials/workers/8))
 }
 
 // runTrials executes fn over the trial indices [lo, hi), scheduled as
-// contiguous shards (workpool.Dispatch) on a bounded worker pool, each
-// worker leasing a private machine (machines are not goroutine-safe).
-// Trial plans derive from (seed, t) and results are consumed in trial
-// order, so every (workers, shard) shape is identical to the serial
-// order. The worker count is normalized by workpool.Clamp against hi−lo;
-// a single worker runs inline with no goroutine or channel overhead. A
-// closed cancel channel (may be nil) stops scheduling at shard
-// granularity. Each worker's machine reports into reg (folded at the
-// Reset boundary between trials), its end-of-run throughput lands in the
+// contiguous shards of shard trials (workpool.Dispatch) on workers
+// goroutines, each leasing a private machine (machines are not
+// goroutine-safe); the caller normalizes both. Trial plans derive from
+// (seed, t) and results are consumed in trial order, so every (workers,
+// shard) shape is identical to the serial order. A single worker runs
+// inline with no goroutine or channel overhead. A closed cancel channel
+// (may be nil) stops scheduling at shard granularity. Each worker's
+// machine reports into reg (folded at the Reset boundary between
+// trials), its end-of-run throughput lands in the
 // "sfi.worker.trials_per_sec" histogram, and prog (may be nil) is
 // stepped once per completed trial.
 func runTrials(pool *machinePool, lo, hi, workers, shard int, cancel <-chan struct{}, reg *obs.Registry, prog *obs.Progress, fn func(w *interp.Machine, t int)) {
-	trials := hi - lo
-	workers = workpool.Clamp(workers, trials)
-	shard = shardSize(shard, trials, workers)
 	rate := reg.Histogram("sfi.worker.trials_per_sec")
-	workpool.Dispatch(trials, shard, workers, cancel, func(_ int, pull func() (workpool.Shard, bool)) {
+	workpool.Dispatch(hi-lo, shard, workers, cancel, func(_ int, pull func() (workpool.Shard, bool)) {
 		w := pool.get()
 		w.AttachObs(reg)
 		start := time.Now()

@@ -181,28 +181,23 @@ func TestWorkersDegradeGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWith := func(workers, shard int) *CampaignResult {
+	runWith := func(workers int) *CampaignResult {
 		t.Helper()
 		camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
-			Trials: 60, Seed: 3, Dmax: 50, Workers: workers, ShardSize: shard, Obs: obs.NewRegistry(),
+			Trials: 60, Seed: 3, Dmax: 50, Workers: workers, Obs: obs.NewRegistry(),
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return camp
 	}
-	serial := runWith(1, 0)
+	serial := runWith(1)
 	for _, w := range []int{-4, 0, 7, 6000} {
-		got := runWith(w, 0)
+		got := runWith(w)
 		if got.Counts != serial.Counts || got.SameInstance != serial.SameInstance {
 			t.Errorf("workers=%d: counts %v sameInst %d, want %v / %d",
 				w, got.Counts, got.SameInstance, serial.Counts, serial.SameInstance)
 		}
-	}
-	// A shard far larger than the campaign is one shard; sizing the drain
-	// window from it must not overflow.
-	if got := runWith(4, 1<<62); got.Counts != serial.Counts {
-		t.Errorf("shard size 2⁶²: counts %v, want %v", got.Counts, serial.Counts)
 	}
 
 	build, _ := buildOf(t, "rawcaudio")
@@ -470,19 +465,25 @@ func (c *cancelAfter) ObserveTrial(rec TrialRecord) {
 // still finish, and shards go out in trial order, so the executed trials
 // form a prefix: the sink must have received exactly the executed
 // records, in trial order, and the counts must cover exactly them. The
-// bounded window caps how far the run goes on: no trial starts W = 32
-// (four shards per worker) or more past the drain, and the other three
-// workers may each still hold a shard pulled before the cancel.
+// bounded window caps how far the run goes on: no trial starts W (four
+// of the campaign's shards per worker) or more past the drain, and the
+// other three workers may each still hold a dispatch shard (the
+// campaign's, or an adaptive round's smaller one) pulled before the
+// cancel.
 func TestCampaignCancel(t *testing.T) {
 	res, art := compileApp(t, "175.vpr")
 	// At this target the stopper starts skipping before the n-th record.
-	const trials, n, workers, shard = 400, 60, 4, 2
-	const window = 4 * workers * shard
+	const trials, n, workers = 400, 60, 4
+	window := 4 * workers * shardSize(trials, workers)
 	for _, stop := range []*Stopper{nil, {TargetCI: 0.2, Round: 16}} {
+		shard := shardSize(trials, workers)
+		if stop != nil {
+			shard = shardSize(stop.Round, workers)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &cancelAfter{n: n, cancel: cancel}
 		camp, err := RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
-			Trials: trials, Seed: 5, Dmax: 100, Workers: workers, ShardSize: shard,
+			Trials: trials, Seed: 5, Dmax: 100, Workers: workers,
 			Obs: obs.NewRegistry(), Stats: sink, Ctx: ctx, Stop: stop,
 		})
 		cancel()
@@ -497,7 +498,7 @@ func TestCampaignCancel(t *testing.T) {
 		if over := camp.Executed - n; over > window+(workers-1)*shard {
 			t.Errorf("%s: %d trials executed after the cancel, want at most %d", label, over, window+(workers-1)*shard)
 		}
-		t.Logf("%s: executed %d, skipped %d of %d", label, camp.Executed, camp.Skipped, trials)
+		t.Logf("%s: executed %d, skipped %d of %d (window %d, shard %d)", label, camp.Executed, camp.Skipped, trials, window, shard)
 		if len(sink.records) != camp.Executed {
 			t.Errorf("%s: sink received %d records for %d executed trials", label, len(sink.records), camp.Executed)
 		}
@@ -532,22 +533,28 @@ func (p *panicAfter) ObserveTrial(TrialRecord) {
 }
 
 // TestCampaignSinkPanic: a StatsSink that panics mid-campaign must reach
-// RunCampaign's caller as a *workpool.WorkerPanic. The drain stalls at
-// the panic, so workers waiting for a window slot must be released
-// instead of waiting forever.
+// RunCampaign's caller as a *workpool.WorkerPanic, with and without
+// adaptive stopping. The drain stalls at the panic, so workers waiting
+// for a window slot, or for the drain to reach their adaptive round,
+// must be released instead of waiting forever. The stopper's target is
+// unreachable, so no trial is skipped and the 32nd record is trial 31,
+// the last of the second 16-trial round: the panic stalls the drain
+// just before the gate of the round the other workers wait at.
 func TestCampaignSinkPanic(t *testing.T) {
 	res, art := compileApp(t, "175.vpr")
-	got := func() (v any) {
-		defer func() { v = recover() }()
-		RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
-			Trials: 400, Seed: 5, Dmax: 100, Workers: 4, ShardSize: 2,
-			Obs: obs.NewRegistry(), Stats: &panicAfter{n: 30},
-		})
-		return nil
-	}()
-	wp, ok := got.(*workpool.WorkerPanic)
-	if !ok || wp.Value != "sink" {
-		t.Fatalf("RunCampaign panicked with %T %v, want a *workpool.WorkerPanic carrying the sink's panic", got, got)
+	for _, stop := range []*Stopper{nil, {TargetCI: 1e-9, Round: 16}} {
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			RunCampaign(res.Mod, res.Metas, art.Outputs, CampaignConfig{
+				Trials: 400, Seed: 5, Dmax: 100, Workers: 4,
+				Obs: obs.NewRegistry(), Stats: &panicAfter{n: 32}, Stop: stop,
+			})
+			return nil
+		}()
+		wp, ok := got.(*workpool.WorkerPanic)
+		if !ok || wp.Value != "sink" {
+			t.Fatalf("stop=%v: RunCampaign panicked with %T %v, want a *workpool.WorkerPanic carrying the sink's panic", stop != nil, got, got)
+		}
 	}
 }
 

@@ -176,7 +176,7 @@ func regionTable(res *core.Result, dmax int64) []sfi.RegionInfo {
 
 // campaignSnapshot compiles app, runs the campaign with an estimator
 // attached, and returns the final snapshot's JSON bytes.
-func campaignSnapshot(t *testing.T, app string, trials, workers, shard int, engine interp.Engine) []byte {
+func campaignSnapshot(t *testing.T, app string, trials, workers int, engine interp.Engine) []byte {
 	t.Helper()
 	sp, err := workload.ByName(app)
 	if err != nil {
@@ -196,7 +196,7 @@ func campaignSnapshot(t *testing.T, app string, trials, workers, shard int, engi
 	est := New()
 	if _, err := sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, sfi.CampaignConfig{
 		Trials: trials, Seed: seed, Dmax: dmax, Workers: workers,
-		ShardSize: shard, Engine: engine, Obs: obs.NewRegistry(),
+		Engine: engine, Obs: obs.NewRegistry(),
 		App: app, Regions: regionTable(res, dmax), Stats: est,
 	}); err != nil {
 		t.Fatal(err)
@@ -213,21 +213,21 @@ func campaignSnapshot(t *testing.T, app string, trials, workers, shard int, engi
 
 // TestSnapshotDeterminism locks the tentpole invariant: for the same
 // campaign, the final snapshot's JSON encoding is byte-identical across
-// worker counts, shard sizes, and execution engines (mirroring
+// worker counts and execution engines (mirroring
 // TestServedLedgerMatchesBatch for the ledger bytes).
 func TestSnapshotDeterminism(t *testing.T) {
 	const (
 		app    = "rawcaudio"
 		trials = 24
 	)
-	want := campaignSnapshot(t, app, trials, 1, 0, interp.EngineFast)
+	want := campaignSnapshot(t, app, trials, 1, interp.EngineFast)
 	if len(want) == 0 {
 		t.Fatal("reference snapshot is empty")
 	}
 	for _, engine := range []interp.Engine{interp.EngineFast, interp.EngineRef} {
-		for _, shape := range []struct{ workers, shard int }{{1, 0}, {4, 1}, {8, 3}} {
-			name := fmt.Sprintf("engine=%v/workers=%d/shard=%d", engine, shape.workers, shape.shard)
-			got := campaignSnapshot(t, app, trials, shape.workers, shape.shard, engine)
+		for _, workers := range []int{1, 4, 8} {
+			name := fmt.Sprintf("engine=%v/workers=%d", engine, workers)
+			got := campaignSnapshot(t, app, trials, workers, engine)
 			if !bytes.Equal(want, got) {
 				t.Errorf("%s: snapshot bytes differ from workers=1 fast reference", name)
 			}

@@ -66,8 +66,9 @@ type Shard struct {
 }
 
 // Dispatch partitions the index space [0, n) into contiguous shards of at
-// most size items (the last shard may be short; size <= 0 selects 1) and
-// distributes them, in index order, across workers goroutines.
+// most size items (the last shard may be short; size <= 0 selects 1, and
+// any size of at least n makes one shard) and distributes them, in index
+// order, across workers goroutines.
 //
 // body is invoked exactly once per worker goroutine with a pull function
 // that yields shards until the space is exhausted or done is closed, so a
@@ -95,6 +96,7 @@ func Dispatch(n, size, workers int, done <-chan struct{}, body func(worker int, 
 	if size <= 0 {
 		size = 1
 	}
+	size = min(size, n) // a larger shard holds no more, and n + size − 1 could overflow
 	nShards := (n + size - 1) / size
 	var (
 		next     atomic.Int64

@@ -1,6 +1,7 @@
 package workpool
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -55,6 +56,26 @@ func TestDispatchCoversEveryIndex(t *testing.T) {
 					t.Fatalf("workers=%d size=%d: index %d dispatched %d times", workers, size, i, got)
 				}
 			}
+		}
+	}
+}
+
+// TestDispatchHugeShard: a shard size near math.MaxInt is one shard of
+// the whole space; computing the shard count must not overflow and
+// schedule nothing.
+func TestDispatchHugeShard(t *testing.T) {
+	const n = 5
+	var hits [n]atomic.Int32
+	Dispatch(n, math.MaxInt, 2, nil, func(_ int, pull func() (Shard, bool)) {
+		for sh, ok := pull(); ok; sh, ok = pull() {
+			for i := sh.Lo; i < sh.Hi; i++ {
+				hits[i].Add(1)
+			}
+		}
+	})
+	for i := range hits {
+		if got := hits[i].Load(); got != 1 {
+			t.Errorf("index %d dispatched %d times, want 1", i, got)
 		}
 	}
 }

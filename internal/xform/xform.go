@@ -69,15 +69,6 @@ func (s *Stats) TotalMemCkpts() int {
 	return n
 }
 
-// TotalRegCkpts sums register checkpoint instructions.
-func (s *Stats) TotalRegCkpts() int {
-	n := 0
-	for _, r := range s.Regions {
-		n += r.RegCkpts
-	}
-	return n
-}
-
 // Instrument rewrites the functions of mod in place, instrumenting every
 // selected region, and returns the runtime region metadata for
 // interp.Machine.SetRuntime plus static statistics. Region IDs must be

@@ -26,8 +26,10 @@
 # reproduces the single-process ledger and stats byte for byte, that
 # shard 7/1000 of a million-trial campaign writes the same ledger and
 # stats at -workers 1 and 4 (plans by formula, the bounded drain window
-# under several workers), that -adaptive stopping elides the same trials regardless of worker count
-# and engine, that fork-from-checkpoint trials (-checkpoints 1, 16 and
+# under several workers), that -adaptive stopping elides the same trials
+# regardless of worker count and engine, also with 16-trial rounds at
+# -workers 4 (the round gate across many round boundaries), that
+# fork-from-checkpoint trials (-checkpoints 1, 16 and
 # 64, on rawcaudio and 164.gzip) leave the trial ledger byte-identical
 # to full golden-prefix replay, and that
 # laddered trials still end early at golden rungs. The masking smokes
@@ -255,8 +257,10 @@ cmp -s "$tmp/big-stats-w1.json" "$tmp/big-stats-w4.json" || { echo "encore-sfi -
 
 echo "==> smoke: adaptive stopping deterministic across workers and engines"
 # The stopper folds each record as the trial-order drain passes it and
-# decides only at round barriers, so the elided ledger must not depend
-# on parallelism or engine.
+# rescores as the drain passes a round's last trial; a trial decides
+# once the drain has reached its round, so the elided ledger must not
+# depend on parallelism or engine. The 16-trial rounds at -workers 4
+# hold workers at the round gate across many round boundaries.
 "$tmp/encore-sfi" -app g721encode -trials 300 -seed 7 -adaptive -adaptive-ci 0.12 -trace "$tmp/adapt-a.jsonl" > "$tmp/adapt-a.txt"
 "$tmp/encore-sfi" -app g721encode -trials 300 -seed 7 -adaptive -adaptive-ci 0.12 -workers 1 -engine ref -trace "$tmp/adapt-b.jsonl" > /dev/null
 cmp -s "$tmp/adapt-a.jsonl" "$tmp/adapt-b.jsonl" || {
@@ -264,6 +268,12 @@ cmp -s "$tmp/adapt-a.jsonl" "$tmp/adapt-b.jsonl" || {
 	exit 1
 }
 grep -q 'adaptive g721encode: executed' "$tmp/adapt-a.txt" || { echo "encore-sfi -adaptive: no adaptive summary line" >&2; exit 1; }
+"$tmp/encore-sfi" -app g721encode -trials 300 -seed 7 -adaptive -adaptive-ci 0.12 -adaptive-round 16 -workers 4 -trace "$tmp/adapt-r4.jsonl" > /dev/null
+"$tmp/encore-sfi" -app g721encode -trials 300 -seed 7 -adaptive -adaptive-ci 0.12 -adaptive-round 16 -workers 1 -engine ref -trace "$tmp/adapt-r1.jsonl" > /dev/null
+cmp -s "$tmp/adapt-r4.jsonl" "$tmp/adapt-r1.jsonl" || {
+	echo "encore-sfi -adaptive-round 16: ledger differs between -workers 4 and -workers 1 -engine ref" >&2
+	exit 1
+}
 
 echo "==> smoke: Prometheus exposition passes promlint"
 "$tmp/encore-sfi" -app rawcaudio -trials 5 -prom "$tmp/sfi.prom" > /dev/null
