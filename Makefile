@@ -21,15 +21,18 @@ bench:
 	$(GO) test ./internal/core ./internal/idem -run '^$$' -bench '.' -benchmem
 	$(GO) run ./cmd/encore-bench -quick -json $(BENCH) > /dev/null
 
-# Short-budget run of the generative oracles (internal/progen) and of the
-# daemon's tenant-IR input boundary (internal/serve FuzzParse): each fuzz
-# target replays its checked-in corpus and then explores for FUZZTIME.
+# Short-budget run of the generative oracles (internal/progen), of the
+# daemon's tenant-IR input boundary (internal/serve FuzzParse) and of the
+# shard-ledger merge's permutation invariance (internal/sfi
+# FuzzMergeCommutes): each fuzz target replays its checked-in corpus and
+# then explores for FUZZTIME.
 # Raise the budget for a deeper hunt: make fuzz-smoke FUZZTIME=5m
 fuzz-smoke:
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzIdempotence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzRecovery$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/progen -run '^$$' -fuzz '^FuzzEngines$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sfi -run '^$$' -fuzz '^FuzzMergeCommutes$$' -fuzztime $(FUZZTIME)
 
 # Full health gate: gofmt, vet, build, tests, the race detector over the
 # concurrent packages, and the fuzz smoke. See scripts/check.sh.

@@ -75,15 +75,14 @@
 // JSONL ledgers (from -shard runs of the same campaign), merged in trial
 // order to the -trace destination (default stdout) byte-identically to
 // the single-process ledger; -stats additionally replays the merged
-// records through the online estimator and writes the snapshot, again
-// byte-identical to a single-process -stats run.
+// records through the online estimator as they are written and writes
+// the snapshot, again byte-identical to a single-process -stats run.
 //
 // -chrometrace records span timings and writes a chrome://tracing JSON
 // array to the given file on exit.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -92,7 +91,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"encore/internal/attrib"
 	"encore/internal/core"
 	"encore/internal/interp"
 	"encore/internal/ir"
@@ -201,13 +199,18 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("reuse: %w", err)
 		}
-		campaigns, err := attrib.ReadTrace(f)
+		var ests []*stats.Estimator
+		err = sfi.ReplayLedger(f, func() sfi.StatsSink {
+			e := stats.New()
+			ests = append(ests, e)
+			return e
+		})
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("reuse: %w", err)
 		}
-		for _, c := range campaigns {
-			priors[c.Meta.App] = attrib.PriorRegions(c)
+		for _, e := range ests {
+			priors[e.Snapshot().App] = e.Priors()
 		}
 	}
 
@@ -398,9 +401,10 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 }
 
 // runMerge merges per-shard JSONL ledgers (in any argument order) into
-// one campaign trace on the -trace destination, and with -stats replays
-// the merged records through the online estimator so the snapshot is
-// byte-identical to a single-process -stats run.
+// one campaign ledger on the -trace destination, and with -stats
+// replays the merged stream through the online estimator as it is
+// written, so the snapshot is byte-identical to a single-process -stats
+// run and neither step holds the ledger.
 func runMerge(files []string, tracePath, statsPath string, stdout io.Writer) error {
 	if len(files) == 0 {
 		return fmt.Errorf("merge: no shard ledgers given (pass them as positional arguments)")
@@ -417,10 +421,6 @@ func runMerge(files []string, tracePath, statsPath string, stdout io.Writer) err
 		defer f.Close()
 		readers = append(readers, f)
 	}
-	var buf bytes.Buffer
-	if err := attrib.MergeTraces(&buf, readers...); err != nil {
-		return err
-	}
 	out := stdout
 	if tracePath != "" && tracePath != "-" {
 		f, err := os.Create(tracePath)
@@ -430,49 +430,28 @@ func runMerge(files []string, tracePath, statsPath string, stdout io.Writer) err
 		defer f.Close()
 		out = f
 	}
-	if _, err := out.Write(buf.Bytes()); err != nil {
+	if statsPath == "" {
+		return sfi.MergeLedgers(out, readers...)
+	}
+	pr, pw := io.Pipe()
+	merged := make(chan error, 1)
+	go func() {
+		err := sfi.MergeLedgers(io.MultiWriter(out, pw), readers...)
+		pw.CloseWithError(err)
+		merged <- err
+	}()
+	snaps, err := stats.ReadLedger(pr)
+	// A replay error fails the merge's next write with that same error,
+	// so the merge stops too; a merge error reaches the replay wrapped.
+	pr.CloseWithError(err)
+	if merr := <-merged; merr != nil && !errors.Is(merr, err) {
+		return merr
+	}
+	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}
-	if statsPath != "" {
-		campaigns, err := attrib.ReadTrace(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return fmt.Errorf("merge: %w", err)
-		}
-		snaps := make([]*stats.Snapshot, len(campaigns))
-		for i, c := range campaigns {
-			snaps[i] = stats.Replay(c.Meta, c.Records).Snapshot()
-		}
-		if err := stats.WriteSnapshotsFile(statsPath, snaps, stdout); err != nil {
-			return fmt.Errorf("merge: stats: %w", err)
-		}
+	if err := stats.WriteSnapshotsFile(statsPath, snaps, stdout); err != nil {
+		return fmt.Errorf("merge: stats: %w", err)
 	}
 	return nil
-}
-
-// runReport ingests a JSONL trial trace and writes the attribution report.
-func runReport(path string, jsonOut bool, stdout io.Writer) error {
-	var in io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("report: %w", err)
-		}
-		defer f.Close()
-		in = f
-	}
-	campaigns, err := attrib.ReadTrace(in)
-	if err != nil {
-		return fmt.Errorf("report: %w", err)
-	}
-	if len(campaigns) == 0 {
-		return fmt.Errorf("report: trace holds no campaigns")
-	}
-	reps := make([]*attrib.Report, len(campaigns))
-	for i, c := range campaigns {
-		reps[i] = attrib.Attribute(c)
-	}
-	if jsonOut {
-		return attrib.WriteJSON(stdout, reps)
-	}
-	return attrib.WriteText(stdout, reps)
 }

@@ -146,6 +146,34 @@ func TestReportMode(t *testing.T) {
 	}
 }
 
+// TestReportGolden pins -report and -report -json bytes on a hand-made
+// ledger of three campaigns: one with header regions, an unhashed and
+// an unstruck region, a strike outside every region and one in a region
+// the header does not list; one with no plan and no regions, whose
+// trial count falls back to its one record and whose regions are null;
+// and one with a plan but no records, whose outcomes are {}.
+func TestReportGolden(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		golden string
+	}{
+		{[]string{"-report", "testdata/report.jsonl"}, "testdata/report.golden.txt"},
+		{[]string{"-report", "testdata/report.jsonl", "-json"}, "testdata/report.golden.json"},
+	} {
+		var out, errOut bytes.Buffer
+		if err := runSFI(c.args, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%v differs from %s:\n%s", c.args, c.golden, out.Bytes())
+		}
+	}
+}
+
 func TestReportModeErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := runSFI([]string{"-report", filepath.Join(t.TempDir(), "missing.jsonl")}, &out, &errOut); err == nil {
@@ -215,8 +243,8 @@ func TestStatsFlagDeterministic(t *testing.T) {
 			t.Errorf("-stats output diverges under %v", extra)
 		}
 	}
-	snaps, err := stats.ReadSnapshots(strings.NewReader(want))
-	if err != nil {
+	var snaps []*stats.Snapshot
+	if err := json.Unmarshal([]byte(want), &snaps); err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) != 1 || snaps[0].App != "rawcaudio" || snaps[0].Trials != 12 {
@@ -346,6 +374,31 @@ func TestMergeModeErrors(t *testing.T) {
 	if err := runSFI([]string{"-merge", "-trace", filepath.Join(t.TempDir(), "out.jsonl"),
 		filepath.Join(t.TempDir(), "missing.jsonl")}, &out, &errOut); err == nil {
 		t.Error("merge with a missing shard file must error")
+	}
+
+	// With -stats the replay reads the merge as it is written: an error
+	// on either side must stop both and surface.
+	dir := t.TempDir()
+	shard := func(name string, lines ...string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	header := `{"type":"campaign","app":"x","trials":4}`
+	trial := func(i int) string { return fmt.Sprintf(`{"type":"trial","trial":%d,"outcome":"benign"}`, i) }
+	for _, c := range []struct {
+		shards []string
+		want   string
+	}{
+		{[]string{shard("bad.jsonl", header, `{"type":"trial","trial":0,"outcome":"bogus"}`)}, "merge: sfi: ledger line 2"},
+		{[]string{shard("even.jsonl", header, trial(0), trial(2)), shard("odd.jsonl", header, trial(1), trial(3))}, "must not interleave"},
+	} {
+		args := append([]string{"-merge", "-trace", filepath.Join(dir, "m.jsonl"), "-stats", filepath.Join(dir, "s.json")}, c.shards...)
+		if err := runSFI(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-merge -stats %v: error %v, want %q", c.shards, err, c.want)
+		}
 	}
 }
 

@@ -98,53 +98,6 @@ func shift(a aval, d int64) aval {
 	return top
 }
 
-func foldBin(op ir.Opcode, x, y int64) (int64, bool) {
-	switch op {
-	case ir.OpAdd:
-		return x + y, true
-	case ir.OpSub:
-		return x - y, true
-	case ir.OpMul:
-		return x * y, true
-	case ir.OpDiv:
-		if y == 0 {
-			return 0, true
-		}
-		return x / y, true
-	case ir.OpRem:
-		if y == 0 {
-			return 0, true
-		}
-		return x % y, true
-	case ir.OpAnd:
-		return x & y, true
-	case ir.OpOr:
-		return x | y, true
-	case ir.OpXor:
-		return x ^ y, true
-	case ir.OpShl:
-		return x << (uint64(y) & 63), true
-	case ir.OpShr:
-		return x >> (uint64(y) & 63), true
-	case ir.OpEq:
-		return b2i(x == y), true
-	case ir.OpNe:
-		return b2i(x != y), true
-	case ir.OpLt:
-		return b2i(x < y), true
-	case ir.OpLe:
-		return b2i(x <= y), true
-	}
-	return 0, false
-}
-
-func b2i(v bool) int64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
 // transfer applies one instruction to the register state.
 func transfer(f *ir.Func, st []aval, in *ir.Instr) {
 	get := func(r ir.Reg) aval {
@@ -244,7 +197,7 @@ func transfer(f *ir.Func, st []aval, in *ir.Instr) {
 		if in.Op.IsBinary() {
 			a, b := get(in.A), get(in.B)
 			if a.kind == avConst && b.kind == avConst {
-				if v, ok := foldBin(in.Op, a.c, b.c); ok {
+				if v, ok := ir.FoldBinary(in.Op, a.c, b.c); ok {
 					st[in.Dst] = constVal(v)
 					return
 				}

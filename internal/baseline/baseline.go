@@ -161,7 +161,7 @@ func MeasureEnterprise(mod *ir.Module, interval int64) (*SchemeReport, error) {
 		Name:               "Enterprise (full snapshot)",
 		IntervalInstrs:     interval,
 		StorageBytes:       c.BytesPerCkpt,
-		CkptTimeInstrs:     c.CopiedWords / max64(1, int64(maxInt(c.Checkpoints, 1))),
+		CkptTimeInstrs:     c.CopiedWords / int64(max(c.Checkpoints, 1)),
 		Scope:              "Full system",
 		GuaranteedRecovery: true,
 		ExtraHardware:      "Sometimes",
@@ -185,23 +185,9 @@ func MeasureArchitectural(mod *ir.Module, interval int64) (*SchemeReport, error)
 		Name:               "Architectural (undo log)",
 		IntervalInstrs:     interval,
 		StorageBytes:       storage,
-		CkptTimeInstrs:     l.TotalLogged / max64(1, int64(maxInt(l.Commits, 1))),
+		CkptTimeInstrs:     l.TotalLogged / int64(max(l.Commits, 1)),
 		Scope:              "Processor",
 		GuaranteedRecovery: true,
 		ExtraHardware:      "Yes",
 	}, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

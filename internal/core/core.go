@@ -447,7 +447,7 @@ type Coverage struct {
 // model at a fixed detection-latency bound: its identity, idempotence
 // class, share of baseline execution time, mean instance length, and the
 // analytical per-region recovery probability α. This is the prediction
-// side of the SFI attribution join (internal/attrib): a campaign's
+// side of the SFI attribution join (encore-sfi -report): a campaign's
 // measured per-region recovery rates are compared against these rows.
 type RegionCoverage struct {
 	ID       int

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"encore/internal/attrib"
 	"encore/internal/core"
 	"encore/internal/obs"
 	"encore/internal/serve"
@@ -131,7 +130,7 @@ func (h *Harness) Sharded(app string) (*ShardedResult, error) {
 			readers[i] = bytes.NewReader(shardBufs[i].Bytes())
 		}
 		var merged bytes.Buffer
-		if err := attrib.MergeTraces(&merged, readers...); err != nil {
+		if err := sfi.MergeLedgers(&merged, readers...); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		if !bytes.Equal(merged.Bytes(), singleBuf.Bytes()) {
@@ -152,7 +151,7 @@ func (h *Harness) Sharded(app string) (*ShardedResult, error) {
 			return nil, fmt.Errorf("%s adaptive: %w", name, err)
 		}
 		aworst := worstStruckCI(aest.Snapshot())
-		prefixTrials, err := prefixToCI(singleBuf.Bytes(), aworst)
+		prefixTrials, err := prefixToCI(singleBuf.Bytes(), struckCount(est.Snapshot()), aworst)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -189,42 +188,64 @@ func worstStruckCI(s *stats.Snapshot) float64 {
 	return worst
 }
 
+// struckCount counts the regions a snapshot's injected trials struck,
+// with strikes outside every region counting as one more.
+func struckCount(s *stats.Snapshot) int {
+	n := 0
+	if s.Unattributed > 0 {
+		n++
+	}
+	for _, r := range s.Regions {
+		if r.Struck > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // prefixToCI replays the exhaustive ledger one record at a time and
 // returns the length of the shortest prefix whose worst struck-region
-// Wilson half-width is at least as tight as target, with every region
-// the full run struck already represented (a prefix that simply hasn't
-// hit a slow region yet would otherwise pass vacuously). If even the
-// full run never gets there — the adaptive subset can land on a
-// slightly tighter estimate than the superset — the full record count
-// is returned, a conservative floor for the savings ratio.
-func prefixToCI(ledger []byte, target float64) (int, error) {
-	camps, err := attrib.ReadTrace(bytes.NewReader(ledger))
-	if err != nil {
+// Wilson half-width is at least as tight as target, with all the
+// regions the full run struck (want) already represented (a prefix that
+// simply hasn't hit a slow region yet would otherwise pass vacuously).
+// If even the full run never gets there — the adaptive subset can land
+// on a slightly tighter estimate than the superset — the full record
+// count is returned, a conservative floor for the savings ratio.
+func prefixToCI(ledger []byte, want int, target float64) (int, error) {
+	scan := &prefixScan{est: stats.New(), want: want, target: target}
+	campaigns := 0
+	if err := sfi.ReplayLedger(bytes.NewReader(ledger), func() sfi.StatsSink { campaigns++; return scan }); err != nil {
 		return 0, err
 	}
-	if len(camps) != 1 {
-		return 0, fmt.Errorf("prefix scan: want 1 campaign in the ledger, got %d", len(camps))
+	if campaigns != 1 {
+		return 0, fmt.Errorf("prefix scan: want 1 campaign in the ledger, got %d", campaigns)
 	}
-	c := camps[0]
-	fullStruck := map[int]bool{}
-	for _, rec := range c.Records {
-		if rec.Injected {
-			fullStruck[rec.RegionID] = true
-		}
+	if scan.at == 0 {
+		return scan.n, nil
 	}
-	est := stats.New()
-	est.ObserveCampaign(c.Meta)
-	struck := map[int]bool{}
-	for i, rec := range c.Records {
-		est.ObserveTrial(rec)
-		if rec.Injected {
-			struck[rec.RegionID] = true
-		}
-		if len(struck) == len(fullStruck) && worstStruckCI(est.Snapshot()) <= target {
-			return i + 1, nil
-		}
+	return scan.at, nil
+}
+
+// prefixScan folds records into est until the prefix qualifies; at is
+// that prefix's length (0 while none has) and n counts all records.
+type prefixScan struct {
+	est    *stats.Estimator
+	want   int
+	target float64
+	n, at  int
+}
+
+func (p *prefixScan) ObserveCampaign(meta sfi.CampaignMeta) { p.est.ObserveCampaign(meta) }
+
+func (p *prefixScan) ObserveTrial(rec sfi.TrialRecord) {
+	p.n++
+	if p.at > 0 {
+		return
 	}
-	return len(c.Records), nil
+	p.est.ObserveTrial(rec)
+	if s := p.est.Snapshot(); struckCount(s) == p.want && worstStruckCI(s) <= p.target {
+		p.at = p.n
+	}
 }
 
 // Render writes the sharding/adaptive-stopping table.

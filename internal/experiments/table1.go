@@ -89,7 +89,7 @@ func (h *Harness) Table1(app string) (*Table1Result, error) {
 	// Enterprise: interval = half the run.
 	base := sp.Build()
 	m := freshLen(base.Mod, h.Engine)
-	ent, err := baseline.MeasureEnterprise(sp.Build().Mod, max64(m/2, 1))
+	ent, err := baseline.MeasureEnterprise(sp.Build().Mod, max(m/2, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +152,4 @@ func freshLen(mod *ir.Module, engine interp.Engine) int64 {
 		return 1
 	}
 	return m.BaseCount
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -132,6 +132,58 @@ func (op Opcode) IsBinary() bool {
 	return false
 }
 
+// FoldBinary evaluates an integer binary opcode on constant operands
+// with the semantics the engines give it: wrapping 64-bit arithmetic,
+// 0 for a division or remainder by zero, shift counts taken mod 64, and
+// comparisons yielding 0 or 1. It reports false for the floating-point
+// forms and every opcode that is not binary.
+func FoldBinary(op Opcode, x, y int64) (int64, bool) {
+	switch op {
+	case OpAdd:
+		return x + y, true
+	case OpSub:
+		return x - y, true
+	case OpMul:
+		return x * y, true
+	case OpDiv:
+		if y == 0 {
+			return 0, true
+		}
+		return x / y, true
+	case OpRem:
+		if y == 0 {
+			return 0, true
+		}
+		return x % y, true
+	case OpAnd:
+		return x & y, true
+	case OpOr:
+		return x | y, true
+	case OpXor:
+		return x ^ y, true
+	case OpShl:
+		return x << (uint64(y) & 63), true
+	case OpShr:
+		return x >> (uint64(y) & 63), true
+	case OpEq:
+		return b2i(x == y), true
+	case OpNe:
+		return b2i(x != y), true
+	case OpLt:
+		return b2i(x < y), true
+	case OpLe:
+		return b2i(x <= y), true
+	}
+	return 0, false
+}
+
+func b2i(v bool) int64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 // IsUnary reports whether the opcode takes a single register operand A.
 func (op Opcode) IsUnary() bool {
 	switch op {

@@ -21,10 +21,9 @@ import (
 // byte-identical-given-seed guarantee) must order their Emit calls
 // themselves.
 type EventSink struct {
-	mu      sync.Mutex
-	enc     *json.Encoder
-	emitted int64
-	err     error
+	mu  sync.Mutex
+	enc *json.Encoder
+	err error
 }
 
 // NewJSONLSink returns a sink that writes each emitted record as one line
@@ -47,19 +46,7 @@ func (s *EventSink) Emit(v any) {
 	}
 	if err := s.enc.Encode(v); err != nil {
 		s.err = err
-		return
 	}
-	s.emitted++
-}
-
-// Emitted returns how many records the sink has accepted (0 on nil).
-func (s *EventSink) Emitted() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.emitted
 }
 
 // Err returns the first marshal or write error the sink hit, or nil.

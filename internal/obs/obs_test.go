@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,21 +182,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestWriteTable(t *testing.T) {
-	r := NewRegistry()
-	r.Add("c", 7)
-	r.Histogram("h").Observe(2)
-	r.Span("s").End()
-	var buf bytes.Buffer
-	r.Snapshot().WriteTable(&buf)
-	out := buf.String()
-	for _, want := range []string{"span", "counter", "histogram", "c        7", "h          1"} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Fatalf("table output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestProgressRateLimit checks that a burst of steps inside one
 // interval emits at most one line plus the Finish line.
 func TestProgressRateLimit(t *testing.T) {
@@ -206,12 +190,12 @@ func TestProgressRateLimit(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.Step(1)
 	}
-	if p.Lines() != 0 {
-		t.Fatalf("rate-limited progress emitted %d lines before Finish", p.Lines())
+	if buf.Len() != 0 {
+		t.Fatalf("rate-limited progress emitted %q before Finish", buf.String())
 	}
 	p.Finish()
-	if p.Lines() != 1 {
-		t.Fatalf("Finish must emit exactly one line, got %d", p.Lines())
+	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 1 {
+		t.Fatalf("Finish must emit exactly one line, got %d", n)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("trials: 1000/1000 (100.0%)")) {
 		t.Fatalf("unexpected final line: %q", buf.String())
@@ -243,11 +227,6 @@ func TestGauge(t *testing.T) {
 	snap := r.Snapshot()
 	if len(snap.Gauges) != 1 || snap.Gauges[0].Name != "depth" || snap.Gauges[0].Value != 10 {
 		t.Fatalf("gauge snapshot = %+v, want depth=10", snap.Gauges)
-	}
-	var buf bytes.Buffer
-	snap.WriteTable(&buf)
-	if !strings.Contains(buf.String(), "depth") {
-		t.Fatalf("table missing gauge row:\n%s", buf.String())
 	}
 	r.Reset()
 	if len(r.Snapshot().Gauges) != 0 {

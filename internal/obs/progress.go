@@ -21,7 +21,6 @@ type Progress struct {
 	start time.Time
 	last  time.Time
 	every time.Duration
-	lines int64
 	note  func() string
 }
 
@@ -83,17 +82,6 @@ func (p *Progress) Finish() {
 	p.emit(time.Now())
 }
 
-// Lines reports how many progress lines have been emitted; used by the
-// rate-limiting tests.
-func (p *Progress) Lines() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lines
-}
-
 // emit writes one progress line; the caller holds p.mu.
 func (p *Progress) emit(now time.Time) {
 	elapsed := now.Sub(p.start).Seconds()
@@ -113,5 +101,4 @@ func (p *Progress) emit(now time.Time) {
 	} else {
 		fmt.Fprintf(p.w, "%s: %d %.0f/s%s\n", p.label, p.done, rate, note)
 	}
-	p.lines++
 }

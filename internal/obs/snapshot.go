@@ -2,10 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-	"text/tabwriter"
 	"time"
 )
 
@@ -126,40 +124,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteTable renders the snapshot as a human-readable table: spans
-// first (the wall-clock story), then counters, then histograms.
-func (s *Snapshot) WriteTable(w io.Writer) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	if len(s.Spans) > 0 {
-		fmt.Fprintln(tw, "span\tcount\ttotal ms\tmean ms\tmax ms")
-		for _, sp := range s.Spans {
-			fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.2f\t%.2f\n", sp.Name, sp.Count, sp.TotalMS, sp.MeanMS, sp.MaxMS)
-		}
-		fmt.Fprintln(tw)
-	}
-	if len(s.Counters) > 0 {
-		fmt.Fprintln(tw, "counter\tvalue")
-		for _, c := range s.Counters {
-			fmt.Fprintf(tw, "%s\t%d\n", c.Name, c.Value)
-		}
-		fmt.Fprintln(tw)
-	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintln(tw, "gauge\tvalue")
-		for _, g := range s.Gauges {
-			fmt.Fprintf(tw, "%s\t%d\n", g.Name, g.Value)
-		}
-		fmt.Fprintln(tw)
-	}
-	if len(s.Histograms) > 0 {
-		fmt.Fprintln(tw, "histogram\tcount\tmean\tmax")
-		for _, h := range s.Histograms {
-			fmt.Fprintf(tw, "%s\t%d\t%.1f\t%d\n", h.Name, h.Count, h.Mean, h.Max)
-		}
-	}
-	tw.Flush()
 }
 
 // WriteOutput implements the commands' output-file flags (-metrics,

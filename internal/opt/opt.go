@@ -74,7 +74,7 @@ func foldConstants(f *ir.Func) int {
 				av, aok := consts[in.A]
 				bv, bok := consts[in.B]
 				if aok && bok {
-					if v, ok := evalBin(in.Op, av, bv); ok {
+					if v, ok := ir.FoldBinary(in.Op, av, bv); ok {
 						*in = ir.Instr{Op: ir.OpConst, Dst: in.Dst, A: ir.NoReg, B: ir.NoReg, Imm: v}
 						consts[in.Dst] = v
 						changed++
@@ -114,46 +114,6 @@ func foldConstants(f *ir.Func) int {
 	return changed
 }
 
-func evalBin(op ir.Opcode, x, y int64) (int64, bool) {
-	switch op {
-	case ir.OpAdd:
-		return x + y, true
-	case ir.OpSub:
-		return x - y, true
-	case ir.OpMul:
-		return x * y, true
-	case ir.OpDiv:
-		if y == 0 {
-			return 0, true
-		}
-		return x / y, true
-	case ir.OpRem:
-		if y == 0 {
-			return 0, true
-		}
-		return x % y, true
-	case ir.OpAnd:
-		return x & y, true
-	case ir.OpOr:
-		return x | y, true
-	case ir.OpXor:
-		return x ^ y, true
-	case ir.OpShl:
-		return x << (uint64(y) & 63), true
-	case ir.OpShr:
-		return x >> (uint64(y) & 63), true
-	case ir.OpEq:
-		return b2i(x == y), true
-	case ir.OpNe:
-		return b2i(x != y), true
-	case ir.OpLt:
-		return b2i(x < y), true
-	case ir.OpLe:
-		return b2i(x <= y), true
-	}
-	return 0, false
-}
-
 func evalImm(op ir.Opcode, x, imm int64) (int64, bool) {
 	switch op {
 	case ir.OpAddI:
@@ -184,13 +144,6 @@ func identity(op ir.Opcode, a ir.Reg, c int64) (ir.Instr, bool) {
 		return mov, true
 	}
 	return ir.Instr{}, false
-}
-
-func b2i(v bool) int64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // propagateCopies rewrites, block-locally, uses of Mov destinations to the

@@ -23,7 +23,8 @@ import (
 // dmax 100) and core.DefaultConfig's analysis knobs, so an empty-knob
 // served campaign produces the same ledger as a bare `encore-sfi -app X
 // -trace`. Pointer fields distinguish "omitted" from an explicit zero
-// (dmax 0 and γ 0 are meaningful configurations).
+// (dmax 0 and γ 0 are meaningful configurations). A body with a field
+// not declared here is rejected.
 type SubmitRequest struct {
 	// Workload names a built-in benchmark (see workload.Names).
 	Workload string `json:"workload,omitempty"`

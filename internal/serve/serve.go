@@ -276,8 +276,10 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("serve.campaigns.submitted").Inc()
 	var req SubmitRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	// A misspelled knob must not silently run a default campaign.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad-request", fmt.Sprintf("decode request: %v", err), 0)
 		return
 	}

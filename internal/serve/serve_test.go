@@ -231,6 +231,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative checkpoints", `{"workload":"rawcaudio","checkpoints":-1}`},
 		{"bad module", `{"module":"not ir"}`},
 		{"unknown output", `{"module":"module m\nglobal g[1]\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const 0\n  ret r0\n","outputs":["zz"]}`},
+		{"misspelled knob", `{"workload":"rawcaudio","trials":40,"adaptiv":true}`},
+		{"removed shard_size", `{"workload":"rawcaudio","trials":4,"shard_size":2}`},
 	}
 	for name, mod := range hostileModules {
 		body, _ := json.Marshal(SubmitRequest{Module: mod, Trials: 4})
@@ -241,6 +243,10 @@ func TestSubmitValidation(t *testing.T) {
 		if code != http.StatusBadRequest || apiErr.Code != "bad-request" {
 			t.Errorf("%s: status %d (%+v), want 400 bad-request", tc.name, code, apiErr)
 		}
+	}
+	// An unknown field is named in the answer.
+	if _, _, apiErr, _ := submit(t, ts.URL, "", `{"workload":"rawcaudio","trials":40,"adaptiv":true}`); !strings.Contains(apiErr.Error, `"adaptiv"`) {
+		t.Errorf("misspelled knob: error %q does not name the field", apiErr.Error)
 	}
 	code, st, apiErr, _ := submit(t, ts.URL, "", `{"workload":"rawcaudio","trials":4}`)
 	if code != http.StatusAccepted {

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"encore/internal/attrib"
 	"encore/internal/core"
 	"encore/internal/obs"
 	"encore/internal/sfi"
@@ -23,9 +22,9 @@ import (
 )
 
 // batchStats runs the reference batch campaign with an estimator and a
-// trace, returning the final snapshot and the trace read back for the
-// post-hoc pass.
-func batchStats(t *testing.T, app string, trials int, seed uint64, dmax int64) (*stats.Snapshot, *attrib.Campaign) {
+// trace, returning the estimator's final snapshot and the snapshot of
+// the trace replayed (what encore-sfi -report reads).
+func batchStats(t *testing.T, app string, trials int, seed uint64, dmax int64) (live, replayed *stats.Snapshot) {
 	t.Helper()
 	sp, err := workload.ByName(app)
 	if err != nil {
@@ -46,19 +45,19 @@ func batchStats(t *testing.T, app string, trials int, seed uint64, dmax int64) (
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := attrib.ReadTrace(&ledger)
-	if err != nil || len(cs) != 1 {
-		t.Fatalf("reading the batch ledger back: %d campaigns, %v", len(cs), err)
+	snaps, err := stats.ReadLedger(&ledger)
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("replaying the batch ledger: %d campaigns, %v", len(snaps), err)
 	}
-	return est.Snapshot(), cs[0]
+	return est.Snapshot(), snaps[0]
 }
 
 // TestStatsAgreeEverywhere locks the PR's acceptance criterion in one
 // test: for a finished campaign, (a) the last snapshot on the live
 // stats stream, (b) the stats endpoint's settled snapshot, (c) the
-// batch estimator snapshot (what encore-sfi -stats writes), and (d)
-// attrib.FromStats all agree exactly — (a)–(c) byte for byte, (d)
-// deeply equal to the batch Attribute report.
+// batch estimator snapshot (what encore-sfi -stats writes), and (d) the
+// batch ledger's replayed snapshot (what encore-sfi -report renders) all
+// agree exactly — (a)–(c) byte for byte, (d) deeply equal to (c).
 func TestStatsAgreeEverywhere(t *testing.T) {
 	const (
 		app    = "rawcaudio"
@@ -66,7 +65,7 @@ func TestStatsAgreeEverywhere(t *testing.T) {
 		seed   = uint64(7)
 		dmax   = int64(100)
 	)
-	batchSnap, batchCamp := batchStats(t, app, trials, seed, dmax)
+	batchSnap, replayed := batchStats(t, app, trials, seed, dmax)
 	var want bytes.Buffer
 	if err := json.NewEncoder(&want).Encode(batchSnap); err != nil {
 		t.Fatal(err)
@@ -148,10 +147,9 @@ func TestStatsAgreeEverywhere(t *testing.T) {
 		t.Errorf("stats endpoint diverges from batch snapshot:\nserved: %s\nbatch:  %s", got, want.Bytes())
 	}
 
-	// (d) FromStats on the shared snapshot equals the batch Attribute
-	// report exactly.
-	if rep, fromStats := attrib.Attribute(batchCamp), attrib.FromStats(batchSnap); !reflect.DeepEqual(rep, fromStats) {
-		t.Errorf("FromStats diverges from Attribute:\nattribute: %+v\nfromstats: %+v", rep, fromStats)
+	// (d) Replaying the batch ledger reproduces the live snapshot.
+	if !reflect.DeepEqual(replayed, batchSnap) {
+		t.Errorf("replayed snapshot diverges from live:\nreplayed: %+v\n    live: %+v", replayed, batchSnap)
 	}
 }
 

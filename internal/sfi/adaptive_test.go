@@ -222,7 +222,8 @@ func TestAdaptivePriorReuse(t *testing.T) {
 	}
 	fresh, freshRecs := collect(t, res, art.Outputs, base)
 
-	// Distill the executed records into priors exactly as attrib does.
+	// Distill the executed records into priors as stats.Estimator.Priors
+	// does.
 	hashOf := map[int]string{}
 	for _, ri := range regions {
 		hashOf[ri.ID] = ri.Hash

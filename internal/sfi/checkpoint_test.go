@@ -1,7 +1,6 @@
 // Checkpoint-ladder invariance tests live in an external test package:
-// they drive campaigns through the stats estimator and read ledgers back
-// with internal/attrib, and both import internal/sfi, so an in-package
-// test would create an import cycle.
+// they drive campaigns through the stats estimator, which imports
+// internal/sfi, so an in-package test would create an import cycle.
 package sfi_test
 
 import (
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"encore/internal/attrib"
 	"encore/internal/core"
 	"encore/internal/interp"
 	"encore/internal/ir"
@@ -41,9 +39,36 @@ func wantLadder(k int, total int64) (rungs, captures int64) {
 	return rungs, captures
 }
 
+// campaignLog is a StatsSink that keeps one campaign's header and trial
+// records, in the order it receives them.
+type campaignLog struct {
+	meta sfi.CampaignMeta
+	recs []sfi.TrialRecord
+}
+
+func (l *campaignLog) ObserveCampaign(meta sfi.CampaignMeta) { l.meta = meta }
+func (l *campaignLog) ObserveTrial(rec sfi.TrialRecord)      { l.recs = append(l.recs, rec) }
+
+// replayOne replays a one-campaign ledger into a campaignLog.
+func replayOne(t *testing.T, ledger []byte) *campaignLog {
+	t.Helper()
+	var logs []*campaignLog
+	if err := sfi.ReplayLedger(bytes.NewReader(ledger), func() sfi.StatsSink {
+		l := &campaignLog{}
+		logs = append(logs, l)
+		return l
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != 1 {
+		t.Fatalf("ledger holds %d campaigns, want 1", len(logs))
+	}
+	return logs[0]
+}
+
 // traced runs a campaign with a JSONL trace attached and returns the
-// result, the trace bytes, and the trace read back.
-func traced(t *testing.T, mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg sfi.CampaignConfig) (*sfi.CampaignResult, []byte, *attrib.Campaign) {
+// result, the trace bytes, and the trace replayed.
+func traced(t *testing.T, mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg sfi.CampaignConfig) (*sfi.CampaignResult, []byte, *campaignLog) {
 	t.Helper()
 	var buf bytes.Buffer
 	cfg.Trace = obs.NewJSONLSink(&buf)
@@ -54,14 +79,7 @@ func traced(t *testing.T, mod *ir.Module, metas []interp.RegionMeta, outs []*ir.
 	if err := cfg.Trace.Err(); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := attrib.ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) != 1 {
-		t.Fatalf("trace holds %d campaigns, want 1", len(cs))
-	}
-	return camp, buf.Bytes(), cs[0]
+	return camp, buf.Bytes(), replayOne(t, buf.Bytes())
 }
 
 // ladderCounters reads a campaign registry's golden-pass counters.
@@ -97,7 +115,7 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 			// the result, the trace read back, the trace bytes, and the
 			// final stats snapshot; the campaign's metrics land in *reg
 			// when reg is non-nil.
-			run := func(mut func(*sfi.CampaignConfig), reg **obs.Registry) (*sfi.CampaignResult, *attrib.Campaign, []byte, []byte) {
+			run := func(mut func(*sfi.CampaignConfig), reg **obs.Registry) (*sfi.CampaignResult, *campaignLog, []byte, []byte) {
 				t.Helper()
 				cfg := base
 				est := stats.New()
@@ -118,7 +136,7 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 			}
 
 			ref, refLedger, refRaw, refSnap := run(nil, nil)
-			total := refLedger.Meta.GoldenInstrs
+			total := refLedger.meta.GoldenInstrs
 			// kOne puts the run between 2·kOne and 4·kOne floors long, so
 			// the golden pass doubles its stride exactly once.
 			kOne := int(total/(3*interp.LadderFloor)) + 1
@@ -176,13 +194,13 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 				cfg.Checkpoints = 16
 				cfg.Shard = &sfi.ShardRange{Index: i, Count: 3}
 				_, _, ledger := traced(t, res.Mod, res.Metas, art.Outputs, cfg)
-				merged = append(merged, ledger.Records...)
+				merged = append(merged, ledger.recs...)
 			}
 			mergedRaw, err := json.Marshal(merged)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRaw, err := json.Marshal(refLedger.Records)
+			wantRaw, err := json.Marshal(refLedger.recs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +287,7 @@ func TestCheckpointsBeyondShortRun(t *testing.T) {
 			_, raw, ledger := traced(t, res.Mod, res.Metas, []*ir.Global{c.out}, sfi.CampaignConfig{
 				Trials: 40, Seed: 5, Dmax: 4, Checkpoints: ck, Obs: reg,
 			})
-			return raw, ledger.Meta.GoldenInstrs, ladderCounters(reg)
+			return raw, ledger.meta.GoldenInstrs, ladderCounters(reg)
 		}
 		raw0, total, _ := ledger(0)
 		for i, ck := range c.targets {
@@ -384,7 +402,7 @@ func TestLadderCounters(t *testing.T) {
 		_, _, ledger := traced(t, res.Mod, res.Metas, art.Outputs, cfg)
 		got := ladderCounters(reg)
 		if i == 0 {
-			r, c := wantLadder(sfi.DefaultCheckpoints, ledger.Meta.GoldenInstrs)
+			r, c := wantLadder(sfi.DefaultCheckpoints, ledger.meta.GoldenInstrs)
 			if want = [2]int64{r, c}; got != want || r < sfi.DefaultCheckpoints || c == r {
 				t.Fatalf("rungs/captures %v, schedule %v: want at least %d rungs after a doubling",
 					got, want, sfi.DefaultCheckpoints)

@@ -1,16 +1,24 @@
 package sfi
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"sort"
+
 	"encore/internal/interp"
 )
 
-// Trace-envelope type tags: every line of a campaign trace is a JSON
-// object whose "type" field selects the payload shape.
+// Ledger type tags: every line of a campaign ledger is a JSON object
+// whose "type" field selects the payload shape.
 const (
-	// TraceCampaign tags the per-campaign header record (CampaignMeta).
-	TraceCampaign = "campaign"
-	// TraceTrial tags one per-trial ledger record (TrialRecord).
-	TraceTrial = "trial"
+	// traceCampaign tags the per-campaign header record (CampaignMeta).
+	traceCampaign = "campaign"
+	// traceTrial tags one per-trial ledger record (TrialRecord).
+	traceTrial = "trial"
 )
 
 // RegionInfo describes one compiled region to the trial ledger: identity,
@@ -92,16 +100,192 @@ type TrialRecord struct {
 	Outcome Outcome `json:"outcome"`
 }
 
-// CampaignEnvelope is the JSONL wire form of a campaign header line.
-type CampaignEnvelope struct {
-	Type string `json:"type"` // TraceCampaign
+// campaignEnvelope is the JSONL wire form of a campaign header line.
+type campaignEnvelope struct {
+	Type string `json:"type"` // traceCampaign
 	CampaignMeta
 }
 
-// TrialEnvelope is the JSONL wire form of one trial line.
-type TrialEnvelope struct {
-	Type string `json:"type"` // TraceTrial
+// trialEnvelope is the JSONL wire form of one trial line.
+type trialEnvelope struct {
+	Type string `json:"type"` // traceTrial
 	TrialRecord
+}
+
+// ledgerScanner reads a JSONL ledger line by line. A campaign header
+// carries the whole region table, so lines may run to 16 MiB.
+func ledgerScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	return sc
+}
+
+// ReplayLedger streams a JSONL ledger of any number of campaigns through
+// stats sinks with the calls a live campaign makes (CampaignConfig.Stats):
+// each header line asks next for a fresh sink and hands it
+// ObserveCampaign, and each trial line hands that sink ObserveTrial. It
+// holds one line at a time and skips blank ones. A line that is not JSON,
+// has an unknown type or does not decode as it, or a trial before any
+// header, stops the replay with an error naming the 1-based line; the
+// sinks have by then observed every line before it.
+func ReplayLedger(r io.Reader, next func() StatsSink) error {
+	sc := ledgerScanner(r)
+	var sink StatsSink
+	for line := 1; sc.Scan(); line++ {
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		var tag struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(raw, &tag); err != nil {
+			return fmt.Errorf("sfi: ledger line %d: %w", line, err)
+		}
+		switch tag.Type {
+		case traceCampaign:
+			var env campaignEnvelope
+			if err := json.Unmarshal(raw, &env); err != nil {
+				return fmt.Errorf("sfi: ledger line %d: campaign header: %w", line, err)
+			}
+			sink = next()
+			sink.ObserveCampaign(env.CampaignMeta)
+		case traceTrial:
+			if sink == nil {
+				return fmt.Errorf("sfi: ledger line %d: trial record before any campaign header", line)
+			}
+			var env trialEnvelope
+			if err := json.Unmarshal(raw, &env); err != nil {
+				return fmt.Errorf("sfi: ledger line %d: trial record: %w", line, err)
+			}
+			sink.ObserveTrial(env.TrialRecord)
+		default:
+			return fmt.Errorf("sfi: ledger line %d: unknown record type %q", line, tag.Type)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("sfi: ledger: %w", err)
+	}
+	return nil
+}
+
+// MergeLedgers streams per-shard ledgers of one campaign to w as the
+// ledger a single process would have written, holding one line per
+// shard. Each shard is one campaign's byte-identical header, then its
+// trial lines in ascending trial order, as every shard run writes them.
+// The shards are ordered by their first trial, never argument position,
+// and their lines copied verbatim, so the merge is permutation-invariant
+// and byte-identical to the single-process ledger when the shards cover
+// the trial space. Gaps are allowed (adaptive campaigns skip trials);
+// a trial index that does not ascend across the output is an error: a
+// trial two shards ran, or interleaved or unsorted shards, which no
+// producer writes. Headers and first trials are checked before anything
+// is written; a later error leaves the lines merged before it in w.
+func MergeLedgers(w io.Writer, shards ...io.Reader) error {
+	if len(shards) == 0 {
+		return errors.New("sfi: merge: no shard ledgers given")
+	}
+	ms := make([]*mergeShard, len(shards))
+	for i, r := range shards {
+		ms[i] = &mergeShard{n: i + 1, sc: ledgerScanner(r)}
+		if err := ms[i].next(); err != nil {
+			return err
+		}
+		if !bytes.Equal(ms[i].header, ms[0].header) {
+			return fmt.Errorf("sfi: merge: shard %d: campaign header differs from shard 1's (shards must come from the same campaign: same app, trials, seed, dmax, bits, and compile)", i+1)
+		}
+	}
+	// A shard without trials sorts last; it adds no line.
+	sort.SliceStable(ms, func(a, b int) bool {
+		return ms[a].raw != nil && (ms[b].raw == nil || ms[a].trial < ms[b].trial)
+	})
+	bw := bufio.NewWriter(w)
+	bw.Write(ms[0].header)
+	bw.WriteByte('\n')
+	err := copyTrials(bw, ms)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// copyTrials writes the ordered shards' trial lines, requiring every
+// trial index to exceed the one before it.
+func copyTrials(bw *bufio.Writer, ms []*mergeShard) error {
+	var prev *mergeShard
+	last := 0
+	for _, s := range ms {
+		for s.raw != nil {
+			switch {
+			case prev == nil || s.trial > last:
+			case s.trial == last && s != prev:
+				return fmt.Errorf("sfi: merge: trial %d appears in more than one shard (overlapping partition)", s.trial)
+			default:
+				return fmt.Errorf("sfi: merge: shard %d line %d: trial %d follows trial %d (shards must hold ascending trials and must not interleave)", s.n, s.line, s.trial, last)
+			}
+			bw.Write(s.raw)
+			if err := bw.WriteByte('\n'); err != nil {
+				return err // w failed: stop reading the shards
+			}
+			prev, last = s, s.trial
+			if err := s.next(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// mergeShard is one shard ledger being merged: its header and the
+// trial line it holds next.
+type mergeShard struct {
+	n      int // 1-based argument position
+	sc     *bufio.Scanner
+	line   int    // lines read so far
+	header []byte // the campaign header line
+	raw    []byte // the next trial line, nil once the shard is done
+	trial  int    // raw's trial index
+}
+
+// next reads up to the shard's next trial line, reading the header on
+// the way if it has not been read. Blank lines are skipped; anything
+// else that is not a trial line after the header is an error.
+func (s *mergeShard) next() error {
+	for s.sc.Scan() {
+		s.line++
+		raw := s.sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		var probe struct {
+			Type  string `json:"type"`
+			Trial int    `json:"trial"`
+		}
+		if err := json.Unmarshal(raw, &probe); err != nil {
+			return fmt.Errorf("sfi: merge: shard %d line %d: %w", s.n, s.line, err)
+		}
+		switch {
+		case probe.Type == traceCampaign && s.header == nil:
+			s.header = append([]byte(nil), raw...)
+		case probe.Type == traceCampaign:
+			return fmt.Errorf("sfi: merge: shard %d line %d: second campaign header (merge takes one campaign per shard)", s.n, s.line)
+		case probe.Type == traceTrial && s.header == nil:
+			return fmt.Errorf("sfi: merge: shard %d line %d: trial record before the campaign header", s.n, s.line)
+		case probe.Type == traceTrial:
+			s.raw, s.trial = raw, probe.Trial
+			return nil
+		default:
+			return fmt.Errorf("sfi: merge: shard %d line %d: unknown record type %q", s.n, s.line, probe.Type)
+		}
+	}
+	s.raw = nil
+	if err := s.sc.Err(); err != nil {
+		return fmt.Errorf("sfi: merge: shard %d: %w", s.n, err)
+	}
+	if s.header == nil {
+		return fmt.Errorf("sfi: merge: shard %d has no campaign header", s.n)
+	}
+	return nil
 }
 
 // classify maps one trial's fault report, run error, and golden-checksum

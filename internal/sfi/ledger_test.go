@@ -198,7 +198,7 @@ func TestTraceGoldenSchema(t *testing.T) {
 	if err := json.Unmarshal(lines[0], &head); err != nil {
 		t.Fatal(err)
 	}
-	if head.Type != TraceCampaign || head.App != "rawcaudio" || head.Trials != 40 || head.GoldenInstrs <= 0 {
+	if head.Type != traceCampaign || head.App != "rawcaudio" || head.Trials != 40 || head.GoldenInstrs <= 0 {
 		t.Fatalf("bad header: %+v", head)
 	}
 	if head.PredCoverage <= 0 || head.PredCoverage > 1 {
@@ -214,11 +214,11 @@ func TestTraceGoldenSchema(t *testing.T) {
 				t.Fatalf("trial %d: key %d is %q, want %q", i, j, k, trialKeys[j])
 			}
 		}
-		var rec TrialEnvelope
+		var rec trialEnvelope
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
-		if rec.Type != TraceTrial || rec.Trial != i {
+		if rec.Type != traceTrial || rec.Trial != i {
 			t.Fatalf("trial %d: bad envelope type=%q trial=%d", i, rec.Type, rec.Trial)
 		}
 		if rec.Detected && rec.Propagated != rec.DetectCount-rec.Count {

@@ -340,8 +340,8 @@ type CampaignConfig struct {
 	// (idempotence class at the injection site, α predictions in the
 	// header record). Optional; without it site regions carry no class.
 	Regions []RegionInfo
-	// Trace, when non-nil, receives one CampaignEnvelope (after the
-	// golden run, before any trial) followed by one TrialEnvelope per
+	// Trace, when non-nil, receives one campaign header line (after the
+	// golden run, before any trial) followed by one trial line per
 	// executed trial, emitted incrementally in trial order as the
 	// completed prefix of the campaign grows — the stream is
 	// deterministic given Seed regardless of Workers or Engine, and
@@ -521,7 +521,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 		cfg.Stats.ObserveCampaign(meta)
 	}
 	if cfg.Trace != nil {
-		cfg.Trace.Emit(CampaignEnvelope{Type: TraceCampaign, CampaignMeta: meta})
+		cfg.Trace.Emit(campaignEnvelope{Type: traceCampaign, CampaignMeta: meta})
 	}
 	// Adaptive stopping: predict planned trials' strike regions from one
 	// hooked golden run's region map, so a trial aimed at an
@@ -616,7 +616,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 					cfg.Stats.ObserveTrial(*rec)
 				}
 				if cfg.Trace != nil {
-					cfg.Trace.Emit(TrialEnvelope{Type: TraceTrial, TrialRecord: *rec})
+					cfg.Trace.Emit(trialEnvelope{Type: traceTrial, TrialRecord: *rec})
 				}
 			}
 			if stop != nil && (cursor+1-lo)%round == 0 {

@@ -18,14 +18,15 @@ import (
 	"encore/internal/workpool"
 )
 
-// collector is a StatsSink that keeps every trial record it receives, in
-// the order it receives them.
+// collector is a StatsSink that keeps the campaign header and every
+// trial record it receives, in the order it receives them.
 type collector struct {
+	meta    CampaignMeta
 	records []TrialRecord
 }
 
-func (c *collector) ObserveCampaign(CampaignMeta) {}
-func (c *collector) ObserveTrial(rec TrialRecord) { c.records = append(c.records, rec) }
+func (c *collector) ObserveCampaign(meta CampaignMeta) { c.meta = meta }
+func (c *collector) ObserveTrial(rec TrialRecord)      { c.records = append(c.records, rec) }
 
 // collect runs a campaign with a collector as its StatsSink and returns
 // the result and the records the collector received.

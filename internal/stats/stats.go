@@ -7,9 +7,10 @@
 // The Estimator is the one outcome accumulator in the repository: it
 // answers coverage questions at any prefix of a campaign — which is what
 // confidence-interval-driven early stopping, the encore-serve stats
-// endpoints, and encore-sfi's upgraded -progress line need — and
-// internal/attrib renders a complete ledger's report by replaying it
-// through one (Replay) and reading the final snapshot.
+// endpoints, and encore-sfi's upgraded -progress line need — and a
+// finished ledger's snapshots come from replaying it through one per
+// campaign (ReadLedger), which is how encore-sfi's -report and
+// -merge -stats read ledgers back.
 //
 // Determinism invariant: records reach the estimator through
 // sfi.CampaignConfig.Stats, which delivers them in trial-index order
@@ -23,7 +24,6 @@ package stats
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -206,6 +206,23 @@ func (e *Estimator) ObserveTrial(rec sfi.TrialRecord) {
 	}
 }
 
+// Priors distills the observed campaign into the tallies adaptive
+// stopping reuses (sfi.CampaignConfig.Prior): strikes and recoveries of
+// each struck region, in region-ID order. A region whose header row has
+// no content hash is left out: without it nothing shows the region's
+// code unchanged.
+func (e *Estimator) Priors() []sfi.PriorRegion {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out []sfi.PriorRegion
+	for _, id := range sortedIDs(e.regions) {
+		if rs := e.regions[id]; rs.info.Hash != "" && rs.struck > 0 {
+			out = append(out, sfi.PriorRegion{Hash: rs.info.Hash, Struck: rs.struck, Recovered: rs.rec})
+		}
+	}
+	return out
+}
+
 // Trials returns how many trial records the estimator has observed.
 func (e *Estimator) Trials() int {
 	e.mu.Lock()
@@ -314,7 +331,7 @@ type Snapshot struct {
 	// MeasuredRecovered and MeasuredSameInstance are fractions of
 	// injected trials; PredCoverage is Σ dyn_frac·α over selected header
 	// regions and AbsErr is |MeasuredSameInstance − PredCoverage| — the
-	// same app-level join attrib reports.
+	// app-level join encore-sfi -report prints.
 	MeasuredRecovered    float64 `json:"measured_recovered"`
 	MeasuredSameInstance float64 `json:"measured_same_instance"`
 	PredCoverage         float64 `json:"pred_coverage"`
@@ -403,22 +420,34 @@ func sortedIDs(m map[int]*regionState) []int {
 	return ids
 }
 
+// ReadLedger replays a JSONL trial ledger through one fresh estimator
+// per campaign (sfi.ReplayLedger) and returns their final snapshots in
+// ledger order, each byte-identical to the one the live campaign's
+// estimator ended with. Memory grows with campaigns and regions, not
+// trials.
+func ReadLedger(r io.Reader) ([]*Snapshot, error) {
+	var ests []*Estimator
+	err := sfi.ReplayLedger(r, func() sfi.StatsSink {
+		e := New()
+		ests = append(ests, e)
+		return e
+	})
+	if err != nil {
+		return nil, err
+	}
+	snaps := make([]*Snapshot, len(ests))
+	for i, e := range ests {
+		snaps[i] = e.Snapshot()
+	}
+	return snaps, nil
+}
+
 // WriteSnapshots marshals snapshots as one indented JSON array — the
 // payload of encore-sfi's -stats flag (one element per campaign run).
 func WriteSnapshots(w io.Writer, snaps []*Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snaps)
-}
-
-// ReadSnapshots parses the JSON array WriteSnapshots produces, for
-// downstream tooling that consumes stats files.
-func ReadSnapshots(r io.Reader) ([]*Snapshot, error) {
-	var snaps []*Snapshot
-	if err := json.NewDecoder(r).Decode(&snaps); err != nil {
-		return nil, fmt.Errorf("stats: snapshots: %w", err)
-	}
-	return snaps, nil
 }
 
 // WriteSnapshotsFile implements encore-sfi's -stats flag: it writes the

@@ -285,8 +285,8 @@ func TestSnapshotsRoundTrip(t *testing.T) {
 	if err := WriteSnapshotsFile("-", snaps, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshots(&buf)
-	if err != nil {
+	var back []*Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(snaps)

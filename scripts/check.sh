@@ -5,8 +5,9 @@
 # registry, the compiler's per-function analysis fan-out, the SFI trial
 # pool, the campaign daemon, and the experiments compile cache / worker
 # pool), a short-budget run of the fuzz targets (the generative oracles
-# in internal/progen and the daemon's tenant-IR boundary, FuzzParse in
-# internal/serve), plus command smoke runs that exercise the
+# in internal/progen, the daemon's tenant-IR boundary, FuzzParse in
+# internal/serve, and the shard-ledger merge, FuzzMergeCommutes in
+# internal/sfi), plus command smoke runs that exercise the
 # observability flags end to end — including a check that metrics
 # counters are identical under ENCORE_WORKERS=1 and the default pool,
 # that the default engine reproduces the reference engine's output bit
@@ -23,7 +24,8 @@
 # engines, and that the Prometheus expositions (CLI -prom and the
 # daemon's /metrics?format=prom) pass scripts/promlint.go. The campaign
 # smokes additionally check that a 3-shard -shard/-merge split
-# reproduces the single-process ledger and stats byte for byte, that
+# reproduces the single-process ledger, stats and -report -json
+# attribution byte for byte, that
 # shard 7/1000 of a million-trial campaign writes the same ledger and
 # stats at -workers 1 and 4 (plans by formula, the bounded drain window
 # under several workers), that -adaptive stopping elides the same trials
@@ -62,10 +64,10 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/interp ./internal/obs ./internal/core ./internal/sfi ./internal/serve ./internal/workpool ./internal/experiments ./internal/trace ./internal/attrib ./internal/stats ./internal/ci ./internal/progen"
-go test -race ./internal/interp ./internal/obs ./internal/core ./internal/sfi ./internal/serve ./internal/workpool ./internal/experiments ./internal/trace ./internal/attrib ./internal/stats ./internal/ci ./internal/progen
+echo "==> go test -race ./internal/interp ./internal/obs ./internal/core ./internal/sfi ./internal/serve ./internal/workpool ./internal/experiments ./internal/trace ./internal/stats ./internal/ci ./internal/progen"
+go test -race ./internal/interp ./internal/obs ./internal/core ./internal/sfi ./internal/serve ./internal/workpool ./internal/experiments ./internal/trace ./internal/stats ./internal/ci ./internal/progen
 
-echo "==> fuzz smoke (generative oracles and FuzzParse, ${FUZZTIME:-10s} per target)"
+echo "==> fuzz smoke (generative oracles, FuzzParse and FuzzMergeCommutes, ${FUZZTIME:-10s} per target)"
 make -s fuzz-smoke FUZZTIME="${FUZZTIME:-10s}"
 
 tmp=$(mktemp -d)
@@ -220,10 +222,11 @@ cmp -s "$tmp/stats-w1.json" "$tmp/stats-w4.json" || { echo "encore-sfi -stats: d
 cmp -s "$tmp/stats-w1.json" "$tmp/stats-ref.json" || { echo "encore-sfi -stats: differs between default and ref engines" >&2; exit 1; }
 grep -q '"worst_ci_half_width"' "$tmp/stats-w1.json" || { echo "encore-sfi -stats: no worst_ci_half_width field" >&2; exit 1; }
 
-echo "==> smoke: 3-shard merged ledger+stats byte-identical to single process"
+echo "==> smoke: 3-shard merged ledger, stats and report byte-identical to single process"
 # Deterministic trial-space sharding: three -shard i/3 runs of the same
 # (workload, trials, seed) campaign, merged with -merge, must reproduce
-# the single-process ledger and stats snapshot byte for byte.
+# the single-process ledger and stats snapshot byte for byte, and the
+# merged ledger's -report -json the single ledger's.
 "$tmp/encore-sfi" -app rawdaudio -trials 30 -seed 4 -trace "$tmp/whole.jsonl" -stats "$tmp/whole-stats.json" > /dev/null
 for i in 1 2 3; do
 	"$tmp/encore-sfi" -app rawdaudio -trials 30 -seed 4 -shard "$i/3" -trace "$tmp/shard$i.jsonl" > /dev/null
@@ -238,6 +241,13 @@ cmp -s "$tmp/whole.jsonl" "$tmp/merged.jsonl" || {
 cmp -s "$tmp/whole-stats.json" "$tmp/merged-stats.json" || {
 	echo "encore-sfi -merge: merged stats differ from single-process stats:" >&2
 	diff "$tmp/whole-stats.json" "$tmp/merged-stats.json" >&2 || true
+	exit 1
+}
+"$tmp/encore-sfi" -report "$tmp/whole.jsonl" -json > "$tmp/whole-report.json"
+"$tmp/encore-sfi" -report "$tmp/merged.jsonl" -json > "$tmp/merged-report.json"
+cmp -s "$tmp/whole-report.json" "$tmp/merged-report.json" || {
+	echo "encore-sfi -report -json: merged ledger's report differs from the single ledger's:" >&2
+	diff "$tmp/whole-report.json" "$tmp/merged-report.json" >&2 || true
 	exit 1
 }
 

@@ -4,11 +4,11 @@
 //
 //  1. every package under internal/ and cmd/ carries a package comment;
 //  2. every exported top-level declaration (and exported method) in the
-//     convention-setting packages (internal/attrib, internal/ci,
-//     internal/obs, internal/serve, internal/sfi, internal/stats,
-//     internal/trace, internal/workpool — the fault-injection,
-//     statistics, observability, service-API, and scheduling layers the
-//     rest of the tree builds on) carries a doc comment.
+//     convention-setting packages (internal/ci, internal/obs,
+//     internal/serve, internal/sfi, internal/stats, internal/trace,
+//     internal/workpool — the fault-injection, statistics,
+//     observability, service-API, and scheduling layers the rest of the
+//     tree builds on) carries a doc comment.
 //
 // It is wired into scripts/check.sh; run standalone with
 //
@@ -31,7 +31,6 @@ import (
 // exportDocPkgs are the packages whose exported declarations must all
 // carry doc comments, not just a package comment.
 var exportDocPkgs = map[string]bool{
-	"internal/attrib":   true,
 	"internal/ci":       true,
 	"internal/obs":      true,
 	"internal/serve":    true,
