@@ -56,7 +56,7 @@
 // function of (seed, trial), so the shard's ledger lines are
 // byte-identical to the corresponding lines of a single-process run, and
 // K shard ledgers merge back (-merge) into exactly the single-process
-// ledger.
+// ledger. It requires -app: -merge takes one campaign per shard ledger.
 //
 // -adaptive enables variance-aware early stopping (sfi.Stopper): trials
 // aimed at regions whose recovery-rate Wilson interval has converged
@@ -133,7 +133,7 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 		tracePath   = fs.String("trace", "", "stream the per-trial JSONL ledger to this file (- = stdout)")
 		reportPath  = fs.String("report", "", "attribution mode: read a trace from this file (- = stdin) and report")
 		jsonOut     = fs.Bool("json", false, "with -report, emit the attribution report as JSON")
-		shardSpec   = fs.String("shard", "", "run only shard i/K of the deterministic trial partition (e.g. 2/3)")
+		shardSpec   = fs.String("shard", "", "run only shard i/K of the deterministic trial partition (e.g. 2/3; needs -app, since -merge takes one campaign per shard)")
 		mergeMode   = fs.Bool("merge", false, "merge mode: merge per-shard ledgers (positional args) to -trace, optional -stats replay")
 		adaptive    = fs.Bool("adaptive", false, "enable variance-aware adaptive stopping (skip trials on converged regions)")
 		adaptiveCI  = fs.Float64("adaptive-ci", 0, "adaptive stopping Wilson half-width target (0 = default; implies -adaptive)")
@@ -174,6 +174,9 @@ func runSFI(argv []string, stdout, stderr io.Writer) error {
 	shardIdx, shardCnt, err := sfi.ParseShard(*shardSpec)
 	if err != nil {
 		return err
+	}
+	if shardCnt > 0 && *app == "" {
+		return fmt.Errorf("-shard needs -app: a shard ledger must hold one campaign, since -merge takes one campaign per shard")
 	}
 	if *adaptiveCI < 0 {
 		return fmt.Errorf("-adaptive-ci %g is negative: the target is a Wilson half-width", *adaptiveCI)

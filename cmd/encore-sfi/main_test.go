@@ -308,6 +308,13 @@ func TestShardFlagValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "adaptive") {
 		t.Fatalf("-shard with -adaptive: %v", err)
 	}
+	// Without -app every campaign would land in each shard ledger, which
+	// -merge cannot take back; the flag check must refuse before any run.
+	out.Reset()
+	if err := runSFI([]string{"-trials", "6", "-shard", "1/3"}, &out, &errOut); err == nil ||
+		!strings.Contains(err.Error(), "-app") || out.Len() > 0 {
+		t.Fatalf("-shard without -app: err %v, %d bytes written", err, out.Len())
+	}
 	if err := runSFI([]string{"-app", "rawcaudio", "-trials", "6", "stray.jsonl"}, &out, &errOut); err == nil ||
 		!strings.Contains(err.Error(), "unexpected arguments") {
 		t.Fatalf("stray positional args: %v", err)

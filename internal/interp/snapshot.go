@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"encore/internal/ir"
 )
@@ -199,6 +200,41 @@ func (l *Ladder) GoldenInstrs() int64 {
 		return 0
 	}
 	return l.total
+}
+
+// Footprint reports the bytes the ladder's snapshots hold: each
+// snapshot's fixed fields, chunk lists, frames, register files, region
+// buffers and output, plus every memory chunk once, however many rungs
+// share it. It reads capacities, which the capture pass fixes, so the
+// same golden run always reports the same footprint. A nil ladder holds
+// none.
+func (l *Ladder) Footprint() int64 {
+	if l == nil {
+		return 0
+	}
+	const word = int64(unsafe.Sizeof(int64(0)))
+	seen := map[*int64]bool{}
+	var n int64
+	for _, s := range l.snaps {
+		n += int64(unsafe.Sizeof(*s)) + int64(cap(s.output))*word
+		for _, d := range [...]*memDelta{&s.data, &s.stk} {
+			n += int64(cap(d.chunks)) * int64(unsafe.Sizeof(d.chunks[:0]))
+			for _, c := range d.chunks {
+				if c = c[:cap(c)]; len(c) > 0 && !seen[&c[0]] {
+					seen[&c[0]] = true
+					n += int64(len(c)) * word
+				}
+			}
+		}
+		n += int64(cap(s.frames)) * int64(unsafe.Sizeof(savedFrame{}))
+		for _, f := range s.frames {
+			n += int64(cap(f.regs)) * word
+			if r := f.region; r != nil {
+				n += int64(unsafe.Sizeof(*r)) + int64(cap(r.entries))*int64(unsafe.Sizeof(ckptEntry{}))
+			}
+		}
+	}
+	return n
 }
 
 // Best returns the deepest snapshot that is strictly before injectAt —

@@ -409,6 +409,46 @@ func TestSnapshotChunksShared(t *testing.T) {
 	}
 }
 
+// TestLadderFootprint checks that a ladder's footprint counts a memory
+// chunk shared by two rungs once: a ladder of two snapshots sharing a
+// chunk holds the footprints of the two one-rung ladders less that
+// chunk's bytes. On a real pass the footprint is the same for the same
+// golden run, and below the sum of the rungs' own footprints, since the
+// rungs share the buffer's finished head.
+func TestLadderFootprint(t *testing.T) {
+	shared := make([]int64, snapChunk)
+	s1 := &Snapshot{data: memDelta{lo: 0, hi: snapChunk - 1, chunks: [][]int64{shared}}}
+	s2 := &Snapshot{data: memDelta{lo: 0, hi: 2*snapChunk - 1, chunks: [][]int64{shared, make([]int64, snapChunk)}}}
+	rung := func(s *Snapshot) int64 { return (&Ladder{snaps: []*Snapshot{s}}).Footprint() }
+	one, two := rung(s1), rung(s2)
+	if both, want := (&Ladder{snaps: []*Snapshot{s1, s2}}).Footprint(), one+two-8*snapChunk; both != want {
+		t.Errorf("two rungs sharing a chunk: footprint %d, want %d + %d − %d = %d", both, one, two, 8*snapChunk, want)
+	}
+	if n := (*Ladder)(nil).Footprint(); n != 0 {
+		t.Errorf("nil ladder footprint %d", n)
+	}
+
+	mod, _ := buildSpanKernel("share", 1<<14, 1<<14)
+	cfg := Config{MemWords: 1 << 18}
+	pass := func() (footprint, rungs int64) {
+		_, lad, err := New(mod, cfg).RunLadder(4, LadderFloor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range lad.Snapshots() {
+			rungs += rung(s)
+		}
+		return lad.Footprint(), rungs
+	}
+	f1, rungs := pass()
+	if f2, _ := pass(); f2 != f1 {
+		t.Errorf("the same golden run reports footprints %d and %d", f1, f2)
+	}
+	if f1 <= 0 || f1 >= rungs {
+		t.Errorf("footprint %d, want in (0, %d): the rungs' own footprints, less the shared head", f1, rungs)
+	}
+}
+
 // TestMemDeltaChunks pins memDelta's layout: chunks split at multiples
 // of snapChunk from lo, chunkAt finds only a chunk's exact start, and a
 // capture shares exactly the chunks whose range and words match.

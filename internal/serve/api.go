@@ -166,11 +166,13 @@ func tenantOf(r *http.Request) string {
 }
 
 // campaignSpec is a validated, defaulted SubmitRequest: everything the
-// runner needs, including the analysis-cache key and a build closure
-// returning a fresh module per call (instrumentation mutates in place).
+// runner needs, including the analysis- and prepared-cache keys and a
+// build closure returning a fresh module per call (instrumentation
+// mutates in place).
 type campaignSpec struct {
 	app    string
 	source string // SnapshotCache key
+	key    preparedKey
 	build  func() (*ir.Module, []*ir.Global, error)
 
 	trials      int
@@ -300,6 +302,11 @@ func (r *SubmitRequest) normalize(cfg Config) (campaignSpec, error) {
 	default:
 		return sp, fmt.Errorf("one of workload or module is required")
 	}
+	var outs []string
+	if r.Module != "" {
+		outs = r.Outputs
+	}
+	sp.key = newPreparedKey(sp.source, outs, sp.ccfg, sp.checkpoints)
 	return sp, nil
 }
 

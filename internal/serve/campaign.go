@@ -32,7 +32,7 @@ const (
 
 // campaign is one admitted request's full lifecycle: spec, cancelable
 // context, ledger chunk buffer, and terminal state. The chunk buffer is
-// the streaming seam — sfi.RunCampaign's JSONL sink writes encoded
+// the streaming seam — the campaign run's JSONL sink writes encoded
 // records into it (one Write per record, in trial order), and any number
 // of ledger followers replay the chunks concurrently, waking on the cond
 // as the completed prefix grows.
@@ -43,12 +43,18 @@ type campaign struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
 	started time.Time
-	// est is the campaign's online estimator: sfi.RunCampaign feeds it
+	// est is the campaign's online estimator: the campaign run feeds it
 	// every trial record in ledger order (before the record's trace chunk
 	// is written), so the stats endpoints can snapshot per-region
 	// convergence at any point and the final snapshot agrees exactly with
 	// post-hoc attribution.
 	est *stats.Estimator
+	// golden tells how the campaign obtained its golden run (goldenFirst,
+	// goldenMiss or goldenHit; empty when it never got that far), and
+	// goldenMS how long its own golden run took (zero on a hit). Only the
+	// campaign's runner goroutine touches them.
+	golden   string
+	goldenMS float64
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -84,22 +90,25 @@ func (c *campaign) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// finishRun settles the campaign's terminal state from its runner's
-// result and closes the ledger stream.
-func (c *campaign) finishRun(res *sfi.CampaignResult, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.result = res
+// terminalState maps a campaign runner's error to the state it settles
+// in and the status error message.
+func terminalState(err error) (state, msg string) {
 	switch {
 	case err == nil:
-		c.state = StateDone
+		return StateDone, ""
 	case errors.Is(err, context.Canceled):
-		c.state = StateCanceled
-		c.errMsg = "canceled"
+		return StateCanceled, "canceled"
 	default:
-		c.state = StateFailed
-		c.errMsg = err.Error()
+		return StateFailed, err.Error()
 	}
+}
+
+// finishRun publishes the campaign's terminal state and its runner's
+// result, and closes the ledger stream.
+func (c *campaign) finishRun(res *sfi.CampaignResult, state, msg string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.result, c.state, c.errMsg = res, state, msg
 	c.closed = true
 	c.cond.Broadcast()
 }

@@ -2,16 +2,19 @@
 // service that accepts concurrent fault-injection campaign requests
 // (workload or inline IR module, plus the γ/η/Pmin/Dmax/engine/seed
 // knobs), compiles them through the core.Analyze/Instrument split behind
-// a keyed core.SnapshotCache, schedules trials as sharded batches on the
-// shared internal/workpool, and streams each campaign's sfi.TrialRecord
-// JSONL ledger back incrementally over a chunked response.
+// a keyed core.SnapshotCache, keeps repeat requests' golden runs
+// (sfi.Prepare) in a prepared-campaign cache, schedules trials as
+// sharded batches on the shared internal/workpool, and streams each
+// campaign's sfi.TrialRecord JSONL ledger back incrementally over a
+// chunked response.
 //
 // Determinism invariant: a served ledger is byte-identical to batch
 // `encore-sfi -trace` output for the same (workload, config, seed) at
-// any worker count — the daemon reuses sfi.RunCampaign's incremental
-// trial-order emission rather than re-implementing campaign execution,
-// so equality holds by construction and is locked by the package tests
-// and scripts/check.sh's cmp smoke.
+// any worker count, from a cached golden run or not — the daemon reuses
+// sfi.RunCampaign's incremental trial-order emission, as sfi.Prepare
+// and (*sfi.Golden).Run, rather than re-implementing campaign
+// execution, so equality holds by construction and is locked by the
+// package tests and scripts/check.sh's cmp smoke.
 //
 // Multi-tenancy and backpressure: every request carries a tenant (the
 // X-Encore-Tenant header; empty means "default"), and admission charges
@@ -36,6 +39,7 @@ import (
 
 	"encore/internal/core"
 	"encore/internal/interp"
+	"encore/internal/ir"
 	"encore/internal/obs"
 	"encore/internal/sfi"
 )
@@ -74,8 +78,8 @@ type Config struct {
 	Checkpoints int
 	// Obs selects the metrics registry for the serve/campaign spans, the
 	// serve.campaigns.* admission counters, the serve.inflight.* gauges,
-	// and each campaign's compile and sfi metrics. Nil selects
-	// obs.Default().
+	// the serve.prepared.* cache metrics, and each campaign's compile
+	// and sfi metrics. Nil selects obs.Default().
 	Obs *obs.Registry
 	// StatsEvery is the default stats-stream snapshot cadence (one
 	// snapshot per StatsEvery settled trials); zero selects
@@ -83,8 +87,9 @@ type Config struct {
 	StatsEvery int
 	// Log, when non-nil, receives structured JSONL event logs: one line
 	// per accepted campaign (campaign_accepted), one per settled campaign
-	// (campaign_settled, carrying the trial count, outcome histogram, and
-	// wall time), and — with LogRequests — one per HTTP request. Lines
+	// (campaign_settled, carrying the trial count, outcome histogram, how
+	// the golden run was obtained and its cost, and wall time), and —
+	// with LogRequests — one per HTTP request. Lines
 	// are written whole under a lock, so a shared writer never
 	// interleaves.
 	Log io.Writer
@@ -114,12 +119,13 @@ type Config struct {
 // lifecycle (submit/status/cancel/ledger/result), /metrics, and /healthz,
 // plus a Drain method for graceful shutdown. Create with NewServer.
 type Server struct {
-	cfg   Config
-	reg   *obs.Registry
-	cache *core.SnapshotCache
-	adm   *admission
-	mux   *http.ServeMux
-	log   *logger
+	cfg      Config
+	reg      *obs.Registry
+	cache    *core.SnapshotCache
+	prepared *preparedCache
+	adm      *admission
+	mux      *http.ServeMux
+	log      *logger
 
 	mu        sync.Mutex
 	cond      *sync.Cond // broadcast when a campaign finishes (Drain waits)
@@ -148,6 +154,7 @@ func NewServer(cfg Config) *Server {
 		cfg:       cfg,
 		reg:       reg,
 		cache:     core.NewSnapshotCache(),
+		prepared:  newPreparedCache(reg),
 		adm:       newAdmission(cfg.MaxInFlightTrials, cfg.TenantMaxInFlightTrials, reg.Gauge("serve.inflight.trials")),
 		log:       newLogger(cfg.Log),
 		campaigns: map[string]*campaign{},
@@ -334,10 +341,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // run executes one admitted campaign end to end and settles its state.
 // It owns the campaign's slice of the admission budget until the run is
 // over, and returns it before the settled state becomes visible: a
-// client that sees the campaign settle may resubmit at once. A panic on
-// the campaign's goroutine fails that campaign alone: it is logged with
-// its stack (campaign_panic) and settles like any other error, so the
-// budget is released and the daemon keeps serving.
+// client that sees the campaign settle may resubmit at once. The settle
+// counters and log line also come first, so that client finds them. A
+// panic on the campaign's goroutine fails that campaign alone: it is
+// logged with its stack (campaign_panic) and settles like any other
+// error, so the budget is released and the daemon keeps serving.
 func (s *Server) run(c *campaign) {
 	res, err := func() (res *sfi.CampaignResult, err error) {
 		defer func() {
@@ -354,13 +362,19 @@ func (s *Server) run(c *campaign) {
 	}()
 	c.cancel() // release the context's resources; the run is over
 	s.adm.release(c.tenant, c.spec.trials)
-	c.finishRun(res, err)
-	s.finish(c)
+	state, msg := terminalState(err)
+	s.finish(c, res, state)
+	c.finishRun(res, state, msg)
+	s.mu.Lock()
+	s.inflight--
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
-// execute compiles the campaign's source (through the shared snapshot
-// cache) and runs its trials, streaming the ledger into the campaign's
-// chunk buffer as the completed prefix grows.
+// execute obtains the campaign's compile result and golden run from the
+// prepared-campaign cache, or prepares them, and runs its trials on
+// them, streaming the ledger into the campaign's chunk buffer as the
+// completed prefix grows.
 func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 	sp := s.reg.Span("serve/campaign")
 	defer sp.End()
@@ -370,42 +384,17 @@ func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	csp := sp.Child("compile")
-	ccfg := c.spec.ccfg
-	ccfg.Obs = s.reg
-	snap, err := s.cache.Get(c.spec.source, ccfg, func() (*core.Analysis, error) {
-		mod, _, err := c.spec.build()
-		if err != nil {
-			return nil, err
-		}
-		return core.Analyze(mod, ccfg)
+	res, gold, how, err := s.prepared.get(c.spec.key, func() (*core.Result, *sfi.Golden, error) {
+		return s.prepare(c, sp)
 	})
-	if err != nil {
-		csp.End()
-		return nil, err
-	}
-	mod, outs, err := c.spec.build()
-	if err != nil {
-		csp.End()
-		return nil, err
-	}
-	a, err := snap.Replay(mod)
-	if err != nil {
-		csp.End()
-		return nil, err
-	}
-	// Campaigns read no measured field, and the golden run executes the
-	// instrumented module anyway: skip Finalize's measurement run.
-	res, err := a.Instrument(ccfg)
-	csp.End()
+	c.golden = how
 	if err != nil {
 		return nil, err
 	}
 
 	tsp := sp.Child("trials")
 	defer tsp.End()
-	return sfi.RunCampaign(res.Mod, res.Metas, outs, sfi.CampaignConfig{
+	return gold.Run(sfi.CampaignConfig{
 		Trials: c.spec.trials, Seed: c.spec.seed, Dmax: c.spec.dmax, Bits: c.spec.bits,
 		Workers: c.spec.workers, Engine: c.spec.ccfg.Interp.Engine, Obs: s.reg,
 		App: c.spec.app, Regions: RegionTable(res, c.spec.dmax),
@@ -417,12 +406,58 @@ func (s *Server) execute(c *campaign) (*sfi.CampaignResult, error) {
 	})
 }
 
-// finish settles the server-side accounting once a campaign's runner is
-// done.
-func (s *Server) finish(c *campaign) {
+// prepare compiles the campaign's source (through the shared snapshot
+// cache) under the serve/campaign/compile span and runs its golden run
+// under serve/campaign/golden, whose duration the campaign keeps for its
+// settle log.
+func (s *Server) prepare(c *campaign, sp *obs.Span) (*core.Result, *sfi.Golden, error) {
+	csp := sp.Child("compile")
+	res, outs, err := s.compile(c)
+	csp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	start := time.Now()
+	gsp := sp.Child("golden")
+	gold, err := sfi.Prepare(res.Mod, res.Metas, outs, c.spec.ccfg.Interp.Engine, c.spec.checkpoints, s.reg)
+	gsp.End()
+	c.goldenMS = float64(time.Since(start).Microseconds()) / 1000
+	return res, gold, err
+}
+
+// compile builds the campaign's module, replays the cached analysis onto
+// it and instruments it. Campaigns read no measured field, and the
+// golden run executes the instrumented module anyway, so Finalize's
+// measurement run is skipped.
+func (s *Server) compile(c *campaign) (*core.Result, []*ir.Global, error) {
+	ccfg := c.spec.ccfg
+	ccfg.Obs = s.reg
+	snap, err := s.cache.Get(c.spec.source, ccfg, func() (*core.Analysis, error) {
+		mod, _, err := c.spec.build()
+		if err != nil {
+			return nil, err
+		}
+		return core.Analyze(mod, ccfg)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	mod, outs, err := c.spec.build()
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := snap.Replay(mod)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := a.Instrument(ccfg)
+	return res, outs, err
+}
+
+// finish counts and logs a campaign's settle once its runner is done.
+func (s *Server) finish(c *campaign, res *sfi.CampaignResult, state string) {
 	s.reg.Gauge("serve.inflight.campaigns").Add(-1)
-	st := c.status()
-	switch st.State {
+	switch state {
 	case StateDone:
 		s.reg.Counter("serve.campaigns.completed").Inc()
 	case StateCanceled:
@@ -431,21 +466,26 @@ func (s *Server) finish(c *campaign) {
 		s.reg.Counter("serve.campaigns.failed").Inc()
 	}
 	// One-line settle summary: id, tenant, state, trial counts, outcome
-	// histogram, and wall time — completion is loggable, not poll-only.
+	// histogram, how the golden run was obtained and what it cost, and
+	// wall time — completion is loggable, not poll-only.
 	outcomes := map[string]int{}
 	for _, oc := range c.est.Snapshot().Outcomes {
 		outcomes[oc.Outcome] = oc.Count
 	}
-	s.log.event("campaign_settled", map[string]any{
+	executed := 0
+	if res != nil {
+		executed = res.Executed
+	}
+	fields := map[string]any{
 		"campaign": c.id, "tenant": c.tenant, "app": c.spec.app,
-		"state": st.State, "trials": c.spec.trials, "executed": st.Executed,
+		"state": state, "trials": c.spec.trials, "executed": executed,
 		"outcomes": outcomes,
 		"wall_ms":  float64(time.Since(c.started).Microseconds()) / 1000,
-	})
-	s.mu.Lock()
-	s.inflight--
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	}
+	if c.golden != "" {
+		fields["golden"], fields["golden_ms"] = c.golden, c.goldenMS
+	}
+	s.log.event("campaign_settled", fields)
 }
 
 // lookup resolves the request's {id} to a campaign or answers 404.

@@ -9,12 +9,11 @@ import (
 	"encore/internal/workload"
 )
 
-// BenchmarkGoldenPass times a campaign's prologue alone — a fresh
-// machine pool and newExecutor's golden run on it — per application, at
-// zero checkpoints
-// (a plain Run) and at DefaultCheckpoints (the one-pass RunLadder, whose
-// rungs and captures are reported per op). It reproduces the prologue
-// layer of a campaign without the trials:
+// BenchmarkGoldenPass times a campaign's prologue alone — Prepare's
+// fresh machine pool and golden run on it — per application, at zero
+// checkpoints (a plain Run) and at DefaultCheckpoints (the one-pass
+// RunLadder, whose rungs, captures and footprint are reported per op).
+// It reproduces the prologue layer of a campaign without the trials:
 //
 //	go test -run '^$' -bench GoldenPass ./internal/sfi
 func BenchmarkGoldenPass(b *testing.B) {
@@ -37,17 +36,16 @@ func BenchmarkGoldenPass(b *testing.B) {
 		for _, ck := range []int{0, DefaultCheckpoints} {
 			b.Run(fmt.Sprintf("%s/ckpt%d", app, ck), func(b *testing.B) {
 				reg := obs.NewRegistry()
-				var e *executor
+				var g *Golden
 				for range b.N {
-					pool := newMachinePool(res.Mod, res.Metas, 0)
-					if e, err = newExecutor(pool, art.Outputs, ck, 100, reg); err != nil {
+					if g, err = Prepare(res.Mod, res.Metas, art.Outputs, 0, ck, reg); err != nil {
 						b.Fatal(err)
 					}
-					pool.release()
 				}
-				b.ReportMetric(float64(e.total), "instrs/op")
-				b.ReportMetric(float64(e.ladder.Len()), "rungs")
-				b.ReportMetric(float64(e.ladder.Captures()), "captures")
+				b.ReportMetric(float64(g.total), "instrs/op")
+				b.ReportMetric(float64(g.ladder.Len()), "rungs")
+				b.ReportMetric(float64(g.ladder.Captures()), "captures")
+				b.ReportMetric(float64(g.Footprint()), "ladder-B")
 			})
 		}
 	}

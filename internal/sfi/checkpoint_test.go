@@ -70,9 +70,18 @@ func replayOne(t *testing.T, ledger []byte) *campaignLog {
 // result, the trace bytes, and the trace replayed.
 func traced(t *testing.T, mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg sfi.CampaignConfig) (*sfi.CampaignResult, []byte, *campaignLog) {
 	t.Helper()
+	return tracedBy(t, func(cfg sfi.CampaignConfig) (*sfi.CampaignResult, error) {
+		return sfi.RunCampaign(mod, metas, outs, cfg)
+	}, cfg)
+}
+
+// tracedBy is traced for any campaign runner: RunCampaign, or Run on a
+// prepared Golden.
+func tracedBy(t *testing.T, run func(sfi.CampaignConfig) (*sfi.CampaignResult, error), cfg sfi.CampaignConfig) (*sfi.CampaignResult, []byte, *campaignLog) {
+	t.Helper()
 	var buf bytes.Buffer
 	cfg.Trace = obs.NewJSONLSink(&buf)
-	camp, err := sfi.RunCampaign(mod, metas, outs, cfg)
+	camp, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +103,9 @@ func ladderCounters(reg *obs.Registry) [2]int64 {
 // ladder is purely a throughput knob. The checkpoint counts cover the
 // one-pass ladder's schedule: a target whose golden pass thins its
 // ladder exactly once, and k = 1, which thins it at every rung after
-// the first.
+// the first. Campaigns run on one prepared Golden per engine and
+// checkpoint target match RunCampaign's for every shape, seed and
+// adaptive schedule run on it.
 func TestCheckpointLedgerInvariant(t *testing.T) {
 	for _, name := range checkpointWorkloads {
 		name := name
@@ -111,11 +122,11 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 
 			base := sfi.CampaignConfig{Trials: 60, Seed: 9, Dmax: 100, App: name}
 
-			// run executes a traced campaign with an estimator and returns
-			// the result, the trace read back, the trace bytes, and the
-			// final stats snapshot; the campaign's metrics land in *reg
-			// when reg is non-nil.
-			run := func(mut func(*sfi.CampaignConfig), reg **obs.Registry) (*sfi.CampaignResult, *campaignLog, []byte, []byte) {
+			// runBy executes a traced campaign with an estimator through
+			// runner (nil: RunCampaign) and returns the result, the trace
+			// read back, the trace bytes, and the final stats snapshot;
+			// the campaign's metrics land in *reg when reg is non-nil.
+			runBy := func(runner func(sfi.CampaignConfig) (*sfi.CampaignResult, error), mut func(*sfi.CampaignConfig), reg **obs.Registry) (*sfi.CampaignResult, *campaignLog, []byte, []byte) {
 				t.Helper()
 				cfg := base
 				est := stats.New()
@@ -127,12 +138,21 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 				if mut != nil {
 					mut(&cfg)
 				}
-				camp, raw, ledger := traced(t, res.Mod, res.Metas, art.Outputs, cfg)
+				if runner == nil {
+					runner = func(cfg sfi.CampaignConfig) (*sfi.CampaignResult, error) {
+						return sfi.RunCampaign(res.Mod, res.Metas, art.Outputs, cfg)
+					}
+				}
+				camp, raw, ledger := tracedBy(t, runner, cfg)
 				snap, err := json.Marshal(est.Snapshot())
 				if err != nil {
 					t.Fatal(err)
 				}
 				return camp, ledger, raw, snap
+			}
+			run := func(mut func(*sfi.CampaignConfig), reg **obs.Registry) (*sfi.CampaignResult, *campaignLog, []byte, []byte) {
+				t.Helper()
+				return runBy(nil, mut, reg)
 			}
 
 			ref, refLedger, refRaw, refSnap := run(nil, nil)
@@ -223,12 +243,63 @@ func TestCheckpointLedgerInvariant(t *testing.T) {
 				t.Errorf("adaptive campaign diverged across checkpoints: executed %d/%d counts %v/%v",
 					a0.Executed, a16.Executed, a0.Counts, a16.Counts)
 			}
+
+			// Prepared then run: one Golden per engine and checkpoint
+			// target serves every shape in turn, two adaptive campaigns
+			// with different seeds among them (the second reuses the
+			// region map the first recorded), and each writes exactly
+			// RunCampaign's ledger and stats. The 40-campaign matrix runs
+			// on the shortest golden run of the three, which keeps it
+			// cheap under -race.
+			if name != "175.vpr" {
+				return
+			}
+			shapes := []struct {
+				label string
+				mut   func(*sfi.CampaignConfig)
+			}{
+				{"workers1", func(c *sfi.CampaignConfig) { c.Workers = 1 }},
+				{"workers4", func(c *sfi.CampaignConfig) { c.Workers = 4 }},
+				{"shard2/3", func(c *sfi.CampaignConfig) { c.Shard = &sfi.ShardRange{Index: 2, Count: 3} }},
+				{"adaptive", func(c *sfi.CampaignConfig) { c.Stop = &sfi.Stopper{TargetCI: 0.3, Round: 8} }},
+				{"adaptive/seed10", func(c *sfi.CampaignConfig) { c.Stop, c.Seed = &sfi.Stopper{TargetCI: 0.3, Round: 8}, 10 }},
+			}
+			for _, eng := range []interp.Engine{interp.EngineFast, interp.EngineRef} {
+				for _, ck := range []int{0, 16} {
+					g, err := sfi.Prepare(res.Mod, res.Metas, art.Outputs, eng, ck, obs.NewRegistry())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, sh := range shapes {
+						mut := func(c *sfi.CampaignConfig) {
+							c.Engine, c.Checkpoints = eng, ck
+							sh.mut(c)
+						}
+						want, _, wantRaw, wantSnap := run(mut, nil)
+						got, _, raw, snap := runBy(g.Run, mut, nil)
+						label := fmt.Sprintf("prepared %s/ckpt%d/%s", eng, ck, sh.label)
+						if *got != *want {
+							t.Errorf("%s: result %+v, RunCampaign %+v", label, got, want)
+						}
+						if strings.HasPrefix(sh.label, "adaptive") && got.Skipped == 0 {
+							t.Errorf("%s: adaptive stopping skipped nothing", label)
+						}
+						if !bytes.Equal(raw, wantRaw) {
+							t.Errorf("%s: ledger diverged from RunCampaign's", label)
+						}
+						if !bytes.Equal(snap, wantSnap) {
+							t.Errorf("%s: stats snapshot diverged from RunCampaign's", label)
+						}
+					}
+				}
+			}
 		})
 	}
 }
 
-// TestCheckpointValidation covers the config rejection path: a negative
-// checkpoint count.
+// TestCheckpointValidation covers the config rejection paths: a negative
+// checkpoint count, to RunCampaign and to Prepare, and a Run on a Golden
+// whose engine or checkpoint target the config does not match.
 func TestCheckpointValidation(t *testing.T) {
 	sp, err := workload.ByName("rawcaudio")
 	if err != nil {
@@ -245,6 +316,33 @@ func TestCheckpointValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Errorf("negative checkpoints: got %v, want a checkpoint error", err)
+	}
+	if _, err := sfi.Prepare(res.Mod, res.Metas, art.Outputs, interp.EngineFast, -1, obs.NewRegistry()); err == nil ||
+		!strings.Contains(err.Error(), "checkpoint") {
+		t.Errorf("Prepare with negative checkpoints: got %v, want a checkpoint error", err)
+	}
+
+	g, err := sfi.Prepare(res.Mod, res.Metas, art.Outputs, interp.EngineFast, sfi.DefaultCheckpoints, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cfg  sfi.CampaignConfig
+		want string
+	}{
+		{sfi.CampaignConfig{Engine: interp.EngineRef, Checkpoints: sfi.DefaultCheckpoints}, "engine"},
+		{sfi.CampaignConfig{Checkpoints: 0}, "checkpoint target"},
+		{sfi.CampaignConfig{Checkpoints: 4}, "checkpoint target"},
+		{sfi.CampaignConfig{Checkpoints: sfi.DefaultCheckpoints, Dmax: -1}, "Dmax"},
+	} {
+		c.cfg.Trials, c.cfg.Obs = 5, obs.NewRegistry()
+		if _, err := g.Run(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run(engine %s, checkpoints %d, dmax %d): got %v, want a %s error",
+				c.cfg.Engine, c.cfg.Checkpoints, c.cfg.Dmax, err, c.want)
+		}
+	}
+	if _, err := g.Run(sfi.CampaignConfig{Trials: 5, Checkpoints: sfi.DefaultCheckpoints, Obs: obs.NewRegistry()}); err != nil {
+		t.Errorf("Run with the prepared engine and target: %v", err)
 	}
 }
 

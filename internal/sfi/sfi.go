@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"encore/internal/interp"
@@ -165,10 +166,11 @@ func measureMasking(build func() (*ir.Module, []*ir.Global), cfg MaskingConfig, 
 	mod, outs := build()
 	pool := newMachinePool(mod, nil, cfg.Engine)
 	defer pool.release()
-	e, err := newExecutor(pool, outs, checkpoints, 0, reg)
+	g, err := prepare(pool, outs, checkpoints, reg)
 	if err != nil {
 		return nil, err
 	}
+	e := g.executor(0, reg)
 
 	// Execute trials on a bounded worker pool (each worker owns one
 	// machine), each deriving its plan from (seed, t); results are
@@ -449,52 +451,182 @@ func (c *CampaignResult) RecoveredRate() float64 {
 // a bounded worker pool; a canceled cfg.Ctx stops scheduling at shard
 // granularity and RunCampaign returns the partial result with the
 // context's error. Zero Trials selects 200; negative is an error.
+//
+// RunCampaign is Prepare followed by Run on one machine pool, so the
+// golden run's machine serves the first trial worker.
 func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, cfg CampaignConfig) (*CampaignResult, error) {
-	if cfg.Trials < 0 {
-		return nil, fmt.Errorf("sfi: negative trial count %d (0 selects the default)", cfg.Trials)
-	}
-	if cfg.Trials == 0 {
-		cfg.Trials = 200
-	}
-	if cfg.Bits < 0 || cfg.Bits > 64 {
-		return nil, fmt.Errorf("sfi: Bits %d outside [0, 64] (0 selects 32)", cfg.Bits)
-	}
-	if cfg.Bits == 0 {
-		cfg.Bits = 32
-	}
-	if cfg.Dmax < 0 {
-		return nil, fmt.Errorf("sfi: negative Dmax %d (latency is sampled uniformly from [0, Dmax])", cfg.Dmax)
-	}
-	if cfg.Checkpoints < 0 {
-		return nil, fmt.Errorf("sfi: negative checkpoint count %d (0 disables the ladder)", cfg.Checkpoints)
-	}
-	if cfg.Shard != nil && cfg.Stop != nil {
-		return nil, fmt.Errorf("sfi: Shard and Stop cannot be combined (adaptive stopping decides from the global record stream)")
-	}
-	if sh := cfg.Shard; sh != nil && (sh.Count < 1 || sh.Index < 1 || sh.Index > sh.Count) {
-		return nil, fmt.Errorf("sfi: shard %d/%d: index out of range", sh.Index, sh.Count)
-	}
-	if cfg.Stop != nil {
-		if cfg.Stop.Round < 0 {
-			return nil, fmt.Errorf("sfi: negative adaptive round size %d", cfg.Stop.Round)
-		}
-		if cfg.Stop.TargetCI < 0 {
-			return nil, fmt.Errorf("sfi: negative adaptive target CI %g", cfg.Stop.TargetCI)
-		}
+	if err := cfg.normalize(); err != nil {
+		return nil, err
 	}
 	reg := obs.Or(cfg.Obs)
 	sp := reg.Span("sfi/campaign")
 	defer sp.End()
 	pool := newMachinePool(mod, metas, cfg.Engine)
 	defer pool.release()
-	e, err := newExecutor(pool, outs, cfg.Checkpoints, cfg.Dmax, reg)
+	g, err := prepare(pool, outs, cfg.Checkpoints, reg)
 	if err != nil {
 		return nil, err
 	}
+	return g.run(pool, cfg, reg)
+}
 
+// normalize validates cfg and fills in the Trials and Bits defaults.
+func (cfg *CampaignConfig) normalize() error {
+	if cfg.Trials < 0 {
+		return fmt.Errorf("sfi: negative trial count %d (0 selects the default)", cfg.Trials)
+	}
+	if cfg.Trials == 0 {
+		cfg.Trials = 200
+	}
+	if cfg.Bits < 0 || cfg.Bits > 64 {
+		return fmt.Errorf("sfi: Bits %d outside [0, 64] (0 selects 32)", cfg.Bits)
+	}
+	if cfg.Bits == 0 {
+		cfg.Bits = 32
+	}
+	if cfg.Dmax < 0 {
+		return fmt.Errorf("sfi: negative Dmax %d (latency is sampled uniformly from [0, Dmax])", cfg.Dmax)
+	}
+	if cfg.Checkpoints < 0 {
+		return fmt.Errorf("sfi: negative checkpoint count %d (0 disables the ladder)", cfg.Checkpoints)
+	}
+	if cfg.Shard != nil && cfg.Stop != nil {
+		return fmt.Errorf("sfi: Shard and Stop cannot be combined (adaptive stopping decides from the global record stream)")
+	}
+	if sh := cfg.Shard; sh != nil && (sh.Count < 1 || sh.Index < 1 || sh.Index > sh.Count) {
+		return fmt.Errorf("sfi: shard %d/%d: index out of range", sh.Index, sh.Count)
+	}
+	if cfg.Stop != nil {
+		if cfg.Stop.Round < 0 {
+			return fmt.Errorf("sfi: negative adaptive round size %d", cfg.Stop.Round)
+		}
+		if cfg.Stop.TargetCI < 0 {
+			return fmt.Errorf("sfi: negative adaptive target CI %g", cfg.Stop.TargetCI)
+		}
+	}
+	return nil
+}
+
+// Golden is the seed-independent half of a campaign: the instrumented
+// module with its region table and shared pre-decoded Program, and the
+// golden run's output checksum, dynamic length and checkpoint ladder,
+// captured for one engine and ladder target. None of it depends on a
+// campaign's seed, trial count, dmax or sinks. It keeps the golden run's
+// idle machine only until its first Run, whose first worker takes it
+// over, and holds no machine after that. Nothing else in it is written
+// after Prepare returns except the adaptive region map, recorded once on
+// first use, and a ladder's snapshots are only read by Restore and the
+// reconvergence compare, so any number of campaigns may Run on one
+// Golden at once.
+type Golden struct {
+	mod         *ir.Module
+	metas       []interp.RegionMeta
+	outs        []*ir.Global
+	prog        *interp.Program
+	engine      interp.Engine
+	checkpoints int
+
+	sum    uint64         // the golden run's output checksum
+	total  int64          // the golden run's dynamic length
+	limit  int64          // the golden run's own instruction budget
+	ladder *interp.Ladder // nil at zero checkpoints
+
+	// regionMap records the golden run's region map for adaptive
+	// stopping, a second, hooked golden run on the reference loop, once.
+	regionMap func() (*trace.RegionMap, error)
+	// spare is Prepare's machine pool, holding the idle golden machine,
+	// until the first Run takes it, so that run's first worker reuses
+	// the golden machine as RunCampaign's does; nil after.
+	spare atomic.Pointer[machinePool]
+}
+
+// Prepare runs the golden run of an instrumented module once, on the
+// given engine, capturing a checkpoint ladder of the given target when
+// it is positive (see CampaignConfig.Checkpoints), and returns the
+// Golden that any number of campaigns can then Run on. The ladder
+// counters sfi.ladder.rungs and sfi.ladder.captures land in reg (nil
+// selects obs.Default()). A campaign run on a Golden emits exactly the
+// ledger, stats and result RunCampaign does for the same config.
+func Prepare(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, engine interp.Engine, checkpoints int, reg *obs.Registry) (*Golden, error) {
+	if checkpoints < 0 {
+		return nil, fmt.Errorf("sfi: negative checkpoint count %d (0 disables the ladder)", checkpoints)
+	}
+	pool := newMachinePool(mod, metas, engine)
+	g, err := prepare(pool, outs, checkpoints, obs.Or(reg))
+	if err != nil {
+		pool.release()
+		return nil, err
+	}
+	g.spare.Store(pool)
+	return g, nil
+}
+
+// prepare runs the golden run on a pool machine under the default
+// budget. When checkpoints > 0 it is a RunLadder pass from
+// interp.LadderFloor targeting that many rungs, so the ladder costs no
+// extra execution; at 0 it is a plain Run on the pool's engine.
+func prepare(pool *machinePool, outs []*ir.Global, checkpoints int, reg *obs.Registry) (*Golden, error) {
+	g := &Golden{
+		mod: pool.mod, metas: pool.metas, outs: outs, prog: pool.prog,
+		engine: pool.engine, checkpoints: checkpoints,
+	}
+	g.regionMap = sync.OnceValues(func() (*trace.RegionMap, error) {
+		return trace.RecordRegionMap(g.mod, g.metas, g.prog)
+	})
+	m := pool.get()
+	defer pool.put(m)
+	var err error
+	if checkpoints > 0 {
+		_, g.ladder, err = m.RunLadder(checkpoints, interp.LadderFloor)
+	} else {
+		_, err = m.Run()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sfi: golden run: %w", err)
+	}
+	g.sum, g.total, g.limit = m.Checksum(outs...), m.Count, m.Cfg.MaxInstrs
+	reg.Add("sfi.ladder.rungs", int64(g.ladder.Len()))
+	reg.Add("sfi.ladder.captures", int64(g.ladder.Captures()))
+	return g, nil
+}
+
+// Footprint reports the bytes the golden run's checkpoint ladder holds
+// (interp.Ladder.Footprint): zero at zero checkpoints.
+func (g *Golden) Footprint() int64 { return g.ladder.Footprint() }
+
+// Run runs one campaign on the prepared golden run: everything
+// RunCampaign does after its golden run, on machines of its own. cfg's
+// Engine and Checkpoints must be the ones the Golden was prepared with,
+// since the ladder and the decoded program belong to them; every other
+// field is free. Its "sfi/campaign" span and counters cover the trials
+// only.
+func (g *Golden) Run(cfg CampaignConfig) (*CampaignResult, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	if cfg.Engine != g.engine {
+		return nil, fmt.Errorf("sfi: campaign engine %s, but the golden run was prepared on %s", cfg.Engine, g.engine)
+	}
+	if cfg.Checkpoints != g.checkpoints {
+		return nil, fmt.Errorf("sfi: campaign checkpoint target %d, but the golden run was prepared for %d", cfg.Checkpoints, g.checkpoints)
+	}
+	reg := obs.Or(cfg.Obs)
+	sp := reg.Span("sfi/campaign")
+	defer sp.End()
+	pool := g.spare.Swap(nil)
+	if pool == nil {
+		pool = &machinePool{prog: g.prog, mod: g.mod, metas: g.metas, engine: g.engine}
+	}
+	defer pool.release()
+	return g.run(pool, cfg, reg)
+}
+
+// run executes a normalized campaign's trials on pool's machines.
+func (g *Golden) run(pool *machinePool, cfg CampaignConfig, reg *obs.Registry) (*CampaignResult, error) {
+	e := g.executor(cfg.Dmax, reg)
 	res := &CampaignResult{Trials: cfg.Trials}
 	plan := func(t int) interp.FaultPlan {
-		return campaignPlan(trialRNG(cfg.Seed^campaignSalt, t), e.total, cfg.Bits, cfg.Dmax)
+		return campaignPlan(trialRNG(cfg.Seed^campaignSalt, t), g.total, cfg.Bits, cfg.Dmax)
 	}
 	// Execution range: the whole trial space, or one shard of it; plans
 	// are global, so a shard's records are the single-process run's.
@@ -505,7 +637,7 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	classOf := make(map[int]string, len(cfg.Regions))
 	meta := CampaignMeta{
 		App: cfg.App, Trials: cfg.Trials, Seed: cfg.Seed,
-		Dmax: cfg.Dmax, Bits: cfg.Bits, GoldenInstrs: e.total,
+		Dmax: cfg.Dmax, Bits: cfg.Bits, GoldenInstrs: g.total,
 		Regions: cfg.Regions,
 	}
 	for _, ri := range cfg.Regions {
@@ -523,12 +655,12 @@ func RunCampaign(mod *ir.Module, metas []interp.RegionMeta, outs []*ir.Global, c
 	if cfg.Trace != nil {
 		cfg.Trace.Emit(campaignEnvelope{Type: traceCampaign, CampaignMeta: meta})
 	}
-	// Adaptive stopping: predict planned trials' strike regions from one
+	// Adaptive stopping: predict planned trials' strike regions from the
 	// hooked golden run's region map, so a trial aimed at an
 	// already-converged region is skipped without executing it.
 	var stop *stopRun
 	if cfg.Stop != nil {
-		rm, err := trace.RecordRegionMap(mod, metas, pool.prog)
+		rm, err := g.regionMap()
 		if err != nil {
 			return nil, fmt.Errorf("sfi: %w", err)
 		}
@@ -672,13 +804,10 @@ func trialBudget(total, dmax, limit int64) int64 {
 }
 
 // executor is the one trial path of the campaign and the masking study:
-// the golden run's checksum and length, the optional checkpoint ladder,
-// and the trial budget.
+// a Golden with the trial budget for one study's largest detection
+// latency and the trial counters of its registry.
 type executor struct {
-	outs   []*ir.Global
-	golden uint64
-	total  int64
-	ladder *interp.Ladder
+	*Golden
 	budget int64
 
 	// restores, replayInstrs and savedInstrs count ladder forks, the
@@ -688,14 +817,12 @@ type executor struct {
 	restores, replayInstrs, savedInstrs, reconverged, reconvSaved, hangs *obs.Counter
 }
 
-// newExecutor runs the golden run on a pool machine under the default
-// budget. When checkpoints > 0 the golden run is a RunLadder pass from
-// interp.LadderFloor targeting that many rungs, so the ladder costs no
-// extra execution; at 0 it is a plain Run on the pool's engine. dmax is
-// the study's largest detection latency.
-func newExecutor(pool *machinePool, outs []*ir.Global, checkpoints int, dmax int64, reg *obs.Registry) (*executor, error) {
-	e := &executor{
-		outs:         outs,
+// executor returns the trial path on g for a study whose detections fall
+// at most dmax after injection, counting into reg.
+func (g *Golden) executor(dmax int64, reg *obs.Registry) *executor {
+	return &executor{
+		Golden:       g,
+		budget:       trialBudget(g.total, dmax, g.limit),
 		restores:     reg.Counter("sfi.restore.count"),
 		replayInstrs: reg.Counter("sfi.restore.replay_instrs"),
 		savedInstrs:  reg.Counter("sfi.restore.saved_instrs"),
@@ -703,22 +830,6 @@ func newExecutor(pool *machinePool, outs []*ir.Global, checkpoints int, dmax int
 		reconvSaved:  reg.Counter("sfi.reconverge.saved_instrs"),
 		hangs:        reg.Counter("sfi.hang.count"),
 	}
-	m := pool.get()
-	defer pool.put(m)
-	var err error
-	if checkpoints > 0 {
-		_, e.ladder, err = m.RunLadder(checkpoints, interp.LadderFloor)
-	} else {
-		_, err = m.Run()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sfi: golden run: %w", err)
-	}
-	e.golden, e.total = m.Checksum(outs...), m.Count
-	e.budget = trialBudget(e.total, dmax, m.Cfg.MaxInstrs)
-	reg.Add("sfi.ladder.rungs", int64(e.ladder.Len()))
-	reg.Add("sfi.ladder.captures", int64(e.ladder.Captures()))
-	return e, nil
 }
 
 // trial runs plan on w under the trial budget: a fork from the deepest
@@ -757,7 +868,7 @@ func (e *executor) trial(w *interp.Machine, plan interp.FaultPlan) (o Outcome, r
 	if errors.Is(runErr, interp.ErrBudget) {
 		e.hangs.Add(1)
 	}
-	match := runErr == nil && (reconv || w.Checksum(e.outs...) == e.golden)
+	match := runErr == nil && (reconv || w.Checksum(e.outs...) == e.sum)
 	return classify(rep, runErr, match), rep, final, runErr
 }
 
@@ -771,8 +882,8 @@ func (e *executor) trial(w *interp.Machine, plan interp.FaultPlan) (o Outcome, r
 // built back to the interpreter's memory-image pool when the campaign
 // returns, instead of leaving the images to the garbage collector.
 type machinePool struct {
-	// prog is the shared pre-decoded Program; also handed to the
-	// adaptive region-map run so it skips re-decoding.
+	// prog is the shared pre-decoded Program; the pool's Golden keeps it
+	// for later pools and the adaptive region-map run.
 	prog *interp.Program
 
 	mod    *ir.Module

@@ -401,10 +401,11 @@ func TestTrialBudgetEndsRunaway(t *testing.T) {
 	reg := obs.NewRegistry()
 	pool := newMachinePool(mod, nil, interp.EngineFast)
 	defer pool.release()
-	e, err := newExecutor(pool, []*ir.Global{out}, DefaultCheckpoints, 0, reg)
+	g, err := prepare(pool, []*ir.Global{out}, DefaultCheckpoints, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := g.executor(0, reg)
 	if want := hangFactor*e.total + hangFloor; e.budget != want {
 		t.Fatalf("trial budget %d, want %d·%d + %d = %d", e.budget, hangFactor, e.total, hangFloor, want)
 	}

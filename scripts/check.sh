@@ -16,7 +16,9 @@
 # ledger, and
 # that the encore-serve daemon's streamed campaign ledger is
 # byte-identical to the batch encore-sfi -trace ledger for the same
-# (workload, config, seed), after the same daemon has answered a
+# (workload, config, seed) on a key's first sight, on the submit that
+# admits it to the prepared-campaign cache and on a cache hit (one miss
+# and one hit on /metrics), after the same daemon has answered a
 # malformed tenant module with 400 bad-request, and that the daemon's
 # /result counts every trial executed and reports the ledger header's
 # predicted coverage. The telemetry smokes additionally check that
@@ -291,11 +293,12 @@ go run scripts/promlint.go "$tmp/sfi.prom" || { echo "encore-sfi -prom: promlint
 "$tmp/encore" -app rawcaudio -prom "$tmp/encore.prom" > /dev/null
 go run scripts/promlint.go "$tmp/encore.prom" || { echo "encore -prom: promlint failed" >&2; exit 1; }
 
-echo "==> smoke: encore-serve rejects a malformed module, then served ledger == batch ledger"
+echo "==> smoke: encore-serve rejects a malformed module, then served ledger == batch ledger, three times"
 # Boot the daemon on an ephemeral port, submit a malformed module, then
-# the same campaign the -trace smoke above ran in batch (rawcaudio, 5
-# trials, seed 1, dmax 100), and cmp the streamed ledger against the
-# batch bytes. Then check /metrics and graceful SIGTERM drain.
+# three times the same campaign the -trace smoke above ran in batch
+# (rawcaudio, 5 trials, seed 1, dmax 100), and cmp each streamed ledger
+# against the batch bytes. Then check /metrics (one prepared-campaign
+# miss, one hit) and graceful SIGTERM drain.
 "$tmp/encore-serve" -addr 127.0.0.1:0 2> "$tmp/serve.log" &
 serve_pid=$!
 addr=""
@@ -313,17 +316,23 @@ code=$(curl -sS -o "$tmp/serve-bad.json" -w '%{http_code}' -X POST "http://$addr
 	-d '{"module":"module m\nglobal g[-4]\nfunc main(params=0 regs=1 frame=0):\nentry#0:\n  r0 = const 1\n  ret r0\n","trials":4}')
 [ "$code" = 400 ] || { echo "encore-serve: malformed module answered $code, want 400" >&2; exit 1; }
 grep -q '"code":"bad-request"' "$tmp/serve-bad.json" || { echo "encore-serve: malformed module error code is not bad-request" >&2; cat "$tmp/serve-bad.json" >&2; exit 1; }
-cid=$(curl -sS -X POST "http://$addr/v1/campaigns" \
-	-H 'Content-Type: application/json' \
-	-d '{"workload":"rawcaudio","trials":5,"seed":1,"dmax":100}' \
-	| sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
-[ -n "$cid" ] || { echo "encore-serve: submit returned no campaign id" >&2; exit 1; }
-curl -sS "http://$addr/v1/campaigns/$cid/ledger" > "$tmp/served.jsonl"
-cmp -s "$tmp/trace.jsonl" "$tmp/served.jsonl" || {
-	echo "encore-serve: served ledger differs from batch encore-sfi -trace:" >&2
-	diff "$tmp/trace.jsonl" "$tmp/served.jsonl" >&2 || true
-	exit 1
-}
+# The same request three times: the first prepares its golden run
+# without caching it, the second admits it to the prepared-campaign
+# cache, and the third is served from the cache. All three ledgers must
+# be the batch bytes.
+for n in 1 2 3; do
+	cid=$(curl -sS -X POST "http://$addr/v1/campaigns" \
+		-H 'Content-Type: application/json' \
+		-d '{"workload":"rawcaudio","trials":5,"seed":1,"dmax":100}' \
+		| sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+	[ -n "$cid" ] || { echo "encore-serve: submit $n returned no campaign id" >&2; exit 1; }
+	curl -sS "http://$addr/v1/campaigns/$cid/ledger" > "$tmp/served.jsonl"
+	cmp -s "$tmp/trace.jsonl" "$tmp/served.jsonl" || {
+		echo "encore-serve: served ledger of submit $n differs from batch encore-sfi -trace:" >&2
+		diff "$tmp/trace.jsonl" "$tmp/served.jsonl" >&2 || true
+		exit 1
+	}
+done
 # The settled result: all five trials executed, and pred_coverage (read
 # from the campaign's estimator) equal to the ledger header's.
 curl -sS "http://$addr/v1/campaigns/$cid/result" > "$tmp/serve-result.json"
@@ -338,6 +347,12 @@ curl -sS "http://$addr/v1/campaigns/$cid" > "$tmp/serve-status.json"
 grep -q '"state":"done"' "$tmp/serve-status.json" || { echo "encore-serve: campaign did not settle done" >&2; exit 1; }
 curl -sS "http://$addr/metrics" > "$tmp/serve-metrics.json"
 grep -q '"serve.campaigns.completed"' "$tmp/serve-metrics.json" || { echo "encore-serve: /metrics missing serve counters" >&2; exit 1; }
+for c in misses hits; do
+	grep -A1 "\"serve.prepared.$c\"" "$tmp/serve-metrics.json" | grep -q '"value": 1$' || {
+		echo "encore-serve: /metrics serve.prepared.$c is not 1 after three identical submits" >&2
+		exit 1
+	}
+done
 curl -sS "http://$addr/v1/campaigns/$cid/stats" > "$tmp/serve-stats.json"
 grep -q '"regions"' "$tmp/serve-stats.json" || { echo "encore-serve: /stats missing regions array" >&2; exit 1; }
 grep -q '"trials":5' "$tmp/serve-stats.json" || { echo "encore-serve: /stats trials != 5" >&2; exit 1; }
